@@ -14,7 +14,7 @@ import sys
 
 from .code import (
     OrderSpec,
-    best_bound_over_orders,
+    bounds_over_orders,
     dimension,
     distance_lower_bound,
     find_surjective_dilate,
@@ -33,7 +33,8 @@ from .oracle import (
     reduction_class_count_unionfind,
 )
 from .polytope import Polytope, PolytopeError
-from .variety import HypothesisError, check_hypotheses, count_rational_points, picard_invariants
+from .variety import HypothesisError, check_hypotheses, count_rational_points
+from .variety import picard_invariants, require_hypotheses
 
 
 def load_document(path):
@@ -170,6 +171,7 @@ def cmd_dim(args):
 def cmd_bound(args):
     P, doc = load_document(args.polytope)
     field = _field_from(args, doc)
+    require_hypotheses(P, field.q)
     lam_max = _lambda_max_from(args, doc)
     lam = find_surjective_dilate(P, field, lam_max)
     if lam is None:
@@ -181,9 +183,10 @@ def cmd_bound(args):
         orders = [parse_order(args.order)]
     else:
         orders = stock_orders(P.dim)
-    for order in orders:
-        print(f"bound[{order.name}] = {distance_lower_bound(P, Pbig, field, order)}")
-    best, best_order = best_bound_over_orders(P, Pbig, field, orders)
+    bounds = bounds_over_orders(P, Pbig, field, orders)
+    for order, bound in bounds:
+        print(f"bound[{order.name}] = {bound}")
+    best_order, best = max(bounds, key=lambda ob: ob[1])
     print(f"best = {best} ({best_order.name})")
     return 0
 

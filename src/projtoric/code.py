@@ -13,8 +13,10 @@ translated offset-difference region.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import product
+
+import numpy as np
 
 from .gf import GF
 from .polytope import offset_difference, same_normal_fan
@@ -91,10 +93,50 @@ def stock_orders(dim):
     return orders
 
 
+def _points_by_face(P):
+    # one pass over the lattice points: the tight facet set of a point
+    # names the minimal face containing it
+    index = {f.facet_indices: i for i, f in enumerate(P.faces)}
+    buckets = [[] for _ in P.faces]
+    for m in P.lattice_points:
+        buckets[index[P.tight_facets(m)]].append(m)
+    return buckets
+
+
+def _rows(P):
+    """Row points as an int64 array, with the face index of each row."""
+    buckets = _points_by_face(P)
+    points = np.array([m for b in buckets for m in b], dtype=np.int64)
+    return points, np.repeat(np.arange(len(buckets)), [len(b) for b in buckets])
+
+
 def ordered_lattice_points(P):
     """Lattice points of P in row order: interior of P first, then
     interiors of faces by decreasing dimension, vertices last."""
-    return tuple(m for f in P.faces for m in P.interior_lattice_points(f))
+    return tuple(m for bucket in _points_by_face(P) for m in bucket)
+
+
+def _subface_table(faces):
+    """table[a, b]: faces[a] lies on every facet that faces[b] lies on."""
+    sets = [set(f.facet_indices) for f in faces]
+    return np.array([[b <= a for b in sets] for a in sets], dtype=bool)
+
+
+def _evaluate(exponents, field):
+    """exp[(E @ J) % (q-1)] as uint16, which holds every code as q <= 2^16.
+    Units are stored as powers of the generator g and column c of J is
+    the c-th tuple of range(q-1)^k in product order, so entry (i, c) is
+    the monomial E[i] at the unit tuple g^J[:, c], for any sign of E."""
+    q1 = field.q - 1
+    k = exponents.shape[1]
+    powers = exponents @ np.indices((q1,) * k).reshape(k, q1**k)
+    powers %= q1
+    return np.array(field.units, dtype=np.uint16)[powers]
+
+
+def _straightened(flag, points, k):
+    """The first k straightened coordinates of each row of points."""
+    return (points - flag.base_vertex) @ np.array(flag.inverse_transform)[:k].T
 
 
 def block_matrix(P, Q, flag, field):
@@ -109,22 +151,11 @@ def block_matrix(P, Q, flag, field):
     field = _as_field(field)
     if Q not in flag.chain:
         raise ValueError("flag does not contain the face")
-    k = Q.dim
-    cols = list(product(field.units, repeat=k))
-    rows = []
-    for m in ordered_lattice_points(P):
-        if not P.face_contains(Q, m):
-            rows.append((0,) * len(cols))
-            continue
-        e = flag.exponents(m)[:k]
-        row = []
-        for x in cols:
-            val = 1
-            for base, exp in zip(x, e):
-                val = field.mul(val, field.pow(base, exp))
-            row.append(val)
-        rows.append(tuple(row))
-    return tuple(rows)
+    points, row_face = _rows(P)
+    on = _subface_table(P.faces)[row_face, P.faces.index(Q)]
+    out = np.zeros((len(points), (field.q - 1) ** Q.dim), dtype=np.uint16)
+    out[on] = _evaluate(_straightened(flag, points[on], Q.dim), field)
+    return tuple(tuple(row.tolist()) for row in out)
 
 
 @dataclass(frozen=True)
@@ -166,14 +197,11 @@ class EvaluationMatrix:
     def structural_violations(self):
         """Entries breaking the zero pattern: nonzero off the column's
         face, or zero on it. Empty on a correctly assembled matrix."""
-        P = self.polytope
+        on_face = _subface_table(self.faces)[:, self.col_face_index]
         bad = []
-        for i, m in enumerate(self.row_points):
-            tight = set(P.tight_facets(m))
-            for j, fi in enumerate(self.col_face_index):
-                member = tight >= set(self.faces[fi].facet_indices)
-                if (self.entries[i][j] != 0) != member:
-                    bad.append((i, j))
+        for i, fi in enumerate(self.row_face_index):
+            wrong = np.flatnonzero(on_face[fi] != (np.array(self.entries[i]) != 0))
+            bad.extend((i, j) for j in wrong.tolist())
         return bad
 
 
@@ -190,48 +218,34 @@ def generator_matrix(P, field, flags=None):
         flags = build_flags(P)
     assign = flag_assignment(P, flags)
     faces = P.faces
-    blocks = [block_matrix(P, Q, assign[Q], field) for Q in faces]
-    rows = []
-    fi_of_row = []
-    for fi, f in enumerate(faces):
-        for m in P.interior_lattice_points(f):
-            rows.append(m)
-            fi_of_row.append(fi)
-    entries = tuple(
-        tuple(x for block in blocks for x in block[i]) for i in range(len(rows))
-    )
+    points, row_face = _rows(P)
+    on_face = _subface_table(faces)[row_face]
     widths = tuple((field.q - 1) ** f.dim for f in faces)
-    col_face_index = tuple(
-        fi for fi, w in enumerate(widths) for _ in range(w)
-    )
+    out = np.zeros((len(points), sum(widths)), dtype=np.uint16)
+    start = 0
+    for fi, (Q, w) in enumerate(zip(faces, widths)):
+        on = on_face[:, fi]
+        out[on, start:start + w] = _evaluate(_straightened(assign[Q], points[on], Q.dim), field)
+        start += w
     return EvaluationMatrix(
         field,
         P,
-        entries,
-        tuple(rows),
-        tuple(fi_of_row),
+        tuple(tuple(row.tolist()) for row in out),
+        tuple(map(tuple, points.tolist())),
+        tuple(row_face.tolist()),
         faces,
         widths,
-        col_face_index,
+        tuple(np.repeat(np.arange(len(faces)), widths).tolist()),
     )
 
 
 def toric_generator_matrix(P, field):
     """Generator matrix of the classical toric code: the same monomials
-    evaluated only on the dense torus, entry t^m for t in units^dim."""
+    evaluated only on the dense torus, entry t^m for t in units^dim.
+    This is one block with identity straightening based at the origin."""
     field = _as_field(field)
     require_hypotheses(P, field.q)
-    cols = list(product(field.units, repeat=P.dim))
-    rows = []
-    for m in ordered_lattice_points(P):
-        row = []
-        for t in cols:
-            val = 1
-            for base, exp in zip(t, m):
-                val = field.mul(val, field.pow(base, exp))
-            row.append(val)
-        rows.append(tuple(row))
-    return tuple(rows)
+    return tuple(tuple(row.tolist()) for row in _evaluate(_rows(P)[0], field))
 
 
 @dataclass(frozen=True)
@@ -248,31 +262,17 @@ class ReductionSet:
     representatives: tuple
 
 
-def _points_by_face(P):
-    # one pass over the lattice points: the tight facet set of a point
-    # names the minimal face containing it
-    index = {f.facet_indices: i for i, f in enumerate(P.faces)}
-    buckets = [[] for _ in P.faces]
-    for m in P.lattice_points:
-        buckets[index[P.tight_facets(m)]].append(m)
-    return buckets
+def _classes(points, q):
+    """Points grouped by their coordinates mod q-1, in first-seen order."""
+    per = defaultdict(list)
+    for m in points:
+        per[tuple(x % (q - 1) for x in m)].append(m)
+    return list(per.values())
 
 
-def _face_class_groups(P, q):
-    groups = []
-    for bucket in _points_by_face(P):
-        per = {}
-        for m in bucket:
-            per.setdefault(tuple(x % (q - 1) for x in m), []).append(m)
-        groups.extend(per.values())
-    return groups
-
-
-def _reduction_count(P, q):
-    total = 0
-    for bucket in _points_by_face(P):
-        total += len({tuple(x % (q - 1) for x in m) for m in bucket})
-    return total
+def _class_groups(P, q):
+    """Reduction classes of P: the congruence classes of each face interior."""
+    return [_classes(bucket, q) for bucket in _points_by_face(P)]
 
 
 def projective_reduction(P, field, order=None):
@@ -287,12 +287,9 @@ def projective_reduction(P, field, order=None):
         order = OrderSpec.lex()
     mapping = {}
     reps = []
-    for bucket in _points_by_face(P):
-        per = {}
-        for m in bucket:
-            per.setdefault(tuple(x % (q - 1) for x in m), []).append(m)
+    for groups in _class_groups(P, q):
         face_reps = []
-        for group in per.values():
+        for group in groups:
             rep = min(group, key=order.key)
             face_reps.append(rep)
             for m in group:
@@ -309,13 +306,8 @@ def toric_reduction(points, field, order=None):
     q = field.q if isinstance(field, GF) else _as_field(field).q
     if order is None:
         order = OrderSpec.lex()
-    per = {}
-    for m in points:
-        m = tuple(m)
-        per.setdefault(tuple(x % (q - 1) for x in m), []).append(m)
-    return tuple(
-        sorted((min(g, key=order.key) for g in per.values()), key=order.key)
-    )
+    groups = _classes(map(tuple, points), q)
+    return tuple(sorted((min(g, key=order.key) for g in groups), key=order.key))
 
 
 def dimension(P, field):
@@ -338,7 +330,7 @@ def is_surjective(Pbig, P, field):
     base = dict(zip(P.normals, P.offsets))
     if any(a < base[u] for u, a in zip(Pbig.normals, Pbig.offsets)):
         return False
-    return _reduction_count(Pbig, q) == count_rational_points(P, q)
+    return sum(map(len, _class_groups(Pbig, q))) == count_rational_points(P, q)
 
 
 def find_surjective_dilate(P, field, lambda_max=16):
@@ -365,6 +357,18 @@ class BoundDetails:
         )
 
 
+def _survivor_counts(region, small, large):
+    """For each point m of small, the number of points of large whose
+    difference from m satisfies every inequality of region."""
+    normals = np.array(region.normals, dtype=np.int64).T
+    floor = -np.array(region.offsets, dtype=np.int64)
+    values = np.array(large, dtype=np.int64) @ normals
+    return tuple(
+        int(np.count_nonzero((values >= floor + s).all(axis=1)))
+        for s in np.array(small, dtype=np.int64) @ normals
+    )
+
+
 def distance_lower_bound_details(P, Pbig, field, order=None):
     """Distance bound together with the count behind each reduced point.
 
@@ -377,17 +381,9 @@ def distance_lower_bound_details(P, Pbig, field, order=None):
         order = OrderSpec.lex()
     if not is_surjective(Pbig, P, field):
         raise SurjectivityError("enlarged polytope is not surjective over the base")
-    region = offset_difference(Pbig, P)
     small = projective_reduction(P, field, order).representatives
     large = projective_reduction(Pbig, field, order).representatives
-    counts = tuple(
-        sum(
-            1
-            for m2 in large
-            if region.contains(tuple(a - b for a, b in zip(m2, m)))
-        )
-        for m in small
-    )
+    counts = _survivor_counts(offset_difference(Pbig, P), small, large)
     return BoundDetails(min(counts), order, small, counts)
 
 
@@ -396,13 +392,13 @@ def distance_lower_bound(P, Pbig, field, order=None):
     return distance_lower_bound_details(P, Pbig, field, order).bound
 
 
-def best_bound_over_orders(P, Pbig, field, orders=None):
-    """(best bound, achieving order) over a set of monomial orders.
+def bounds_over_orders(P, Pbig, field, orders=None):
+    """(order, bound) for each monomial order, in the given order.
 
     The congruence classes are computed once; only the representative
-    choice varies with the order. Ties keep the earliest order.
+    choice varies with the order.
     """
-    q = field.q if isinstance(field, GF) else _as_field(field).q
+    q = _as_field(field).q
     if orders is None:
         orders = stock_orders(P.dim)
     orders = list(orders)
@@ -411,24 +407,21 @@ def best_bound_over_orders(P, Pbig, field, orders=None):
     if not is_surjective(Pbig, P, field):
         raise SurjectivityError("enlarged polytope is not surjective over the base")
     region = offset_difference(Pbig, P)
-    small_groups = _face_class_groups(P, q)
-    large_groups = _face_class_groups(Pbig, q)
-    best = None
-    best_order = None
+    small_groups = [g for groups in _class_groups(P, q) for g in groups]
+    large_groups = [g for groups in _class_groups(Pbig, q) for g in groups]
+    bounds = []
     for order in orders:
         small = [min(g, key=order.key) for g in small_groups]
         large = [min(g, key=order.key) for g in large_groups]
-        bound = min(
-            sum(
-                1
-                for m2 in large
-                if region.contains(tuple(a - b for a, b in zip(m2, m)))
-            )
-            for m in small
-        )
-        if best is None or bound > best:
-            best, best_order = bound, order
-    return best, best_order
+        bounds.append((order, min(_survivor_counts(region, small, large))))
+    return tuple(bounds)
+
+
+def best_bound_over_orders(P, Pbig, field, orders=None):
+    """(best bound, achieving order) over a set of monomial orders.
+    Ties keep the earliest order."""
+    order, bound = max(bounds_over_orders(P, Pbig, field, orders), key=lambda ob: ob[1])
+    return bound, order
 
 
 def subcode_matrix(M, rows=None, cols=None):

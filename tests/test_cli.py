@@ -104,6 +104,29 @@ def test_bound_toy(capsys, toy_doc):
     assert "best = 8" in out
 
 
+def test_bound_tie_keeps_earliest_order(capsys, tmp_path):
+    # grlex and permlex tie above lex; the earlier of the two is reported
+    doc = write_doc(
+        tmp_path, "tie.json", vertices=[[0, 0], [2, -7], [7, 2], [9, -7]], q=4
+    )
+    code, out, _ = run(capsys, "bound", "--polytope", doc)
+    assert code == 0
+    assert out == (
+        "lambda = 4\n"
+        "bound[lex] = 0\n"
+        "bound[grlex] = 1\n"
+        "bound[permlex:1,0] = 1\n"
+        "best = 1 (grlex)\n"
+    )
+
+
+def test_bound_hypothesis_failure_exit(capsys, quad_doc):
+    code, out, err = run(capsys, "bound", "--polytope", quad_doc)
+    assert code == 3
+    assert out == ""
+    assert "hypothesis failure" in err
+
+
 def test_bound_without_dilate(capsys, toy_doc):
     code, out, _ = run(
         capsys, "bound", "--polytope", toy_doc, "--lambda-max", "2"

@@ -1,8 +1,13 @@
+import dataclasses
+import hashlib
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from projtoric.cli import load_document
 from projtoric.code import (
     OrderSpec,
     SurjectivityError,
@@ -97,6 +102,49 @@ def test_structural_violations_empty(toy_triangle, quadrilateral, hirzebruch):
     cases = [(toy_triangle, 4), (quadrilateral, 5), (hirzebruch, 7)]
     for P, q in cases:
         assert generator_matrix(P, GF(q)).structural_violations() == []
+
+
+def _with_entry(M, i, j, value):
+    rows = [list(r) for r in M.entries]
+    rows[i][j] = value
+    return dataclasses.replace(M, entries=tuple(tuple(r) for r in rows))
+
+
+@pytest.mark.parametrize("q", [4, 257])
+def test_structural_violations_name_the_flipped_entry(toy_triangle, q):
+    M = generator_matrix(toy_triangle, GF(q))
+    zero = next(
+        (i, j) for i, r in enumerate(M.entries) for j, x in enumerate(r) if x == 0
+    )
+    on_face = (len(M.entries) - 1, M.shape[1] - 1)
+    assert M.entries[on_face[0]][on_face[1]] != 0
+    for (i, j), value in ((zero, 1), (on_face, 0)):
+        bad = _with_entry(M, i, j, value).structural_violations()
+        assert bad == [(i, j)]
+        assert all(type(x) is int for x in bad[0])
+
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+# sha256 of json.dumps(entries); the quadrilateral fails H2 over its own
+# F7, so it is pinned over F5
+PINNED_MATRICES = [
+    ("cube.json", 3, "26afb211cd4da20f35f23cf289effe69be7792819dd2680977d52c45f0035382"),
+    ("hirzebruch_232.json", 7, "085a62da87a18d770ff8c7d6acb58d6ed1324e63e4d85344873456e3ba5a8836"),
+    ("quadrilateral.json", 5, "707ec069d00cea361fd595f1a3915559f878ab96ac108a90419dd702f898ac71"),
+    ("segment01.json", 3, "78a9c6b65210db21e4fba21eaeeb4684596fc6854e958f8d8a156c4017cdedc5"),
+    ("toy_triangle.json", 4, "fa637db992fdbc5ba9bd9ad7bb4abaf86a464af2f0deb2f62b6e79eae8f72f89"),
+    ("unit_square.json", 3, "6f3408584129a245742662bd22f485f5dcfcc7a277c849259f843242d5291ada"),
+    ("toy_triangle.json", 16, "d6dd49b4c6f0803c816514c8d7b435bd1669ffad7edb33675e4fcf12339b5568"),
+]
+
+
+@pytest.mark.parametrize("name,q,digest", PINNED_MATRICES)
+def test_generator_matrix_sha256_pinned(name, q, digest):
+    P, _ = load_document(DATA / name)
+    entries = generator_matrix(P, GF(q)).entries
+    assert all(type(x) is int for row in entries for x in row)
+    assert hashlib.sha256(json.dumps(entries).encode()).hexdigest() == digest
 
 
 def test_matrix_requires_hypotheses(quadrilateral):
