@@ -12,7 +12,7 @@ cross-checking at small sizes.
 
 from .intlat import SingularMatrixError, hnf_lower, snf_invariant_factors
 from .polytope import Polytope, PolytopeError, offset_difference, same_normal_fan
-from .gf import GF, FieldError, make_field, enumerate_units
+from .gf import GF, FieldError
 from .variety import (
     Flag,
     HypothesisError,
@@ -76,14 +76,12 @@ __all__ = [
     "dimension",
     "distance_lower_bound",
     "distance_lower_bound_details",
-    "enumerate_units",
     "find_surjective_dilate",
     "flag_assignment",
     "flag_for_chain",
     "generator_matrix",
     "hnf_lower",
     "is_surjective",
-    "make_field",
     "min_distance_exhaustive",
     "min_weight_random_upper",
     "offset_difference",

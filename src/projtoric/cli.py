@@ -37,19 +37,37 @@ from .variety import HypothesisError, check_hypotheses, count_rational_points
 from .variety import picard_invariants, require_hypotheses
 
 
+def _integer(value, what):
+    # bool is an int subclass, and a float would be truncated by int()
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _integers(values, what):
+    if not isinstance(values, list):
+        raise ValueError(f"{what} must be a list of integers, got {values!r}")
+    return tuple(_integer(x, what) for x in values)
+
+
 def load_document(path):
+    """The polytope of a JSON document, all of whose numbers must be
+    integers, and the document itself."""
     with open(path) as fh:
         doc = json.load(fh)
-    if "vertices" not in doc:
-        raise ValueError("polytope document has no vertices")
-    vertices = [tuple(int(x) for x in v) for v in doc["vertices"]]
+    if not isinstance(doc, dict) or not isinstance(doc.get("vertices"), list):
+        raise ValueError("polytope document has no vertex list")
+    vertices = [_integers(v, "vertex") for v in doc["vertices"]]
     if doc.get("facets"):
-        normals = [tuple(int(x) for x in f["normal"]) for f in doc["facets"]]
-        offsets = [int(f["offset"]) for f in doc["facets"]]
+        facets = doc["facets"]
+        if not isinstance(facets, list) or not all(isinstance(f, dict) for f in facets):
+            raise ValueError("facets must be a list of {normal, offset} objects")
+        normals = [_integers(f["normal"], "facet normal") for f in facets]
+        offsets = [_integer(f["offset"], "facet offset") for f in facets]
         P = Polytope.from_vrep_hrep(vertices, normals, offsets)
     else:
         P = Polytope.from_vertices(vertices)
-    if "dim" in doc and int(doc["dim"]) != P.dim:
+    if "dim" in doc and _integer(doc["dim"], "dim") != P.dim:
         raise ValueError(f"document says dim {doc['dim']}, polytope has dim {P.dim}")
     return P, doc
 
@@ -79,23 +97,29 @@ def _field_from(args, doc):
     q = args.q if args.q is not None else doc.get("q")
     if q is None:
         raise ValueError("no field size: pass --q or put q in the document")
-    return GF(int(q))
+    return GF(_integer(q, "q"))
 
 
 def _order_from(args, doc):
     if args.order is not None:
         return parse_order(args.order)
-    if doc.get("order"):
+    if "order" in doc:
+        if not isinstance(doc["order"], str):
+            raise ValueError(f"order must be a string, got {doc['order']!r}")
         return parse_order(doc["order"])
     return OrderSpec.lex()
 
 
 def _lambda_max_from(args, doc):
     if args.lambda_max is not None:
-        return args.lambda_max
-    if doc.get("lambda_max"):
-        return int(doc["lambda_max"])
-    return 16
+        lam_max = args.lambda_max
+    elif "lambda_max" in doc:
+        lam_max = _integer(doc["lambda_max"], "lambda_max")
+    else:
+        return 16
+    if lam_max < 1:
+        raise ValueError(f"lambda_max must be at least 1, got {lam_max}")
+    return lam_max
 
 
 def _emit_matrix(entries, meta, fmt):
@@ -171,8 +195,8 @@ def cmd_dim(args):
 def cmd_bound(args):
     P, doc = load_document(args.polytope)
     field = _field_from(args, doc)
-    require_hypotheses(P, field.q)
     lam_max = _lambda_max_from(args, doc)
+    require_hypotheses(P, field.q)
     lam = find_surjective_dilate(P, field, lam_max)
     if lam is None:
         print(f"lambda = none (no surjective dilate up to {lam_max})")
@@ -195,6 +219,7 @@ def cmd_verify(args):
     P, doc = load_document(args.polytope)
     field = _field_from(args, doc)
     order = _order_from(args, doc)
+    lam_max = _lambda_max_from(args, doc)
     M = generator_matrix(P, field)
     if args.inject_corruption:
         flat = next(
@@ -227,7 +252,7 @@ def cmd_verify(args):
     check("length equals point count", M.shape[1] == n, f"{M.shape[1]} vs {n}")
     if P.dim == 2:
         check("Pick's theorem", pick_check(P))
-    lam = find_surjective_dilate(P, field, _lambda_max_from(args, doc))
+    lam = find_surjective_dilate(P, field, lam_max)
     if lam is None:
         print("skip distance bound (no surjective dilate in range)")
     else:

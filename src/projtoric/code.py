@@ -18,17 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import GF
+from .gf import GF, as_field
 from .polytope import offset_difference, same_normal_fan
 from .variety import build_flags, flag_assignment, require_hypotheses, count_rational_points
 
 
 class SurjectivityError(ValueError):
     """Raised when a distance bound is asked from a non-surjective pair."""
-
-
-def _as_field(field):
-    return field if isinstance(field, GF) else GF(field)
 
 
 @dataclass(frozen=True)
@@ -131,7 +127,7 @@ def _evaluate(exponents, field):
     k = exponents.shape[1]
     powers = exponents @ np.indices((q1,) * k).reshape(k, q1**k)
     powers %= q1
-    return np.array(field.units, dtype=np.uint16)[powers]
+    return field.exp_table[powers]
 
 
 def _straightened(flag, points, k):
@@ -148,7 +144,7 @@ def block_matrix(P, Q, flag, field):
     unit powers given by the flag's straightening (negative exponents
     are evaluated through field inversion).
     """
-    field = _as_field(field)
+    field = as_field(field)
     if Q not in flag.chain:
         raise ValueError("flag does not contain the face")
     points, row_face = _rows(P)
@@ -212,7 +208,7 @@ def generator_matrix(P, field, flags=None):
     custom flag cover may be supplied, any cover yields an equivalent
     code.
     """
-    field = _as_field(field)
+    field = as_field(field)
     require_hypotheses(P, field.q)
     if flags is None:
         flags = build_flags(P)
@@ -243,7 +239,7 @@ def toric_generator_matrix(P, field):
     """Generator matrix of the classical toric code: the same monomials
     evaluated only on the dense torus, entry t^m for t in units^dim.
     This is one block with identity straightening based at the origin."""
-    field = _as_field(field)
+    field = as_field(field)
     require_hypotheses(P, field.q)
     return tuple(tuple(row.tolist()) for row in _evaluate(_rows(P)[0], field))
 
@@ -282,7 +278,7 @@ def projective_reduction(P, field, order=None):
     and differ by a multiple of q-1 in every coordinate; each class is
     represented by its order-minimal member.
     """
-    q = field.q if isinstance(field, GF) else _as_field(field).q
+    q = as_field(field).q
     if order is None:
         order = OrderSpec.lex()
     mapping = {}
@@ -303,7 +299,7 @@ def toric_reduction(points, field, order=None):
 
     Returns one order-minimal representative per congruence class.
     """
-    q = field.q if isinstance(field, GF) else _as_field(field).q
+    q = as_field(field).q
     if order is None:
         order = OrderSpec.lex()
     groups = _classes(map(tuple, points), q)
@@ -312,7 +308,7 @@ def toric_reduction(points, field, order=None):
 
 def dimension(P, field):
     """Dimension of the code: the number of reduced points of P."""
-    field = _as_field(field)
+    field = as_field(field)
     require_hypotheses(P, field.q)
     return len(projective_reduction(P, field).representatives)
 
@@ -324,7 +320,7 @@ def is_surjective(Pbig, P, field):
     and as many reduced points as rational points: each k-face interior
     of Pbig must then carry all (q-1)^k congruence classes.
     """
-    q = field.q if isinstance(field, GF) else _as_field(field).q
+    q = as_field(field).q
     if not same_normal_fan(Pbig, P):
         return False
     base = dict(zip(P.normals, P.offsets))
@@ -398,7 +394,7 @@ def bounds_over_orders(P, Pbig, field, orders=None):
     The congruence classes are computed once; only the representative
     choice varies with the order.
     """
-    q = _as_field(field).q
+    q = as_field(field).q
     if orders is None:
         orders = stock_orders(P.dim)
     orders = list(orders)

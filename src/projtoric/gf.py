@@ -5,10 +5,13 @@ c_0 + c_1 x + ... + c_{k-1} x^{k-1} over GF(p) is sum(c_i * p**i).
 For prime q this collapses to ordinary arithmetic mod p. Extension
 fields pick a canonical irreducible modulus so codes mean the same
 thing across runs, then precompute exp/log tables for a fixed
-generator of the unit group.
+generator of the unit group. The same tables, with a Zech-logarithm
+table for addition, back the array operations vadd, vmul and vneg.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class FieldError(ValueError):
@@ -120,6 +123,15 @@ class GF:
     add/sub work digitwise in base p; mul, inv, and pow run off
     exp/log tables for the canonical generator. units lists the
     nonzero elements in generator-power order g^0, g^1, ..., g^{q-2}.
+
+    vadd, vmul and vneg act elementwise on numpy code arrays, with
+    broadcasting, and return uint16 arrays. With S = 2q as the log of 0:
+    log_table[a] = i for a = g^i; exp_table[i] = g^(i mod q-1) below
+    2(q-1) and 0 up to 4q, so x*y = exp_table[log x + log y]; and
+    zech_table[d + S] = log(1 + g^d) for |d| <= q-2 (S when that is 0),
+    d for d < -(q-2), 0 for d > q-2, so that x + y = x*(1 + y/x) =
+    exp_table[log x + zech_table[log y - log x + S]], zeros included
+    (Zech logarithms; Huber, IEEE Trans. IT 1990).
     """
 
     def __init__(self, q):
@@ -175,6 +187,19 @@ class GF:
         self._log = log
         self.units = list(exp)
 
+        S = 2 * q
+        self.log_table = np.full(q, S, dtype=np.int32)
+        self.log_table[exp] = np.arange(q - 1)
+        self.exp_table = np.zeros(4 * q + 1, dtype=np.uint16)
+        self.exp_table[:2 * (q - 1)] = exp * 2  # two periods of g^i
+        d = np.arange(-(q - 2), q - 1)
+        a = self.exp_table[d % (q - 1)].astype(np.intp)
+        # adding 1 only changes the lowest base-p digit of a code
+        one_plus = a - a % p + (a % p + 1) % p
+        self.zech_table = np.zeros(4 * q + 1, dtype=np.int32)
+        self.zech_table[:S - (q - 2)] = np.arange(-S, -(q - 2))
+        self.zech_table[S - (q - 2):S + q - 1] = self.log_table[one_plus]
+
     def _check(self, a):
         if not (isinstance(a, int) and 0 <= a < self.q):
             raise FieldError(f"{a!r} is not an element code of GF({self.q})")
@@ -221,15 +246,23 @@ class GF:
             return 1 if e == 0 else 0
         return self._exp[(self._log[a] * e) % (self.q - 1)]
 
+    def vmul(self, a, b):
+        """Elementwise a*b of code arrays."""
+        return self.exp_table[self.log_table[a] + self.log_table[b]]
+
+    def vadd(self, a, b):
+        """Elementwise a+b of code arrays."""
+        la = self.log_table[a]
+        return self.exp_table[la + self.zech_table[self.log_table[b] - la + 2 * self.q]]
+
+    def vneg(self, a):
+        """Elementwise -a of a code array."""
+        return self.vmul(a, self.p - 1)  # p - 1 is the code of -1
+
     def __repr__(self):
         return f"GF({self.q})"
 
 
-def make_field(q):
-    """Field of q elements with canonical modulus and generator."""
-    return GF(q)
-
-
-def enumerate_units(field):
-    """The q-1 nonzero elements in generator-power order g^0, g^1, ..."""
-    return list(field.units)
+def as_field(field):
+    """field itself when it is a GF, else GF(field) for a field size."""
+    return field if isinstance(field, GF) else GF(field)

@@ -10,156 +10,100 @@ from the code module.
 from __future__ import annotations
 
 import random
-from functools import cmp_to_key, lru_cache
-from itertools import product
+from functools import cmp_to_key
 from math import gcd
 
 import numpy as np
 
-from .gf import GF
+from .gf import as_field
 
 
 class BudgetExceededError(Exception):
     """Raised when an exhaustive search would enumerate too many words."""
 
 
-def _as_field(field):
-    return field if isinstance(field, GF) else GF(field)
+def _chunks(count, width):
+    """Slices of range(count) spanning at most 2^16 entries of rows this wide."""
+    step = max(1, (1 << 16) // max(1, width))
+    return [slice(i, i + step) for i in range(0, count, step)]
 
 
-@lru_cache(maxsize=None)
-def _np_tables(q):
-    # q x q lookup tables of element codes, uint8 so fancy indexing
-    # stays cheap; only built for q <= 256
-    f = GF(q)
-    ADD = np.array([[f.add(a, b) for b in range(q)] for a in range(q)], dtype=np.uint8)
-    MUL = np.array([[f.mul(a, b) for b in range(q)] for a in range(q)], dtype=np.uint8)
-    return ADD, MUL
-
-
-def _row_basis_py(entries, field):
-    rows = [list(r) for r in entries]
-    basis = []
-    col = 0
-    ncols = len(rows[0]) if rows else 0
-    pending = rows
-    while pending and col < ncols:
-        piv = next((i for i, r in enumerate(pending) if r[col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        prow = pending.pop(piv)
-        inv = field.inv(prow[col])
-        rest = []
-        for r in pending:
-            if r[col] != 0:
-                c = field.mul(r[col], inv)
-                r = [field.sub(x, field.mul(c, y)) for x, y in zip(r, prow)]
-            rest.append(r)
-        basis.append(prow)
-        pending = rest
-        col += 1
-    return basis
-
-
-def _row_basis_np(entries, field):
-    q = field.q
-    ADD, MUL = _np_tables(q)
-    pending = [np.array(r, dtype=np.uint8) for r in entries]
-    basis = []
-    col = 0
-    ncols = len(entries[0])
-    while pending and col < ncols:
-        piv = next((i for i, r in enumerate(pending) if r[col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        prow = pending.pop(piv)
-        inv = field.inv(int(prow[col]))
-        rest = []
-        for r in pending:
-            if r[col] != 0:
-                c = field.neg(field.mul(int(r[col]), inv))
-                r = ADD[r, MUL[c, prow]]
-            rest.append(r)
-        basis.append(prow)
-        pending = rest
-        col += 1
-    return [r.tolist() for r in basis]
+def _leads(rows, col, n):
+    """First nonzero column of rows that start at column col; n if none."""
+    nonzero = rows != 0
+    return np.where(nonzero.any(axis=1), col + nonzero.argmax(axis=1), n)
 
 
 def _row_basis(entries, field):
-    """Row echelon basis of the row space over GF(q)."""
+    """Row echelon basis of the row space over GF(q).
+
+    At each column, the first pending row (in input order) that is
+    nonzero there becomes a basis row and is subtracted from the other
+    pending rows nonzero there. Pending rows are zero left of the
+    column, so their leads name the next column and the rows to update.
+    """
     if not entries or not entries[0]:
         return []
-    if field.q <= 256:
-        return _row_basis_np(entries, field)
-    return _row_basis_py(entries, field)
+    A = np.array(entries, dtype=np.uint16)
+    n = A.shape[1]
+    lead = _leads(A, 0, n)
+    basis = []
+    while (col := int(lead.min())) < n:
+        hits = np.flatnonzero(lead == col)
+        piv, update = hits[0], hits[1:]
+        basis.append(piv)
+        lead[piv] = n
+        prow = A[piv, col:]
+        scale = field.vneg(field.vmul(A[update, col], field.inv(int(prow[0]))))
+        for part in _chunks(len(update), n - col):
+            rows = update[part]
+            A[rows, col:] = field.vadd(A[rows, col:], field.vmul(scale[part, None], prow))
+            lead[rows] = _leads(A[rows, col:], col, n)
+    return A[basis].tolist()
 
 
 def rank_gf(entries, field):
     """Rank of a matrix of element codes over GF(q)."""
-    return len(_row_basis(entries, _as_field(field)))
+    return len(_row_basis(entries, as_field(field)))
 
 
-def _exhaustive_py(basis, field):
-    q = field.q
-    n = len(basis[0])
-    best = n + 1
-    for coeffs in product(range(q), repeat=len(basis)):
-        if not any(coeffs):
-            continue
-        word = [0] * n
-        for c, row in zip(coeffs, basis):
-            if c == 0:
-                continue
-            word = [field.add(w, field.mul(c, x)) for w, x in zip(word, row)]
-        wt = sum(1 for w in word if w != 0)
-        if wt < best:
-            best = wt
-    return best
-
-
-def _exhaustive_np(basis, field):
+def _exhaustive(basis, field):
     # meet in the middle: materialize all combinations of a small head
     # block once, then walk the remaining coefficients depth first with
     # incremental partial sums
     q = field.q
-    ADD, MUL = _np_tables(q)
-    B = np.array(basis, dtype=np.uint8)
+    B = np.array(basis, dtype=np.uint16)
     r, n = B.shape
     s = 0
     while s < r and q ** (s + 1) <= 4096:
         s += 1
-    block = np.zeros((1, n), dtype=np.uint8)
+    block = np.zeros((1, n), dtype=np.uint16)
     for i in range(s):
         # c = 0 comes first so the zero combination stays at index 0
-        block = np.concatenate([ADD[block, MUL[c, B[i]]] for c in range(q)], axis=0)
+        block = np.concatenate(
+            [field.vadd(block, field.vmul(c, B[i])) for c in range(q)], axis=0
+        )
     rest = B[s:]
-    t = r - s
     best = n + 1
 
     def leaf(partial, zero_tail):
         nonlocal best
-        wts = np.count_nonzero(ADD[block, partial], axis=1)
+        # a + b != 0 exactly when a != -b
+        wts = np.count_nonzero(block != field.vneg(partial), axis=1)
         if zero_tail:
-            if len(wts) == 1:
-                return
-            w = int(wts[1:].min())
-        else:
-            w = int(wts.min())
-        if w < best:
-            best = w
+            wts = wts[1:]
+        if len(wts):
+            best = min(best, int(wts.min()))
 
     def walk(i, partial, zero_tail):
-        if i == t:
+        if i == len(rest):
             leaf(partial, zero_tail)
             return
         walk(i + 1, partial, zero_tail)
         for c in range(1, q):
-            walk(i + 1, ADD[partial, MUL[c, rest[i]]], False)
+            walk(i + 1, field.vadd(partial, field.vmul(c, rest[i])), False)
 
-    walk(0, np.zeros(n, dtype=np.uint8), True)
+    walk(0, np.zeros(n, dtype=np.uint16), True)
     return best
 
 
@@ -169,7 +113,7 @@ def min_distance_exhaustive(entries, field, budget=1 << 24):
     Refuses with BudgetExceededError when q^rank exceeds the budget;
     raises ValueError on a rank-zero matrix (no nonzero words exist).
     """
-    field = _as_field(field)
+    field = as_field(field)
     basis = _row_basis(entries, field)
     if not basis:
         raise ValueError("zero matrix spans no nonzero codewords")
@@ -177,31 +121,31 @@ def min_distance_exhaustive(entries, field, budget=1 << 24):
         raise BudgetExceededError(
             f"q^k = {field.q ** len(basis)} exceeds the budget of {budget} words"
         )
-    if field.q <= 256:
-        return _exhaustive_np(basis, field)
-    return _exhaustive_py(basis, field)
+    return _exhaustive(basis, field)
 
 
 def min_weight_random_upper(entries, field, iterations=200, seed=0):
     """Upper bound on the minimum distance from random codewords."""
-    field = _as_field(field)
+    field = as_field(field)
     basis = _row_basis(entries, field)
     if not basis:
         raise ValueError("zero matrix spans no nonzero codewords")
     rng = random.Random(seed)
     q = field.q
-    n = len(basis[0])
-    best = n
+    coeffs = []
     for _ in range(iterations):
-        coeffs = [rng.randrange(q) for _ in basis]
-        if not any(coeffs):
-            coeffs[rng.randrange(len(coeffs))] = 1 + rng.randrange(q - 1)
-        word = [0] * n
-        for c, row in zip(coeffs, basis):
-            if c == 0:
-                continue
-            word = [field.add(w, field.mul(c, x)) for w, x in zip(word, row)]
-        best = min(best, sum(1 for w in word if w != 0))
+        c = [rng.randrange(q) for _ in basis]
+        if not any(c):
+            c[rng.randrange(len(c))] = 1 + rng.randrange(q - 1)
+        coeffs.append(c)
+    B = np.array(basis, dtype=np.uint16)
+    C = np.array(coeffs, dtype=np.uint16).reshape(-1, len(basis))
+    best = n = B.shape[1]
+    for part in _chunks(len(C), n):
+        words = np.zeros((len(C[part]), n), dtype=np.uint16)
+        for c, row in zip(C[part].T, B):
+            words = field.vadd(words, field.vmul(c[:, None], row))
+        best = min(best, int(np.count_nonzero(words, axis=1).min()))
     return best
 
 
@@ -211,7 +155,7 @@ def reduction_class_count_unionfind(P, field):
     Uses only tight facet sets and coordinate congruences mod q-1,
     bypassing the face lattice entirely.
     """
-    q = field.q if isinstance(field, GF) else _as_field(field).q
+    q = as_field(field).q
     pts = list(P.lattice_points)
     tight = [P.tight_facets(m) for m in pts]
     parent = list(range(len(pts)))

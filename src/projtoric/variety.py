@@ -49,7 +49,9 @@ class HypothesisReport:
     """Outcome of the two construction hypotheses for a (P, q) pair.
 
     determinants is None when the polytope is not simple. offenders
-    lists the vertices whose determinant the characteristic divides.
+    lists the vertices that break a hypothesis: for a non-simple
+    polytope those lying on more than dim facets, otherwise those whose
+    determinant the characteristic divides.
     """
 
     q: int
@@ -74,7 +76,8 @@ def check_hypotheses(P, q):
     """
     p, _ = prime_power(q)
     if not P.is_simple():
-        return HypothesisReport(q, p, False, None, ())
+        crowded = tuple(v for v in P.vertices if len(P.tight_facets(v)) > P.dim)
+        return HypothesisReport(q, p, False, None, crowded)
     dets = vertex_determinants(P)
     offenders = tuple(
         v for v, d in zip(P.vertices, dets) if d % p == 0

@@ -2,8 +2,14 @@ import random
 
 import pytest
 
-from projtoric import Polytope, PolytopeError
+from projtoric import GF, Polytope, PolytopeError
 from projtoric.variety import check_hypotheses
+
+
+@pytest.fixture(scope="session")
+def gf65536():
+    # the largest supported field; building its tables takes about a second
+    return GF(1 << 16)
 
 
 @pytest.fixture

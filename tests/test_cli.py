@@ -247,3 +247,120 @@ def test_facet_document_roundtrip(capsys, tmp_path):
     )
     code, out, _ = run(capsys, "dim", "--polytope", doc)
     assert code == 0 and out.strip() == "4"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        dict(vertices=[[0.5, 0], [1, 0], [0, 1]], q=4),
+        dict(vertices=[[0, 0], [1, 0], [0, 1]], q=2.9),
+        dict(vertices=[[0, 0], [1, 0], [0, 1]], q=True),
+        dict(vertices=[[0, 0], [1, 0], [0, 1]], q="4"),
+        dict(vertices=[[0, 0], [True, 0], [0, 1]], q=4),
+        dict(vertices=[[0, 0], [1, 0], [0, 1]], dim=2.0, q=4),
+        dict(vertices=[[0, 0], [1, 0], [0, 1.0]], q=4),
+        dict(vertices=[0, 1], q=3),
+        dict(vertices=5, q=3),
+        dict(
+            vertices=[[0, 0], [1, 0], [0, 1]], q=4,
+            facets=[
+                {"normal": [1, 0], "offset": 0},
+                {"normal": [0, 1.5], "offset": 0},
+                {"normal": [-1, -1], "offset": 1},
+            ],
+        ),
+        dict(
+            vertices=[[0, 0], [1, 0], [0, 1]], q=4,
+            facets=[
+                {"normal": [1, 0], "offset": 0},
+                {"normal": [0, 1], "offset": 0.0},
+                {"normal": [-1, -1], "offset": 1},
+            ],
+        ),
+        dict(vertices=[[0, 0], [1, 0], [0, 1]], q=4, facets=[[1, 0, 0]]),
+    ],
+)
+def test_non_integer_input_exits_two(capsys, tmp_path, doc):
+    path = write_doc(tmp_path, "bad.json", **doc)
+    code, out, err = run(capsys, "info", "--polytope", path)
+    assert code == 2
+    assert out == ""
+    assert "invalid input" in err
+
+
+def test_non_object_document_exits_two(capsys, tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[[0, 0], [1, 0], [0, 1]]")
+    code, _, err = run(capsys, "info", "--polytope", str(path))
+    assert code == 2
+    assert "invalid input" in err
+
+
+@pytest.mark.parametrize("order", [5, None, ["lex"], ""])
+def test_bad_document_order_exits_two(capsys, tmp_path, order):
+    path = write_doc(
+        tmp_path, "order.json", vertices=[[0], [1]], q=3, order=order
+    )
+    code, _, err = run(capsys, "verify", "--polytope", path)
+    assert code == 2
+    assert "invalid input" in err
+
+
+def test_document_order_is_used(capsys, tmp_path):
+    path = write_doc(
+        tmp_path, "order.json", vertices=[[0], [1]], q=3, order="grlex"
+    )
+    code, out, _ = run(capsys, "verify", "--polytope", path)
+    assert code == 0
+    assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("command", ["bound", "verify"])
+@pytest.mark.parametrize("flag", ["0", "-3"])
+def test_lambda_cap_below_one_exits_two(capsys, toy_doc, command, flag):
+    code, out, err = run(
+        capsys, command, "--polytope", toy_doc, "--lambda-max", flag
+    )
+    assert code == 2
+    assert out == ""
+    assert "lambda_max must be at least 1" in err
+
+
+@pytest.mark.parametrize("value", [0, -1, 2.5, True, "8"])
+def test_document_lambda_cap_is_checked(capsys, tmp_path, value):
+    path = write_doc(
+        tmp_path, "cap.json", vertices=[[0, 0], [1, 0], [-2, 3]], q=4,
+        lambda_max=value,
+    )
+    code, out, err = run(capsys, "bound", "--polytope", path)
+    assert code == 2
+    assert out == ""
+    assert "invalid input" in err
+
+
+def test_document_lambda_cap_is_used(capsys, tmp_path):
+    path = write_doc(
+        tmp_path, "cap.json", vertices=[[0, 0], [1, 0], [-2, 3]], q=4,
+        lambda_max=2,
+    )
+    code, out, _ = run(capsys, "bound", "--polytope", path)
+    assert code == 0
+    assert out == "lambda = none (no surjective dilate up to 2)\n"
+    code, out, _ = run(capsys, "bound", "--polytope", path, "--lambda-max", "5")
+    assert code == 0
+    assert "lambda = 5" in out
+
+
+def test_info_non_simple_lists_offending_vertices(capsys, tmp_path):
+    # the apexes sit over an edge of the base, so (0,0,0) lies on four
+    # facets and every other vertex on three
+    path = write_doc(
+        tmp_path, "bipyramid.json",
+        vertices=[[0, 0, 0], [2, 0, 0], [0, 2, 0], [1, 1, 2], [1, 1, -2]],
+        q=5,
+    )
+    code, out, _ = run(capsys, "info", "--polytope", path)
+    assert code == 0
+    assert "H1 (simple): FAIL" in out
+    assert "offending vertices: (0, 0, 0)\n" in out
+    assert "k = unavailable (hypotheses fail)" in out

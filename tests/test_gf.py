@@ -1,6 +1,9 @@
+import random
+
+import numpy as np
 import pytest
 
-from projtoric.gf import GF, FieldError, enumerate_units, make_field, prime_power
+from projtoric.gf import GF, FieldError, as_field, prime_power
 
 
 def test_prime_power_decomposition():
@@ -26,10 +29,10 @@ def test_canonical_moduli():
 
 
 def test_units_frozen():
-    assert enumerate_units(GF(2)) == [1]
-    assert sorted(enumerate_units(GF(3))) == [1, 2]
+    assert GF(2).units == [1]
+    assert sorted(GF(3).units) == [1, 2]
     F4 = GF(4)
-    units = enumerate_units(F4)
+    units = F4.units
     assert sorted(units) == [1, 2, 3]
     for u in units:
         assert F4.mul(F4.mul(u, u), u) == 1  # cubes of units are 1
@@ -103,7 +106,7 @@ def test_generator_has_full_order():
 
 def test_units_are_generator_powers_in_order():
     F = GF(9)
-    units = enumerate_units(F)
+    units = F.units
     assert units[0] == 1
     for a, b in zip(units, units[1:]):
         assert F.mul(a, F.generator) == b
@@ -117,8 +120,55 @@ def test_out_of_range_codes_rejected():
         F.mul(-1, 2)
 
 
-def test_make_field_roundtrip():
-    F = make_field(8)
+def test_as_field_roundtrip():
+    F = as_field(8)
     assert isinstance(F, GF)
     assert F.q == 8
     assert F.p == 2
+    assert as_field(F) is F
+    with pytest.raises(FieldError):
+        as_field(6)
+
+
+# every prime power up to 256 that is not prime, and primes of every size
+ARRAY_EXHAUSTIVE_QS = (
+    2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 31, 32, 49, 64, 81, 121, 125,
+    127, 128, 169, 243, 251, 256,
+)
+
+
+def assert_array_ops_match(F, a, b):
+    sums, prods, negs = F.vadd(a, b), F.vmul(a, b), F.vneg(a)
+    for arr in (sums, prods, negs):
+        assert arr.dtype == np.uint16
+    for x, y, s, m, n in zip(
+        a.tolist(), b.tolist(), sums.tolist(), prods.tolist(), negs.tolist()
+    ):
+        assert (s, m, n) == (F.add(x, y), F.mul(x, y), F.neg(x)), (F, x, y)
+
+
+def test_array_ops_match_scalar_exhaustively():
+    for q in ARRAY_EXHAUSTIVE_QS:
+        a, b = np.divmod(np.arange(q * q), q)
+        assert_array_ops_match(GF(q), a, b)
+
+
+def test_array_ops_match_scalar_sampled(gf65536):
+    for F in (GF(257), GF(4096), gf65536):
+        rng = random.Random(F.q)
+        a = [rng.randrange(F.q) for _ in range(3000)] + [0, 0, 1, F.q - 1]
+        b = [rng.randrange(F.q) for _ in range(3000)] + [0, 5, 0, F.q - 1]
+        # x + (-x) and x + x exercise the zero and doubling rows of the
+        # Zech table
+        a += a[:200] * 2
+        b += [F.neg(x) for x in a[:200]] + a[:200]
+        assert_array_ops_match(F, np.array(a), np.array(b))
+
+
+def test_array_ops_broadcast_and_scalar_arguments():
+    F = GF(9)
+    col = np.arange(9)[:, None]
+    table = F.vmul(col, np.arange(9)[None, :])
+    assert table.shape == (9, 9)
+    assert F.vmul(3, np.arange(9)).tolist() == [F.mul(3, x) for x in range(9)]
+    assert int(F.vadd(4, 5)) == F.add(4, 5)

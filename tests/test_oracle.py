@@ -1,16 +1,25 @@
+"""The oracles against scalar references, and their own examples.
+
+row_basis_reference and exhaustive_reference are the pure-Python
+oracles that ran for q > 256 before every field size moved to the GF
+array kernel: one scalar field operation per entry. The array oracles
+must return the same basis, row for row, and the same distance.
+"""
+
+import ast
 import random
+from itertools import product
+from pathlib import Path
 
 import pytest
 
+import projtoric.oracle
 from projtoric.code import generator_matrix
 from projtoric.gf import GF
 from projtoric.oracle import (
     BudgetExceededError,
-    _exhaustive_np,
-    _exhaustive_py,
+    _exhaustive,
     _row_basis,
-    _row_basis_np,
-    _row_basis_py,
     min_distance_exhaustive,
     min_weight_random_upper,
     pick_check,
@@ -18,6 +27,62 @@ from projtoric.oracle import (
     reduction_class_count_unionfind,
 )
 from projtoric.polytope import Polytope
+
+
+def row_basis_reference(entries, field):
+    rows = [list(r) for r in entries]
+    basis = []
+    col = 0
+    ncols = len(rows[0]) if rows else 0
+    pending = rows
+    while pending and col < ncols:
+        piv = next((i for i, r in enumerate(pending) if r[col] != 0), None)
+        if piv is None:
+            col += 1
+            continue
+        prow = pending.pop(piv)
+        inv = field.inv(prow[col])
+        rest = []
+        for r in pending:
+            if r[col] != 0:
+                c = field.mul(r[col], inv)
+                r = [field.sub(x, field.mul(c, y)) for x, y in zip(r, prow)]
+            rest.append(r)
+        basis.append(prow)
+        pending = rest
+        col += 1
+    return basis
+
+
+def exhaustive_reference(basis, field):
+    q = field.q
+    n = len(basis[0])
+    best = n + 1
+    for coeffs in product(range(q), repeat=len(basis)):
+        if not any(coeffs):
+            continue
+        word = [0] * n
+        for c, row in zip(coeffs, basis):
+            if c == 0:
+                continue
+            word = [field.add(w, field.mul(c, x)) for w, x in zip(word, row)]
+        wt = sum(1 for w in word if w != 0)
+        if wt < best:
+            best = wt
+    return best
+
+
+def random_entries(rng, q, rows, cols):
+    # sparse rows and a repeated row make zero columns, skipped pivots
+    # and dependent rows common
+    density = rng.random()
+    entries = [
+        [rng.randrange(q) if rng.random() < density else 0 for _ in range(cols)]
+        for _ in range(rows)
+    ]
+    if rows > 1 and rng.random() < 0.3:
+        entries[-1] = list(entries[0])
+    return entries
 
 
 def identity_entries(n):
@@ -34,20 +99,24 @@ def test_rank_examples(toy_triangle):
     assert rank_gf(M.entries, GF(4)) == 5
 
 
-def test_row_basis_backends_agree():
+def test_row_basis_backends_agree(gf65536):
     rng = random.Random(11)
-    for q in (2, 3, 4, 5, 8):
-        field = GF(q)
-        for _ in range(20):
-            rows = rng.randrange(1, 5)
-            cols = rng.randrange(1, 6)
-            entries = [
-                [rng.randrange(q) for _ in range(cols)] for _ in range(rows)
-            ]
-            a = _row_basis_py(entries, field)
-            b = _row_basis_np(entries, field)
-            assert a == b
-            assert _row_basis(entries, field) == a
+    for field in [GF(q) for q in (2, 3, 4, 5, 8, 9, 16, 257)] + [gf65536]:
+        for _ in range(20 if field.q < 1 << 16 else 5):
+            entries = random_entries(
+                rng, field.q, rng.randrange(1, 7), rng.randrange(1, 9)
+            )
+            assert _row_basis(entries, field) == row_basis_reference(entries, field)
+
+
+def test_row_basis_chunked_update():
+    # 30000 columns leave room for two rows per update chunk
+    rng = random.Random(5)
+    field = GF(257)
+    entries = [[rng.randrange(257) for _ in range(30000)] for _ in range(5)]
+    entries.insert(2, [0] * 30000)
+    entries.append(entries[1])
+    assert _row_basis(entries, field) == row_basis_reference(entries, field)
 
 
 def test_exhaustive_examples(segment01, toy_triangle):
@@ -73,22 +142,23 @@ def test_exhaustive_rejects_zero_matrix():
         min_distance_exhaustive([[0, 0, 0]], GF(3))
 
 
-def test_exhaustive_backends_agree():
+def test_exhaustive_backends_agree(gf65536):
     rng = random.Random(7)
-    for q in (2, 3, 4, 5):
+    for q in (2, 3, 4, 5, 8, 9, 16):
         field = GF(q)
         done = 0
         while done < 8:
-            rows = rng.randrange(1, 4)
-            cols = rng.randrange(2, 7)
-            entries = [
-                [rng.randrange(q) for _ in range(cols)] for _ in range(rows)
-            ]
+            entries = random_entries(rng, q, rng.randrange(1, 4), rng.randrange(2, 7))
             basis = _row_basis(entries, field)
             if not basis:
                 continue
             done += 1
-            assert _exhaustive_py(basis, field) == _exhaustive_np(basis, field)
+            assert _exhaustive(basis, field) == exhaustive_reference(basis, field)
+    # q = 257 takes one head row and walks the other
+    basis = [[1, 0, 5, 7, 0, 3], [0, 1, 9, 0, 200, 4]]
+    assert _exhaustive(basis, GF(257)) == exhaustive_reference(basis, GF(257)) == 4
+    # q = 65536 has no head block; a single row's words all have its weight
+    assert min_distance_exhaustive([[0, 1, 65535, 0]], gf65536) == 2
 
 
 def test_random_upper_bounds_exhaustive(toy_triangle):
@@ -100,6 +170,53 @@ def test_random_upper_bounds_exhaustive(toy_triangle):
     assert upper == again
     with pytest.raises(ValueError):
         min_weight_random_upper([[0, 0]], field)
+
+
+def test_random_upper_pinned_values(toy_triangle, hirzebruch, cube, gf65536):
+    # values computed by the scalar per-word loop the array version replaced
+    square = Polytope.from_vertices([(0, 0), (2, 0), (0, 2), (2, 2)])
+    segment = Polytope.from_vertices([(0,), (5,)])
+    for P, q, seeds, expected in [
+        (toy_triangle, 4, (0, 1, 2), [8, 8, 8]),
+        (hirzebruch, 5, (0, 1, 2), [22, 23, 22]),
+        (cube, 3, (0, 1, 2), [27, 27, 27]),
+        (square, 9, (0, 1, 2), [73, 80, 80]),
+        (segment, 257, (0, 1), [255, 255]),
+    ]:
+        M = generator_matrix(P, GF(q))
+        got = [min_weight_random_upper(M.entries, GF(q), 200, s) for s in seeds]
+        assert got == expected, (P, q)
+    sparse_257 = [
+        [51, 108, 2, 0, 0, 0, 0, 244, 0, 0, 92, 82, 232, 0],
+        [197, 195, 0, 0, 0, 0, 69, 0, 0, 0, 0, 197, 0, 92],
+        [21, 149, 0, 0, 115, 206, 0, 129, 253, 0, 0, 67, 0, 114],
+    ]
+    sparse_65536 = [
+        [0, 0, 0, 0, 0, 0, 0, 0, 13437, 0, 61191, 0, 0, 0],
+        [0, 38240, 39534, 16427, 0, 0, 0, 0, 0, 54493, 29414, 0, 0, 2830],
+        [0, 45665, 0, 0, 62431, 0, 0, 0, 0, 0, 0, 26317, 19048, 0],
+    ]
+    for entries, field, expected in [
+        (sparse_257, GF(257), [9, 11, 9]),
+        (sparse_65536, gf65536, [10, 10, 10]),
+    ]:
+        got = [min_weight_random_upper(entries, field, 200, s) for s in (0, 1, 2)]
+        assert got == expected, field
+
+
+def test_oracle_does_not_import_code():
+    # covers "from .code import x", "from . import code" and
+    # "import projtoric.code"
+    modules = []
+    for node in ast.walk(ast.parse(Path(projtoric.oracle.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            modules.append(node.module or "")
+            if not node.module:
+                modules += [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            modules += [a.name for a in node.names]
+    assert "gf" in modules
+    assert not any(m.split(".")[-1] == "code" for m in modules)
 
 
 def test_unionfind_class_counts(toy_triangle, unit_square, segment01):

@@ -66,6 +66,8 @@ def test_pyramid_report():
     assert not report.simple
     assert report.determinants is None
     assert not report.ok
+    # the apex of a square pyramid lies on all four side facets
+    assert report.offenders == ((1, 1, 1),)
 
 
 def test_require_hypotheses(toy_triangle, quadrilateral):
