@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from collections import Counter
 
 from .code import (
     OrderSpec,
@@ -136,9 +137,7 @@ def cmd_info(args):
     P, doc = load_document(args.polytope)
     field = _field_from(args, doc)
     report = check_hypotheses(P, field.q)
-    by_dim = {}
-    for f in P.faces:
-        by_dim[f.dim] = by_dim.get(f.dim, 0) + 1
+    by_dim = Counter(f.dim for f in P.faces)
     print(f"polytope: dimension {P.dim}, {len(P.vertices)} vertices, {len(P.faces)} faces")
     print("facets:")
     for u, a in zip(P.normals, P.offsets):

@@ -13,12 +13,11 @@ translated offset-difference region.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import GF, as_field
+from .gf import GF, as_field, field_size
 from .polytope import offset_difference, same_normal_fan
 from .variety import build_flags, flag_assignment, require_hypotheses, count_rational_points
 
@@ -71,14 +70,24 @@ class OrderSpec:
             return "wlex:" + ",".join(map(str, self.weights))
         return self.kind
 
-    def key(self, point):
+    def columns(self, points):
+        """The order as int64 columns, compared lexicographically: lex is
+        x, grlex (sum x, x), permlex x[perm] and wlex (w.x, x)."""
+        x = np.asarray(points, dtype=np.int64)
+        n = x.shape[1]
+        if {"permlex": len(self.perm), "wlex": len(self.weights)}.get(self.kind, n) != n:
+            raise ValueError(f"order {self.name} does not fit dimension {n}")
         if self.kind == "lex":
-            return tuple(point)
+            return x
         if self.kind == "grlex":
-            return (sum(point), tuple(point))
+            return np.column_stack((x.sum(axis=1), x))
         if self.kind == "permlex":
-            return tuple(point[i] for i in self.perm)
-        return (sum(w * x for w, x in zip(self.weights, point)), tuple(point))
+            return x[:, list(self.perm)]
+        return np.column_stack((x @ np.array(self.weights, dtype=np.int64), x))
+
+    def key(self, point):
+        """Sort key of one point, from its columns."""
+        return tuple(self.columns([point])[0].tolist())
 
 
 def stock_orders(dim):
@@ -89,27 +98,18 @@ def stock_orders(dim):
     return orders
 
 
-def _points_by_face(P):
-    # one pass over the lattice points: the tight facet set of a point
-    # names the minimal face containing it
-    index = {f.facet_indices: i for i, f in enumerate(P.faces)}
-    buckets = [[] for _ in P.faces]
-    for m in P.lattice_points:
-        buckets[index[P.tight_facets(m)]].append(m)
-    return buckets
-
-
 def _rows(P):
-    """Row points as an int64 array, with the face index of each row."""
-    buckets = _points_by_face(P)
-    points = np.array([m for b in buckets for m in b], dtype=np.int64)
-    return points, np.repeat(np.arange(len(buckets)), [len(b) for b in buckets])
+    """Row points as an int64 array, with the face index of each row:
+    grouped by face in face order, lexicographic within a face."""
+    face = P.lattice_point_faces
+    by_face = np.argsort(face, kind="stable")
+    return P.lattice_scan[0][by_face], face[by_face]
 
 
 def ordered_lattice_points(P):
     """Lattice points of P in row order: interior of P first, then
     interiors of faces by decreasing dimension, vertices last."""
-    return tuple(m for bucket in _points_by_face(P) for m in bucket)
+    return tuple(map(tuple, _rows(P)[0].tolist()))
 
 
 def _subface_table(faces):
@@ -258,17 +258,35 @@ class ReductionSet:
     representatives: tuple
 
 
-def _classes(points, q):
-    """Points grouped by their coordinates mod q-1, in first-seen order."""
-    per = defaultdict(list)
-    for m in points:
-        per[tuple(x % (q - 1) for x in m)].append(m)
-    return list(per.values())
+def _classes(points, face, q, order=None):
+    """Sort rows by class, (face, coordinates mod q-1), then by the
+    order's columns. Returns the sorting permutation and, per sorted
+    row, whether it starts a class; a class starts at its order-minimal
+    member. The lexsort is stable, so rows that tie keep their order."""
+    key = np.column_stack((face, points % (q - 1)))
+    cols = () if order is None else tuple(order.columns(points).T[::-1])
+    perm = np.lexsort(cols + tuple(key.T[::-1]))
+    key = key[perm]
+    return perm, np.concatenate(([True], (key[1:] != key[:-1]).any(axis=1)))
 
 
-def _class_groups(P, q):
-    """Reduction classes of P: the congruence classes of each face interior."""
-    return [_classes(bucket, q) for bucket in _points_by_face(P)]
+def _reduced_points(P, q, order=None):
+    """One point of each class of P, in class order: the order-minimal
+    one when an order is given."""
+    points = P.lattice_scan[0]
+    perm, starts = _classes(points, P.lattice_point_faces, q, order)
+    return points[perm[starts]]
+
+
+def _reduction(points, face, q, order):
+    """(mapping, representatives): each row's point sent to the order-
+    minimal point of its class, and those listed by face, then in order."""
+    perm, starts = _classes(points, face, q, order)
+    reps = perm[starts]
+    rep_of = reps[np.cumsum(starts) - 1]
+    mapping = dict(zip(map(tuple, points[perm].tolist()), map(tuple, points[rep_of].tolist())))
+    reps = reps[np.lexsort(tuple(order.columns(points[reps]).T[::-1]) + (face[reps],))]
+    return mapping, tuple(map(tuple, points[reps].tolist()))
 
 
 def projective_reduction(P, field, order=None):
@@ -276,22 +294,13 @@ def projective_reduction(P, field, order=None):
 
     Two points merge when they lie in the same face's relative interior
     and differ by a multiple of q-1 in every coordinate; each class is
-    represented by its order-minimal member.
+    represented by its order-minimal member. Representatives are listed
+    by face, then in the order.
     """
-    q = as_field(field).q
+    q = field_size(field)
     if order is None:
         order = OrderSpec.lex()
-    mapping = {}
-    reps = []
-    for groups in _class_groups(P, q):
-        face_reps = []
-        for group in groups:
-            rep = min(group, key=order.key)
-            face_reps.append(rep)
-            for m in group:
-                mapping[m] = rep
-        reps.extend(sorted(face_reps, key=order.key))
-    return ReductionSet(order, mapping, tuple(reps))
+    return ReductionSet(order, *_reduction(*_rows(P), q, order))
 
 
 def toric_reduction(points, field, order=None):
@@ -299,18 +308,20 @@ def toric_reduction(points, field, order=None):
 
     Returns one order-minimal representative per congruence class.
     """
-    q = as_field(field).q
+    q = field_size(field)
     if order is None:
         order = OrderSpec.lex()
-    groups = _classes(map(tuple, points), q)
-    return tuple(sorted((min(g, key=order.key) for g in groups), key=order.key))
+    points = np.array([tuple(m) for m in points], dtype=np.int64)
+    if not len(points):
+        return ()
+    return _reduction(points, np.zeros(len(points), dtype=np.int64), q, order)[1]
 
 
 def dimension(P, field):
     """Dimension of the code: the number of reduced points of P."""
-    field = as_field(field)
-    require_hypotheses(P, field.q)
-    return len(projective_reduction(P, field).representatives)
+    q = field_size(field)
+    require_hypotheses(P, q)
+    return len(_reduced_points(P, q))
 
 
 def is_surjective(Pbig, P, field):
@@ -320,13 +331,13 @@ def is_surjective(Pbig, P, field):
     and as many reduced points as rational points: each k-face interior
     of Pbig must then carry all (q-1)^k congruence classes.
     """
-    q = as_field(field).q
+    q = field_size(field)
     if not same_normal_fan(Pbig, P):
         return False
     base = dict(zip(P.normals, P.offsets))
     if any(a < base[u] for u, a in zip(Pbig.normals, Pbig.offsets)):
         return False
-    return sum(map(len, _class_groups(Pbig, q))) == count_rational_points(P, q)
+    return len(_reduced_points(Pbig, q)) == count_rational_points(P, q)
 
 
 def find_surjective_dilate(P, field, lambda_max=16):
@@ -354,14 +365,14 @@ class BoundDetails:
 
 
 def _survivor_counts(region, small, large):
-    """For each point m of small, the number of points of large whose
+    """For each row m of small, the number of rows of large whose
     difference from m satisfies every inequality of region."""
     normals = np.array(region.normals, dtype=np.int64).T
     floor = -np.array(region.offsets, dtype=np.int64)
-    values = np.array(large, dtype=np.int64) @ normals
+    values = large @ normals
     return tuple(
         int(np.count_nonzero((values >= floor + s).all(axis=1)))
-        for s in np.array(small, dtype=np.int64) @ normals
+        for s in small @ normals
     )
 
 
@@ -378,8 +389,8 @@ def distance_lower_bound_details(P, Pbig, field, order=None):
     if not is_surjective(Pbig, P, field):
         raise SurjectivityError("enlarged polytope is not surjective over the base")
     small = projective_reduction(P, field, order).representatives
-    large = projective_reduction(Pbig, field, order).representatives
-    counts = _survivor_counts(offset_difference(Pbig, P), small, large)
+    large = _reduced_points(Pbig, field_size(field), order)
+    counts = _survivor_counts(offset_difference(Pbig, P), np.array(small, dtype=np.int64), large)
     return BoundDetails(min(counts), order, small, counts)
 
 
@@ -391,10 +402,9 @@ def distance_lower_bound(P, Pbig, field, order=None):
 def bounds_over_orders(P, Pbig, field, orders=None):
     """(order, bound) for each monomial order, in the given order.
 
-    The congruence classes are computed once; only the representative
-    choice varies with the order.
+    Only the representative choice varies with the order.
     """
-    q = as_field(field).q
+    q = field_size(field)
     if orders is None:
         orders = stock_orders(P.dim)
     orders = list(orders)
@@ -403,12 +413,9 @@ def bounds_over_orders(P, Pbig, field, orders=None):
     if not is_surjective(Pbig, P, field):
         raise SurjectivityError("enlarged polytope is not surjective over the base")
     region = offset_difference(Pbig, P)
-    small_groups = [g for groups in _class_groups(P, q) for g in groups]
-    large_groups = [g for groups in _class_groups(Pbig, q) for g in groups]
     bounds = []
     for order in orders:
-        small = [min(g, key=order.key) for g in small_groups]
-        large = [min(g, key=order.key) for g in large_groups]
+        small, large = (_reduced_points(R, q, order) for R in (P, Pbig))
         bounds.append((order, min(_survivor_counts(region, small, large))))
     return tuple(bounds)
 
@@ -427,23 +434,15 @@ def subcode_matrix(M, rows=None, cols=None):
     indices (all when None). Raises ValueError on an empty selection or
     an unknown row point.
     """
-    if rows is None:
-        ridx = list(range(len(M.row_points)))
-    else:
-        index = {m: i for i, m in enumerate(M.row_points)}
-        ridx = []
-        for m in rows:
-            m = tuple(m)
-            if m not in index:
-                raise ValueError(f"{m} is not a row of the matrix")
-            ridx.append(index[m])
+    index = {m: i for i, m in enumerate(M.row_points)}
+    rows = M.row_points if rows is None else [tuple(m) for m in rows]
+    unknown = next((m for m in rows if m not in index), None)
+    if unknown is not None:
+        raise ValueError(f"{unknown} is not a row of the matrix")
     width = M.shape[1]
-    if cols is None:
-        cidx = list(range(width))
-    else:
-        cidx = list(cols)
-        if any(not (0 <= j < width) for j in cidx):
-            raise ValueError("column index out of range")
-    if not ridx or not cidx:
+    cidx = range(width) if cols is None else list(cols)
+    if any(not (0 <= j < width) for j in cidx):
+        raise ValueError("column index out of range")
+    if not rows or not cidx:
         raise ValueError("empty selection")
-    return tuple(tuple(M.entries[i][j] for j in cidx) for i in ridx)
+    return tuple(tuple(M.entries[index[m]][j] for j in cidx) for m in rows)

@@ -135,9 +135,7 @@ class GF:
     """
 
     def __init__(self, q):
-        self.p, self.k = prime_power(q)
-        if q > 1 << 16:
-            raise FieldError(f"field size {q} exceeds the 2^16 table limit")
+        self.p, self.k = prime_power(field_size(q))
         self.q = q
         if self.k == 1:
             self.modulus = None
@@ -261,6 +259,17 @@ class GF:
 
     def __repr__(self):
         return f"GF({self.q})"
+
+
+def field_size(field):
+    """q of a GF, or an int field size validated as GF(q) validates it,
+    without building any tables."""
+    if isinstance(field, GF):
+        return field.q
+    prime_power(field)
+    if field > 1 << 16:
+        raise FieldError(f"field size {field} exceeds the 2^16 table limit")
+    return field
 
 
 def as_field(field):

@@ -141,6 +141,27 @@ def rank(A):
     return r
 
 
+def _clear_below(M, t):
+    """Row operations clearing column t below the pivot M[t][t]; False
+    when a Bezout step rewrote the pivot row."""
+    clean = True
+    for i in range(t + 1, len(M)):
+        a, b = M[t][t], M[i][t]
+        if b % a == 0:
+            # plain elimination keeps the pivot row fixed, so it
+            # cannot reintroduce cleared entries
+            M[i] = [vi - b // a * vt for vt, vi in zip(M[t], M[i])]
+            continue
+        g, x, y = _egcd(a, b)
+        p, q = a // g, b // g
+        M[t], M[i] = (
+            [x * vt + y * vi for vt, vi in zip(M[t], M[i])],
+            [p * vi - q * vt for vt, vi in zip(M[t], M[i])],
+        )
+        clean = False
+    return clean
+
+
 def snf_invariant_factors(A):
     """Invariant factors d_1 | d_2 | ... | d_n of an integer matrix.
 
@@ -164,37 +185,10 @@ def snf_invariant_factors(A):
         for row in M:
             row[t], row[pj] = row[pj], row[t]
         while True:
-            clean = True
-            for i in range(t + 1, m):
-                if M[i][t]:
-                    a, b = M[t][t], M[i][t]
-                    if b % a == 0:
-                        # plain elimination keeps the pivot row fixed,
-                        # so it cannot reintroduce cleared entries
-                        f = b // a
-                        M[i] = [M[i][j] - f * M[t][j] for j in range(n)]
-                        continue
-                    g, x, y = _egcd(a, b)
-                    p, q = a // g, b // g
-                    rt = [x * M[t][j] + y * M[i][j] for j in range(n)]
-                    ri = [p * M[i][j] - q * M[t][j] for j in range(n)]
-                    M[t], M[i] = rt, ri
-                    clean = False
-            for j in range(t + 1, n):
-                if M[t][j]:
-                    a, b = M[t][t], M[t][j]
-                    if b % a == 0:
-                        f = b // a
-                        for row in M:
-                            row[j] -= f * row[t]
-                        continue
-                    g, x, y = _egcd(a, b)
-                    p, q = a // g, b // g
-                    for row in M:
-                        ct, cj = row[t], row[j]
-                        row[t] = x * ct + y * cj
-                        row[j] = p * cj - q * ct
-                    clean = False
+            clean = _clear_below(M, t)
+            T = [list(col) for col in zip(*M)]
+            clean = _clear_below(T, t) and clean  # column operations
+            M = [list(row) for row in zip(*T)]
             if clean:
                 break
     diag = [abs(M[i][i]) for i in range(k)]
@@ -222,12 +216,28 @@ def kernel_vector(rows, n):
     for j in range(n):
         minor = [[row[t] for t in range(n) if t != j] for row in rows]
         d.append((-1) ** j * determinant(minor))
-    g = 0
-    for x in d:
-        g = gcd(g, x)
+    g = gcd(*d)
     if g == 0:
         raise ValueError("rows do not have rank n-1")
     return [x // g for x in d]
+
+
+def solve_exact(A, B):
+    """X with A X = B for a square A, as rows of Fractions, by exact
+    Gauss-Jordan elimination; None when A is singular."""
+    n = len(A)
+    M = [[Fraction(x) for x in row] + [Fraction(b) for b in rhs] for row, rhs in zip(A, B)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if M[i][c]), None)
+        if piv is None:
+            return None
+        M[c], M[piv] = M[piv], M[c]
+        M[c] = [x / M[c][c] for x in M[c]]
+        for i in range(n):
+            if i != c and M[i][c]:
+                f = M[i][c]
+                M[i] = [x - f * y for x, y in zip(M[i], M[c])]
+    return [row[n:] for row in M]
 
 
 def unimodular_inverse(T):
@@ -235,17 +245,4 @@ def unimodular_inverse(T):
     n = _check_square(T)
     if determinant(T) not in (1, -1):
         raise ValueError("matrix is not unimodular")
-    M = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(T)
-    ]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if M[i][c])
-        M[c], M[piv] = M[piv], M[c]
-        M[c] = [x / M[c][c] for x in M[c]]
-        for i in range(n):
-            if i != c and M[i][c]:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[c])]
-    inv = [[int(x) for x in row[n:]] for row in M]
-    return inv
+    return [[int(x) for x in row] for row in solve_exact(T, identity(n))]

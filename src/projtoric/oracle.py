@@ -15,7 +15,7 @@ from math import gcd
 
 import numpy as np
 
-from .gf import as_field
+from .gf import as_field, field_size
 
 
 class BudgetExceededError(Exception):
@@ -155,7 +155,7 @@ def reduction_class_count_unionfind(P, field):
     Uses only tight facet sets and coordinate congruences mod q-1,
     bypassing the face lattice entirely.
     """
-    q = as_field(field).q
+    q = field_size(field)
     pts = list(P.lattice_points)
     tight = [P.tight_facets(m) for m in pts]
     parent = list(range(len(pts)))

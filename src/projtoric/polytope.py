@@ -13,10 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations
 from math import gcd
 
-from .intlat import kernel_vector, rank
+import numpy as np
+
+from .intlat import kernel_vector, rank, solve_exact
 
 
 class PolytopeError(ValueError):
@@ -42,23 +44,6 @@ def _as_lattice_point(p, n=None):
     return t
 
 
-def _solve_square(rows, rhs):
-    # exact Gaussian elimination; None when the system is singular
-    n = len(rows)
-    M = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if M[i][c]), None)
-        if piv is None:
-            return None
-        M[c], M[piv] = M[piv], M[c]
-        M[c] = [x / M[c][c] for x in M[c]]
-        for i in range(n):
-            if i != c and M[i][c]:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[c])]
-    return [M[i][n] for i in range(n)]
-
-
 @dataclass(frozen=True)
 class Face:
     """One face of a polytope, identified by its vertex index set."""
@@ -66,11 +51,6 @@ class Face:
     vertex_indices: tuple
     facet_indices: tuple
     dim: int
-
-    @property
-    def anchor(self):
-        """Distinguished vertex index, used to base straightening maps."""
-        return self.vertex_indices[0]
 
 
 @dataclass(frozen=True)
@@ -164,10 +144,7 @@ class Polytope:
         clean_offsets = []
         for normal, offset in zip(normals, offsets):
             u = _as_lattice_point(normal, n)
-            g = 0
-            for x in u:
-                g = gcd(g, x)
-            if g != 1:
+            if gcd(*u) != 1:
                 raise PolytopeError(f"facet normal {u} is not primitive")
             if not isinstance(offset, int):
                 raise PolytopeError(f"facet offset {offset!r} is not an int")
@@ -203,9 +180,10 @@ class Polytope:
         vert_set = set(verts)
         for combo in combinations(range(r), n):
             rows = [normals[i] for i in combo]
-            sol = _solve_square(rows, [-offsets[i] for i in combo])
+            sol = solve_exact(rows, [[-offsets[i]] for i in combo])
             if sol is None:
                 continue
+            sol = [s for s, in sol]
             if any(
                 sum(Fraction(x) * s for x, s in zip(u, sol)) < -a
                 for u, a in zip(normals, offsets)
@@ -223,10 +201,7 @@ class Polytope:
             tuple(offsets[i] for i in order),
         )
 
-    def contains(self, point):
-        return all(
-            _dot(point, u) >= -a for u, a in zip(self.normals, self.offsets)
-        )
+    contains = HalfspaceRegion.contains
 
     def tight_facets(self, point):
         """Indices of facets whose inequality is tight at the point."""
@@ -237,12 +212,42 @@ class Polytope:
         )
 
     @cached_property
+    def lattice_scan(self):
+        """(points, tight): the lattice points as an int64 array in
+        lexicographic order and the mask of the facets tight at each. The
+        bounding box is scanned in slabs along the first coordinate of at
+        most 2^12 grid points (or one unit wide), so temporaries stay small."""
+        box = np.array(self.vertices, dtype=np.int64)
+        lo, extent = box.min(axis=0), np.ptp(box, axis=0) + 1
+        normals = np.array(self.normals, dtype=np.int64).T
+        offsets = np.array(self.offsets, dtype=np.int64)
+        step = max(1, (1 << 12) // int(np.prod(extent[1:])))
+        points, tight = [], []
+        for start in range(0, int(extent[0]), step):
+            shape = (min(step, int(extent[0]) - start), *extent[1:])
+            grid = np.indices(shape, dtype=np.int64).reshape(self.dim, -1).T + lo
+            grid[:, 0] += start
+            slack = grid @ normals + offsets
+            inside = (slack >= 0).all(axis=1)
+            points.append(grid[inside])
+            tight.append(slack[inside] == 0)
+        return np.concatenate(points), np.concatenate(tight)
+
+    @cached_property
     def lattice_points(self):
         """All lattice points of the polytope, in lexicographic order."""
-        lo = [min(v[i] for v in self.vertices) for i in range(self.dim)]
-        hi = [max(v[i] for v in self.vertices) for i in range(self.dim)]
-        ranges = [range(a, b + 1) for a, b in zip(lo, hi)]
-        return tuple(p for p in product(*ranges) if self.contains(p))
+        return tuple(map(tuple, self.lattice_scan[0].tolist()))
+
+    @cached_property
+    def lattice_point_faces(self):
+        """Index into faces of each lattice point's minimal face, whose
+        relative interior holds it: the face whose facets are the point's
+        tight facets, found by looking packed masks up among the faces'."""
+        masks = [[i in f.facet_indices for i in range(len(self.normals))] for f in self.faces]
+        keys = np.packbits(np.concatenate((masks, self.lattice_scan[1])), axis=1)
+        keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
+        by_key = np.argsort(keys[: len(masks)])
+        return by_key[np.searchsorted(keys[by_key], keys[len(masks):])]
 
     @cached_property
     def faces(self):
@@ -290,30 +295,21 @@ class Polytope:
             len(self.tight_facets(v)) == self.dim for v in self.vertices
         )
 
-    def face_contains(self, face, point):
-        """Whether a lattice point of P lies on the given face."""
-        return set(self.tight_facets(point)) >= set(face.facet_indices)
-
-    def interior_lattice_points(self, face):
-        """Lattice points whose minimal containing face is the given one,
-        i.e. the relative interior of the face. Pass the top face for the
-        interior of the polytope itself."""
-        return tuple(
-            m
-            for m in self.lattice_points
-            if self.tight_facets(m) == face.facet_indices
-        )
-
     def dilate(self, factor):
-        """The scaled polytope factor * P, for a positive integer factor."""
+        """The scaled polytope factor * P, for a positive integer factor.
+
+        Scaling keeps the vertex order and the normals, so the dilate
+        shares the face list of P."""
         if not isinstance(factor, int) or factor < 1:
             raise PolytopeError(f"dilation factor must be a positive int, got {factor!r}")
-        return Polytope(
+        scaled = Polytope(
             self.dim,
             tuple(tuple(factor * x for x in v) for v in self.vertices),
             self.normals,
             tuple(factor * a for a in self.offsets),
         )
+        object.__setattr__(scaled, "faces", self.faces)
+        return scaled
 
 
 def same_normal_fan(P, Q):

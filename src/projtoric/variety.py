@@ -180,7 +180,7 @@ def flag_for_chain(P, chain):
     H, T = hnf_lower(A)
     transform = [[row[n - 1 - j] for j in range(n)] for row in T]
     inverse = unimodular_inverse(transform)
-    base = P.vertices[chain[0].anchor]
+    base = P.vertices[chain[0].vertex_indices[0]]
     return Flag(
         P,
         chain,

@@ -4,6 +4,7 @@ Each test prints one [acceptance] line; a budget overrun flips the
 line to FAIL even when the math checks out.
 """
 
+import random
 import time
 from contextlib import contextmanager
 
@@ -26,7 +27,7 @@ from projtoric.oracle import (
     rank_gf,
     reduction_class_count_unionfind,
 )
-from projtoric.polytope import Polytope
+from projtoric.polytope import Polytope, PolytopeError
 from projtoric.variety import (
     build_flags,
     check_hypotheses,
@@ -66,7 +67,7 @@ def test_toy_triangle_full_pipeline(toy_triangle):
         P4 = toy_triangle.dilate(4)
         assert not is_surjective(P4, toy_triangle, field)
         red4 = projective_reduction(P4, field)
-        interior = set(P4.interior_lattice_points(P4.faces[0]))
+        interior = {m for m, f in zip(P4.lattice_points, P4.lattice_point_faces) if f == 0}
         torus_classes = sum(1 for r in red4.representatives if r in interior)
         assert torus_classes == 8
         assert torus_classes < (field.q - 1) ** 2  # 9 would be needed
@@ -201,3 +202,54 @@ def test_torus_puncture_matches_toric_reduction(polygon_corpus, toy_triangle):
             torus = subcode_matrix(M, cols=M.torus_columns())
             classes = toric_reduction(P.lattice_points, field)
             assert rank_gf(torus, field) == len(classes)
+
+
+def random_3d_corpus(size, seed):
+    """Seeded simple lattice polytopes, each over the first q in a
+    rotating {2,3,4,5} schedule that passes both hypotheses. Half are
+    sheared prisms over random polygons, which are always simple; half
+    are hulls of random points in [0,2]^3, kept when simple."""
+    rng = random.Random(seed)
+    qs = (2, 3, 4, 5)
+    corpus = []
+    while len(corpus) < size:
+        if len(corpus) % 2:
+            base = [(rng.randint(0, 2), rng.randint(0, 2)) for _ in range(rng.randint(3, 5))]
+            h, s = rng.randint(1, 2), rng.randint(-1, 1)
+            pts = [(x + s * z, y, z) for x, y in base for z in (0, h)]
+        else:
+            pts = [tuple(rng.randint(0, 2) for _ in range(3)) for _ in range(rng.randint(4, 8))]
+        try:
+            P = Polytope.from_vertices(pts)
+        except PolytopeError:
+            continue
+        start = len(corpus) % len(qs)
+        q = next((q for q in qs[start:] + qs[:start] if check_hypotheses(P, q).ok), None)
+        if q is not None:
+            corpus.append((P, q))
+    return corpus
+
+
+def test_random_3d_property_suite():
+    with criterion("random 3D suite", budget=12.0):
+        exact = 0
+        for P, q in random_3d_corpus(24, seed=3):
+            field = GF(q)
+            M = generator_matrix(P, field)
+            k = dimension(P, field)
+            assert rank_gf(M.entries, field) == k
+            assert reduction_class_count_unionfind(P, field) == k
+            assert M.structural_violations() == []
+            MB = generator_matrix(P, field, flags=build_flags(P, reverse=True))
+            assert MB.structural_violations() == []
+            assert rank_gf(MB.entries, field) == k
+            if q ** k <= 1 << 24:
+                exact += 1
+                A = anchored(P)
+                lam = find_surjective_dilate(A, field, 4 * q)
+                assert lam is not None
+                d = min_distance_exhaustive(M.entries, field)
+                assert best_bound_over_orders(A, A.dilate(lam), field)[0] <= d
+                if q ** k <= 1 << 20:
+                    assert min_distance_exhaustive(MB.entries, field) == d
+        assert exact >= 12

@@ -233,6 +233,15 @@ def test_unknown_order_exits_two(capsys, toy_doc):
     assert "invalid input" in err
 
 
+@pytest.mark.parametrize("command", ["bound", "verify"])
+@pytest.mark.parametrize("order", ["permlex:1,0,2", "wlex:1"])
+def test_order_of_the_wrong_dimension_exits_two(capsys, toy_doc, command, order):
+    # a permutation or weight vector must have one entry per coordinate
+    code, _, err = run(capsys, command, "--polytope", toy_doc, "--order", order)
+    assert code == 2
+    assert "does not fit dimension 2" in err
+
+
 def test_facet_document_roundtrip(capsys, tmp_path):
     doc = write_doc(
         tmp_path, "square.json",

@@ -10,9 +10,11 @@ from hypothesis import given, settings, strategies as st
 from projtoric.cli import load_document
 from projtoric.code import (
     OrderSpec,
+    _subface_table,
     SurjectivityError,
     best_bound_over_orders,
     block_matrix,
+    bounds_over_orders,
     dimension,
     distance_lower_bound,
     distance_lower_bound_details,
@@ -26,8 +28,8 @@ from projtoric.code import (
     toric_generator_matrix,
     toric_reduction,
 )
-from projtoric.gf import GF
-from projtoric.oracle import rank_gf
+from projtoric.gf import GF, FieldError
+from projtoric.oracle import rank_gf, reduction_class_count_unionfind
 from projtoric.polytope import Polytope
 from projtoric.variety import HypothesisError, build_flags, flag_assignment
 
@@ -210,10 +212,11 @@ def test_face_blocks_match_toric_reduction(toy_triangle, hirzebruch):
         for Q in P.faces:
             flag = assign[Q]
             B = block_matrix(P, Q, flag, field)
+            on = _subface_table(P.faces)[P.lattice_point_faces, P.faces.index(Q)]
             on_face = [
                 flag.exponents(m)[: Q.dim]
-                for m in P.lattice_points
-                if P.face_contains(Q, m)
+                for m, yes in zip(P.lattice_points, on)
+                if yes
             ]
             assert rank_gf(B, field) == len(toric_reduction(on_face, field))
 
@@ -235,8 +238,7 @@ def test_projective_reduction_dilated_toy_interior(toy_triangle):
     # 9 torus classes would be needed; only 8 distinct ones appear
     P4 = toy_triangle.dilate(4)
     red = projective_reduction(P4, GF(4))
-    top = P4.faces[0]
-    interior = set(P4.interior_lattice_points(top))
+    interior = {m for m, f in zip(P4.lattice_points, P4.lattice_point_faces) if f == 0}
     assert sum(1 for r in red.representatives if r in interior) == 8
 
 
@@ -388,3 +390,23 @@ def test_flag_choice_does_not_change_matrix_rank(toy_triangle, hirzebruch):
         assert forward.shape == backward.shape
         assert rank_gf(forward.entries, field) == \
             rank_gf(backward.entries, field)
+
+
+def test_int_field_sizes_build_no_tables(toy_triangle, monkeypatch):
+    # these only need q; GF(65536) would take about a second to build
+    def refuse(self):
+        raise AssertionError(f"tables of GF({self.q}) built")
+
+    monkeypatch.setattr(GF, "_build_tables", refuse)
+    q = 1 << 16
+    assert len(projective_reduction(toy_triangle, q).representatives) == 5
+    assert len(toric_reduction(toy_triangle.lattice_points, q)) == 5
+    assert dimension(toy_triangle, 4096) == 5
+    assert not is_surjective(toy_triangle.dilate(2), toy_triangle, q)
+    assert find_surjective_dilate(toy_triangle, 4096, 3) is None
+    assert reduction_class_count_unionfind(toy_triangle, q) == 5
+    P5 = toy_triangle.dilate(5)
+    assert [b for _, b in bounds_over_orders(toy_triangle, P5, 4)] == [8, 8, 8]
+    assert distance_lower_bound_details(toy_triangle, P5, 4).bound == 8
+    with pytest.raises(FieldError):
+        projective_reduction(toy_triangle, 1 << 17)

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from projtoric.gf import GF, FieldError, as_field, prime_power
+from projtoric.gf import GF, FieldError, as_field, field_size, prime_power
 
 
 def test_prime_power_decomposition():
@@ -18,6 +18,15 @@ def test_prime_power_decomposition():
 def test_size_cap():
     with pytest.raises(FieldError):
         GF(2**17)
+
+
+def test_field_size_validates_like_gf(monkeypatch):
+    assert field_size(GF(9)) == 9
+    monkeypatch.setattr(GF, "_build_tables", lambda self: pytest.fail("tables built"))
+    assert field_size(65536) == 65536
+    for bad in (1, 6, 2**17, 2.0, "4"):
+        with pytest.raises(FieldError):
+            field_size(bad)
 
 
 def test_canonical_moduli():

@@ -1,0 +1,250 @@
+"""The numpy lattice-point kernel against the per-point scalar scan.
+
+The reference functions below are the scan and grouping the package
+used before they moved onto arrays: a product over the bounding box
+filtered by contains, tight_facets for every point, dict grouping of
+congruence classes and min(key=...) for representatives, with the sort
+keys spelled out per order kind. Lattice points, face buckets, class
+counts, reduction mappings, representatives, surjectivity, the dilate
+factor and the bounds must all come out identical.
+"""
+
+import subprocess
+import sys
+from collections import defaultdict
+from itertools import product
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+
+from projtoric.code import (
+    OrderSpec,
+    _reduced_points,
+    _rows,
+    bounds_over_orders,
+    distance_lower_bound_details,
+    find_surjective_dilate,
+    is_surjective,
+    ordered_lattice_points,
+    projective_reduction,
+    toric_reduction,
+)
+from projtoric.polytope import Polytope, PolytopeError, offset_difference, same_normal_fan
+from projtoric.variety import count_rational_points
+
+from conftest import anchored
+
+
+def ref_key(order, point):
+    if order.kind == "lex":
+        return tuple(point)
+    if order.kind == "grlex":
+        return (sum(point), tuple(point))
+    if order.kind == "permlex":
+        return tuple(point[i] for i in order.perm)
+    return (sum(w * x for w, x in zip(order.weights, point)), tuple(point))
+
+
+def ref_lattice_points(P):
+    lo = [min(v[i] for v in P.vertices) for i in range(P.dim)]
+    hi = [max(v[i] for v in P.vertices) for i in range(P.dim)]
+    return tuple(p for p in product(*(range(a, b + 1) for a, b in zip(lo, hi))) if P.contains(p))
+
+
+def ref_buckets(P):
+    index = {f.facet_indices: i for i, f in enumerate(P.faces)}
+    buckets = [[] for _ in P.faces]
+    for m in ref_lattice_points(P):
+        buckets[index[P.tight_facets(m)]].append(m)
+    return buckets
+
+
+def ref_classes(points, q):
+    per = defaultdict(list)
+    for m in points:
+        per[tuple(x % (q - 1) for x in m)].append(m)
+    return list(per.values())
+
+
+def ref_groups(P, q):
+    return [g for bucket in ref_buckets(P) for g in ref_classes(bucket, q)]
+
+
+def ref_projective_reduction(P, q, order):
+    mapping, reps = {}, []
+    for bucket in ref_buckets(P):
+        face_reps = []
+        for group in ref_classes(bucket, q):
+            rep = min(group, key=lambda m: ref_key(order, m))
+            face_reps.append(rep)
+            mapping.update((m, rep) for m in group)
+        reps.extend(sorted(face_reps, key=lambda m: ref_key(order, m)))
+    return mapping, tuple(reps)
+
+
+def ref_toric_reduction(points, q, order):
+    key = lambda m: ref_key(order, m)  # noqa: E731
+    return tuple(sorted((min(g, key=key) for g in ref_classes(points, q)), key=key))
+
+
+def ref_is_surjective(Pbig, P, q):
+    if not same_normal_fan(Pbig, P):
+        return False
+    base = dict(zip(P.normals, P.offsets))
+    if any(a < base[u] for u, a in zip(Pbig.normals, Pbig.offsets)):
+        return False
+    return len(ref_groups(Pbig, q)) == count_rational_points(P, q)
+
+
+def ref_counts(P, Pbig, q, order):
+    region = offset_difference(Pbig, P)
+    small = ref_projective_reduction(P, q, order)[1]
+    large = [min(g, key=lambda m: ref_key(order, m)) for g in ref_groups(Pbig, q)]
+    return small, tuple(
+        sum(region.contains(tuple(x - y for x, y in zip(r, m))) for r in large)
+        for m in small
+    )
+
+
+def orders_for(dim, draw):
+    perm = draw(st.permutations(range(dim)))
+    weights = draw(st.lists(st.integers(-4, 4), min_size=dim, max_size=dim))
+    return [OrderSpec.lex(), OrderSpec.grlex(), OrderSpec.permlex(perm), OrderSpec.wlex(weights)]
+
+
+@st.composite
+def polytopes(draw):
+    dim = draw(st.sampled_from((1, 2, 3)))
+    side = 3 if dim < 3 else 2
+    coords = st.integers(-side, side)
+    points = draw(st.lists(st.tuples(*[coords] * dim), min_size=dim + 1, max_size=dim + 4))
+    try:
+        P = Polytope.from_vertices(points)
+    except PolytopeError:
+        assume(False)
+    return P, orders_for(dim, draw)
+
+
+def box4(lo, hi):
+    corners = list(product(*zip(lo, hi)))
+    normals, offsets = [], []
+    for i in range(4):
+        e = tuple(int(j == i) for j in range(4))
+        normals += [e, tuple(-x for x in e)]
+        offsets += [-lo[i], hi[i]]
+    return Polytope.from_vrep_hrep(corners, normals, offsets)
+
+
+def assert_scan_matches(P):
+    assert P.lattice_points == ref_lattice_points(P)
+    points, tight = P.lattice_scan
+    assert points.tolist() == [list(m) for m in P.lattice_points]
+    assert [tuple(row.nonzero()[0].tolist()) for row in tight] == [
+        P.tight_facets(m) for m in P.lattice_points
+    ]
+    buckets = ref_buckets(P)
+    assert ordered_lattice_points(P) == tuple(m for b in buckets for m in b)
+    face = _rows(P)[1].tolist()
+    assert face == [i for i, b in enumerate(buckets) for _ in b]
+
+
+def assert_reductions_match(P, q, orders):
+    assert len(_reduced_points(P, q)) == len(ref_groups(P, q))
+    for order in orders:
+        red = projective_reduction(P, q, order)
+        mapping, reps = ref_projective_reduction(P, q, order)
+        assert red.mapping == mapping
+        assert red.representatives == reps
+        assert toric_reduction(P.lattice_points, q, order) == ref_toric_reduction(
+            P.lattice_points, q, order
+        )
+
+
+QS = (2, 3, 4, 5, 7, 8, 9)
+
+
+@settings(deadline=None, max_examples=40, suppress_health_check=[HealthCheck.filter_too_much])
+@given(polytopes(), st.integers(1, 6), st.sampled_from(QS))
+def test_scan_and_classes_match_scalar_reference(case, lam, q):
+    P, orders = case
+    D = P.dilate(lam)
+    assert D.faces == Polytope(D.dim, D.vertices, D.normals, D.offsets).faces
+    assert_scan_matches(D)
+    assert_reductions_match(D, q, orders)
+    assert is_surjective(D, P, q) == ref_is_surjective(D, P, q)
+
+
+@settings(deadline=None, max_examples=25, suppress_health_check=[HealthCheck.filter_too_much])
+@given(polytopes(), st.sampled_from((2, 3, 4, 5)))
+def test_dilate_search_and_bounds_match_scalar_reference(case, q):
+    P, orders = case
+    P = anchored(P)
+    cap = 8 if P.dim == 3 else 12
+    lam = next((k for k in range(1, cap + 1) if ref_is_surjective(P.dilate(k), P, q)), None)
+    assert find_surjective_dilate(P, q, cap) == lam
+    assume(lam is not None)
+    B = P.dilate(lam)
+    expected = [ref_counts(P, B, q, order) for order in orders]
+    assert [b for _, b in bounds_over_orders(P, B, q, orders)] == [min(c) for _, c in expected]
+    for order, (small, counts) in zip(orders, expected):
+        details = distance_lower_bound_details(P, B, q, order)
+        assert (details.reduced, details.counts) == (small, counts)
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_4d_box_matches_scalar_reference(q):
+    P = box4((-1, 0, -2, 0), (1, 2, 0, 1))
+    orders = [
+        OrderSpec.lex(),
+        OrderSpec.grlex(),
+        OrderSpec.permlex((3, 1, 0, 2)),
+        OrderSpec.wlex((2, -1, 0, -3)),
+    ]
+    for lam in (1, 2, 3):
+        D = P.dilate(lam)
+        assert_scan_matches(D)
+        assert_reductions_match(D, q, orders)
+    A = box4((0, 0, 0, 0), (1, 2, 2, 1))
+    lam = find_surjective_dilate(A, q, 8)
+    assert lam == next(k for k in range(1, 9) if ref_is_surjective(A.dilate(k), A, q))
+    B = A.dilate(lam)
+    expected = [min(ref_counts(A, B, q, order)[1]) for order in orders]
+    assert [b for _, b in bounds_over_orders(A, B, q, orders)] == expected
+
+
+def test_order_keys_sort_like_the_scalar_keys():
+    points = list(product(range(-3, 4), repeat=3))
+    for order in (
+        OrderSpec.lex(),
+        OrderSpec.grlex(),
+        OrderSpec.permlex((2, 0, 1)),
+        OrderSpec.wlex((-1, 3, 2)),
+    ):
+        assert sorted(points, key=order.key) == sorted(points, key=lambda m: ref_key(order, m))
+
+
+@pytest.mark.parametrize("order", [OrderSpec.permlex((1, 0)), OrderSpec.wlex((1, -2))])
+def test_order_of_the_wrong_dimension_is_rejected(cube, order):
+    with pytest.raises(ValueError, match="does not fit"):
+        projective_reduction(cube, 3, order)
+
+
+def test_kernel_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma on first use, a cost paid at start-up
+    script = (
+        "import sys\n"
+        "from projtoric import Polytope, dimension, find_surjective_dilate\n"
+        "from projtoric.code import bounds_over_orders\n"
+        "P = Polytope.from_vertices([(0, 0), (1, 0), (-2, 3)])\n"
+        "assert dimension(P, 4) == 5\n"
+        "lam = find_surjective_dilate(P, 4, 10)\n"
+        "assert [b for _, b in bounds_over_orders(P, P.dilate(lam), 4)] == [8, 8, 8]\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, check=True, cwd=src,
+    )
+    assert done.stdout.strip() == "False"

@@ -16,6 +16,12 @@ def facet_dict(P):
     return dict(zip(P.normals, P.offsets))
 
 
+def face_interior(P, face):
+    """Lattice points whose minimal face is the given one."""
+    i = P.faces.index(face)
+    return tuple(m for m, f in zip(P.lattice_points, P.lattice_point_faces) if f == i)
+
+
 def test_toy_triangle_facets(toy_triangle):
     assert facet_dict(toy_triangle) == {(-1, -1): 1, (0, 1): 0, (3, 2): 0}
 
@@ -184,20 +190,20 @@ def test_edge_interior_points(toy_triangle):
         if f.dim == 1 and set(toy_triangle.vertices[i] for i in f.vertex_indices)
         == {(1, 0), (-2, 3)}
     )
-    assert toy_triangle.interior_lattice_points(edge) == ((-1, 2), (0, 1))
+    assert face_interior(toy_triangle, edge) == ((-1, 2), (0, 1))
 
 
 def test_unit_square_has_no_interior_points(unit_square):
     top = unit_square.faces[0]
     assert top.dim == 2
-    assert unit_square.interior_lattice_points(top) == ()
+    assert face_interior(unit_square, top) == ()
 
 
 def test_every_lattice_point_in_exactly_one_face_interior(toy_triangle, quadrilateral, cube):
     for P in (toy_triangle, quadrilateral, cube):
-        for m in P.lattice_points:
-            homes = [f for f in P.faces if P.interior_lattice_points(f).count(m)]
-            assert len(homes) == 1
+        for m, home in zip(P.lattice_points, P.lattice_point_faces):
+            homes = [i for i, f in enumerate(P.faces) if f.facet_indices == P.tight_facets(m)]
+            assert homes == [home]
 
 
 def test_contains_and_tight_facets(toy_triangle):
