@@ -30,8 +30,8 @@ from .oracle import (
     min_distance_exhaustive,
     min_weight_random_upper,
     pick_check,
-    rank_gf,
     reduction_class_count_unionfind,
+    row_basis,
 )
 from .polytope import Polytope, PolytopeError
 from .variety import HypothesisError, check_hypotheses, count_rational_points
@@ -242,7 +242,8 @@ def cmd_verify(args):
             print(f"FAIL {label}" + (f" ({detail})" if detail else ""))
 
     k = len(projective_reduction(P, field, order).representatives)
-    rk = rank_gf(M.entries, field)
+    basis = row_basis(M.entries, field)
+    rk = len(basis)
     uf = reduction_class_count_unionfind(P, field)
     n = count_rational_points(P, field.q)
     check("block triangularity", not M.structural_violations())
@@ -256,11 +257,11 @@ def cmd_verify(args):
         print("skip distance bound (no surjective dilate in range)")
     else:
         bound = distance_lower_bound(P, P.dilate(lam), field, order)
-        upper = min_weight_random_upper(M.entries, field, seed=args.seed)
+        upper = min_weight_random_upper(basis, field, seed=args.seed)
         check("bound below random upper", bound <= upper, f"{bound} vs {upper}")
         within = field.q ** rk <= args.budget
         if args.require_distance or within:
-            d = min_distance_exhaustive(M.entries, field, budget=args.budget)
+            d = min_distance_exhaustive(basis, field, budget=args.budget)
             check("bound below true distance", bound <= d, f"{bound} vs {d}")
             check("true distance below upper", d <= upper, f"{d} vs {upper}")
         else:

@@ -135,61 +135,40 @@ class GF:
     """
 
     def __init__(self, q):
-        self.p, self.k = prime_power(field_size(q))
+        self.p, self.k = p, k = prime_power(field_size(q))
         self.q = q
-        if self.k == 1:
-            self.modulus = None
-        else:
-            self.modulus = canonical_modulus(self.p, self.k)
+        self.modulus = canonical_modulus(p, k) if k > 1 else None
+        # [i, j]: the digits of x^(i + j) mod the modulus
+        self._folds = np.array([[_poly_mulmod([1], [0] * (i + j) + [1], self.modulus, p, k)
+                                 for j in range(k)] for i in range(k)])
+        self._digit_table = (np.arange(q)[:, None] // p ** np.arange(k) % p).astype(np.uint16)
         self._build_tables()
 
     def _build_tables(self):
-        p, k, q = self.p, self.k, self.q
-        if k == 1:
-            mulfn = lambda a, b: (a * b) % p
-        else:
-            mod = self.modulus
-
-            def mulfn(a, b):
-                return _undigits(
-                    _poly_mulmod(_digits(a, p, k), _digits(b, p, k), mod, p, k), p
-                )
-
-        order_target = q - 1
-        prime_facs = list(_factorize(order_target)) if order_target > 1 else []
-
-        def order_is_full(g):
-            # g has order q-1 iff g^((q-1)/r) != 1 for every prime r | q-1
-            for r in prime_facs:
-                e = order_target // r
-                acc, base = 1, g
-                while e:
-                    if e & 1:
-                        acc = mulfn(acc, base)
-                    base = mulfn(base, base)
-                    e >>= 1
-                if acc == 1:
-                    return False
-            return True
-
-        gen = next(g for g in range(1, q) if order_is_full(g))
-        self.generator = gen
-        exp = [1] * (q - 1)
-        log = [0] * q
-        acc = 1
-        for i in range(q - 1):
-            exp[i] = acc
-            log[acc] = i
-            acc = mulfn(acc, gen)
-        self._exp = exp
-        self._log = log
-        self.units = list(exp)
+        p, k, q, mod = self.p, self.k, self.q, self.modulus
+        # the generator is the first element with g^((q-1)/r) != 1 for
+        # every prime r | q - 1, found with scalar products
+        mul = (lambda a, b: a * b % p) if k == 1 else (
+            lambda a, b: _undigits(_poly_mulmod(_digits(a, p, k), _digits(b, p, k), mod, p, k), p))
+        power = lambda g, e: mul(power(mul(g, g), e // 2), g if e % 2 else 1) if e else 1
+        full = lambda g: all(power(g, (q - 1) // r) != 1 for r in _factorize(q - 1))
+        gen = next(g for g in range(1, q) if full(g))
+        # its powers double as g^(L + i) = g^L * g^i with step = g^L; the
+        # appended row gives the next step g^(2L)
+        exp, step = np.ones(1, dtype=np.uint16), np.array([[gen]])
+        while len(exp) < q - 1:
+            powers = self.vaddmatmul(0, np.append(exp, step)[:, None], step)[:, 0]
+            exp, step = np.append(exp, powers[:-1]), powers[-1:, None]
+        self.generator, exp = gen, exp[:q - 1]
+        self._exp = exp.tolist()
+        self.units = exp.tolist()
 
         S = 2 * q
         self.log_table = np.full(q, S, dtype=np.int32)
         self.log_table[exp] = np.arange(q - 1)
+        self._log = np.where(self.log_table == S, 0, self.log_table).tolist()
         self.exp_table = np.zeros(4 * q + 1, dtype=np.uint16)
-        self.exp_table[:2 * (q - 1)] = exp * 2  # two periods of g^i
+        self.exp_table[:2 * (q - 1)] = np.tile(exp, 2)  # two periods of g^i
         d = np.arange(-(q - 2), q - 1)
         a = self.exp_table[d % (q - 1)].astype(np.intp)
         # adding 1 only changes the lowest base-p digit of a code
@@ -252,6 +231,37 @@ class GF:
         """Elementwise a+b of code arrays."""
         la = self.log_table[a]
         return self.exp_table[la + self.zech_table[self.log_table[b] - la + 2 * self.q]]
+
+    def vaddmatmul(self, c, a, b):
+        """c + a @ b for code matrices a (m x t), b (t x w), c (m x w or a
+        code): one float64 product of a's base-p digits with the digits of
+        x^i * b (b's digits times the rows of x^s mod the modulus, mod p),
+        plus c's digits, mod p. Sums stay below t k (p-1)^2 + p, exact
+        under 2^53: any t < 2^21 at every q <= 2^16.
+        """
+        p, k = self.p, self.k
+        a, b = np.asarray(a), np.asarray(b)
+        (m, t), w = a.shape, b.shape[1]
+        bound = t * k * (p - 1) ** 2 + p
+        if bound >= 1 << 53:
+            raise FieldError(f"a product over {t} terms is not exact in float64")
+        if k == 1:  # prime q: the codes are their own digits
+            sums = (a @ b.astype(np.float64) + c)[..., None]
+        else:  # shifts[j, i, :, l] = digit l of x^i * b[j, :]
+            shifts = (self._planes(b)[:, None] @ self._folds).astype(np.int32)
+            shifts -= shifts // p * p
+            sums = self._planes(a).reshape(m, t * k) @ shifts.reshape(t * k, w * k)
+            sums = sums.reshape(m, w, k) + self._planes(c)
+        digits = sums.astype(np.int32 if bound < 1 << 31 else np.int64)
+        digits -= digits // p * p  # floor division by p is far faster than %
+        codes = digits[..., k - 1]
+        for i in range(k - 2, -1, -1):
+            codes = codes * p + digits[..., i]
+        return codes.astype(np.uint16)
+
+    def _planes(self, codes):
+        """Base-p digits of a code array as float64, on a new last axis."""
+        return np.take(self._digit_table, codes, axis=0).astype(np.float64)
 
     def vneg(self, a):
         """Elementwise -a of a code array."""

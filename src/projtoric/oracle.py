@@ -22,6 +22,9 @@ class BudgetExceededError(Exception):
     """Raised when an exhaustive search would enumerate too many words."""
 
 
+PANEL = 32  # columns eliminated per trailing-update product
+
+
 def _chunks(count, width):
     """Slices of range(count) spanning at most 2^16 entries of rows this wide."""
     step = max(1, (1 << 16) // max(1, width))
@@ -34,37 +37,61 @@ def _leads(rows, col, n):
     return np.where(nonzero.any(axis=1), col + nonzero.argmax(axis=1), n)
 
 
-def _row_basis(entries, field):
-    """Row echelon basis of the row space over GF(q).
-
-    At each column, the first pending row (in input order) that is
-    nonzero there becomes a basis row and is subtracted from the other
-    pending rows nonzero there. Pending rows are zero left of the
-    column, so their leads name the next column and the rows to update.
+def row_basis(entries, field):
+    """Row echelon basis over GF(q): at each column the first pending row
+    (in input order) nonzero there becomes a basis row and is subtracted
+    from the others nonzero there. Columns go in panels of PANEL; inside
+    one, rows change on its columns and on H, their multiples of its
+    pivot rows as they began it; later columns then take rows += H @ pivots.
     """
+    field = as_field(field)
     if not entries or not entries[0]:
         return []
     A = np.array(entries, dtype=np.uint16)
     n = A.shape[1]
     lead = _leads(A, 0, n)
     basis = []
-    while (col := int(lead.min())) < n:
-        hits = np.flatnonzero(lead == col)
-        piv, update = hits[0], hits[1:]
-        basis.append(piv)
-        lead[piv] = n
-        prow = A[piv, col:]
-        scale = field.vneg(field.vmul(A[update, col], field.inv(int(prow[0]))))
-        for part in _chunks(len(update), n - col):
-            rows = update[part]
-            A[rows, col:] = field.vadd(A[rows, col:], field.vmul(scale[part, None], prow))
-            lead[rows] = _leads(A[rows, col:], col, n)
-    return A[basis].tolist()
+    while (c0 := int(lead.min())) < n:
+        c1 = min(c0 + PANEL, n)
+        width, act = c1 - c0, np.flatnonzero(lead < c1)
+        W = np.concatenate([A[act, c0:c1], np.zeros((len(act), width), np.uint16)], axis=1)
+        wlead = lead[act] - c0
+        pivots = []
+        while (col := int(wlead.min())) < width:
+            hits = np.flatnonzero(wlead == col)
+            piv, update = hits[0], hits[1:]
+            slot = width + len(pivots)
+            pivots.append(piv)
+            wlead[piv] = width
+            W[piv, slot] = 1  # the pivot row as it stood joins its own subtraction
+            prow = W[piv, col:]
+            scale = field.vneg(field.vmul(W[update, col], field.inv(int(prow[0]))))
+            for part in _chunks(len(update), 2 * width - col):
+                rows = update[part]
+                W[rows, col:] = field.vadd(W[rows, col:], field.vmul(scale[part, None], prow))
+                wlead[rows] = _leads(W[rows, col:width], col, width)
+            W[piv, slot] = 0
+        A[act, c0:c1] = W[:, :width]
+        touched = np.flatnonzero(W[:, width:].any(axis=1))
+        rows, H = act[touched], W[touched, width:width + len(pivots)]
+        B = A[act[pivots]]
+        lead[act] = n
+        # column chunks keep every float64 temporary of the product within 2^14 entries
+        for cols in _chunks(n - c1 if len(rows) else 0,
+                            4 * field.k * max(len(rows), field.k * len(pivots))):
+            cols = slice(c1 + cols.start, c1 + cols.stop)
+            block = field.vaddmatmul(A[rows, cols], H, B[:, cols])
+            A[rows, cols] = block
+            lead[rows] = np.minimum(lead[rows], _leads(block, cols.start, n))
+        lead[act[pivots]] = n
+        basis += act[pivots].tolist()
+    A = A[basis]  # frees the whole matrix before its basis rows become lists
+    return A.tolist()
 
 
 def rank_gf(entries, field):
     """Rank of a matrix of element codes over GF(q)."""
-    return len(_row_basis(entries, as_field(field)))
+    return len(row_basis(entries, field))
 
 
 def _exhaustive(basis, field):
@@ -114,7 +141,7 @@ def min_distance_exhaustive(entries, field, budget=1 << 24):
     raises ValueError on a rank-zero matrix (no nonzero words exist).
     """
     field = as_field(field)
-    basis = _row_basis(entries, field)
+    basis = row_basis(entries, field)
     if not basis:
         raise ValueError("zero matrix spans no nonzero codewords")
     if field.q ** len(basis) > budget:
@@ -127,7 +154,7 @@ def min_distance_exhaustive(entries, field, budget=1 << 24):
 def min_weight_random_upper(entries, field, iterations=200, seed=0):
     """Upper bound on the minimum distance from random codewords."""
     field = as_field(field)
-    basis = _row_basis(entries, field)
+    basis = row_basis(entries, field)
     if not basis:
         raise ValueError("zero matrix spans no nonzero codewords")
     rng = random.Random(seed)
@@ -153,11 +180,13 @@ def reduction_class_count_unionfind(P, field):
     """Number of reduction classes by raw pairwise merging.
 
     Uses only tight facet sets and coordinate congruences mod q-1,
-    bypassing the face lattice entirely.
+    bypassing the face lattice entirely: each point is compared with
+    every later point at once, and the matching pairs are merged.
     """
     q = field_size(field)
-    pts = list(P.lattice_points)
-    tight = [P.tight_facets(m) for m in pts]
+    pts, ids = P.lattice_points, {}
+    tight = [ids.setdefault(P.tight_facets(m), len(ids)) for m in pts]  # one id per set
+    keys = np.column_stack([tight, np.reshape(pts, (len(pts), -1)) % (q - 1)])
     parent = list(range(len(pts)))
 
     def find(i):
@@ -167,13 +196,10 @@ def reduction_class_count_unionfind(P, field):
         return i
 
     for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if tight[i] != tight[j]:
-                continue
-            if all((a - b) % (q - 1) == 0 for a, b in zip(pts[i], pts[j])):
-                pi, pj = find(i), find(j)
-                if pi != pj:
-                    parent[pi] = pj
+        for j in (i + 1 + np.flatnonzero((keys[i + 1:] == keys[i]).all(axis=1))).tolist():
+            pi, pj = find(i), find(j)
+            if pi != pj:
+                parent[pi] = pj
     return sum(1 for i in range(len(pts)) if find(i) == i)
 
 

@@ -7,6 +7,8 @@ from projtoric.code import generator_matrix
 from projtoric.gf import GF
 from projtoric.polytope import Polytope
 
+from test_code import DATA
+
 
 def write_doc(tmp_path, name, **doc):
     path = tmp_path / name
@@ -373,3 +375,115 @@ def test_info_non_simple_lists_offending_vertices(capsys, tmp_path):
     assert "H1 (simple): FAIL" in out
     assert "offending vertices: (0, 0, 0)\n" in out
     assert "k = unavailable (hypotheses fail)" in out
+
+
+# verify's stdout and exit code on every data document, recorded before
+# verify handed one row basis to the rank, random-upper and exhaustive
+# oracles; --inject-corruption prints the compared values of failed checks
+VERIFY_LEDGERS = {
+    ('cube.json', ()): (0, [
+        'ok   block triangularity',
+        'ok   rank equals reduction count',
+        'ok   union-find agrees',
+        'ok   length equals point count',
+        'ok   bound below random upper',
+        'ok   bound below true distance',
+        'ok   true distance below upper',
+    ]),
+    ('cube.json', ('--inject-corruption',)): (1, [
+        'FAIL block triangularity',
+        'ok   rank equals reduction count',
+        'ok   union-find agrees',
+        'ok   length equals point count',
+        'ok   bound below random upper',
+        'FAIL bound below true distance (27 vs 26)',
+        'ok   true distance below upper',
+    ]),
+    ('hirzebruch_232.json', ()): (0, [
+        'ok   block triangularity',
+        'ok   rank equals reduction count',
+        'ok   union-find agrees',
+        'ok   length equals point count',
+        "ok   Pick's theorem",
+        'ok   bound below random upper',
+        'skip exhaustive distance (over budget)',
+    ]),
+    ('hirzebruch_232.json', ('--inject-corruption',)): (1, [
+        'FAIL block triangularity',
+        'ok   rank equals reduction count',
+        'ok   union-find agrees',
+        'ok   length equals point count',
+        "ok   Pick's theorem",
+        'ok   bound below random upper',
+        'skip exhaustive distance (over budget)',
+    ]),
+    ('quadrilateral.json', ()): (3, [
+    ]),
+    ('quadrilateral.json', ('--inject-corruption',)): (3, [
+    ]),
+    ('segment01.json', ()): (0, [
+        'ok   block triangularity',
+        'ok   rank equals reduction count',
+        'ok   union-find agrees',
+        'ok   length equals point count',
+        'ok   bound below random upper',
+        'ok   bound below true distance',
+        'ok   true distance below upper',
+    ]),
+    ('segment01.json', ('--inject-corruption',)): (1, [
+        'FAIL block triangularity',
+        'ok   rank equals reduction count',
+        'ok   union-find agrees',
+        'ok   length equals point count',
+        'FAIL bound below random upper (3 vs 2)',
+        'FAIL bound below true distance (3 vs 2)',
+        'ok   true distance below upper',
+    ]),
+    ('toy_triangle.json', ()): (0, [
+        'ok   block triangularity',
+        'ok   rank equals reduction count',
+        'ok   union-find agrees',
+        'ok   length equals point count',
+        "ok   Pick's theorem",
+        'ok   bound below random upper',
+        'ok   bound below true distance',
+        'ok   true distance below upper',
+    ]),
+    ('toy_triangle.json', ('--inject-corruption',)): (1, [
+        'FAIL block triangularity',
+        'ok   rank equals reduction count',
+        'ok   union-find agrees',
+        'ok   length equals point count',
+        "ok   Pick's theorem",
+        'ok   bound below random upper',
+        'FAIL bound below true distance (8 vs 7)',
+        'ok   true distance below upper',
+    ]),
+    ('unit_square.json', ()): (0, [
+        'ok   block triangularity',
+        'ok   rank equals reduction count',
+        'ok   union-find agrees',
+        'ok   length equals point count',
+        "ok   Pick's theorem",
+        'ok   bound below random upper',
+        'ok   bound below true distance',
+        'ok   true distance below upper',
+    ]),
+    ('unit_square.json', ('--inject-corruption',)): (1, [
+        'FAIL block triangularity',
+        'ok   rank equals reduction count',
+        'ok   union-find agrees',
+        'ok   length equals point count',
+        "ok   Pick's theorem",
+        'FAIL bound below random upper (9 vs 8)',
+        'FAIL bound below true distance (9 vs 8)',
+        'ok   true distance below upper',
+    ]),
+}
+
+
+@pytest.mark.parametrize("name,extra", sorted(VERIFY_LEDGERS))
+def test_verify_output_unchanged_on_data(capsys, name, extra):
+    code, out, _ = run(capsys, "verify", "--polytope", str(DATA / name), *extra)
+    expected_code, lines = VERIFY_LEDGERS[name, extra]
+    assert (code, out) == (expected_code, "".join(line + "\n" for line in lines))

@@ -1,9 +1,20 @@
+import hashlib
 import random
 
 import numpy as np
 import pytest
 
-from projtoric.gf import GF, FieldError, as_field, field_size, prime_power
+from projtoric.gf import (
+    GF,
+    FieldError,
+    _digits,
+    _poly_mulmod,
+    _undigits,
+    as_field,
+    field_size,
+    prime_power,
+)
+from projtoric.oracle import PANEL
 
 
 def test_prime_power_decomposition():
@@ -181,3 +192,108 @@ def test_array_ops_broadcast_and_scalar_arguments():
     assert table.shape == (9, 9)
     assert F.vmul(3, np.arange(9)).tolist() == [F.mul(3, x) for x in range(9)]
     assert int(F.vadd(4, 5)) == F.add(4, 5)
+
+
+def scalar_powers(F, g):
+    """g^0 .. g^(q-2) by one scalar _poly_mulmod product per power, the
+    construction the vectorised doubling replaced."""
+    p, k, q = F.p, F.k, F.q
+    if k == 1:
+        mul = lambda a, b: (a * b) % p
+    else:
+        def mul(a, b):
+            return _undigits(
+                _poly_mulmod(_digits(a, p, k), _digits(b, p, k), F.modulus, p, k), p
+            )
+    powers, acc = [], 1
+    for _ in range(q - 1):
+        powers.append(acc)
+        acc = mul(acc, g)
+    return powers
+
+
+def prime_powers(top):
+    return [q for q in range(2, top + 1) if len(_prime_factors(q)) == 1]
+
+
+def _prime_factors(q):
+    return {d for d in range(2, q + 1) if q % d == 0 and all(d % e for e in range(2, d))}
+
+
+def test_tables_match_scalar_construction():
+    for q in prime_powers(1024):
+        F = GF(q)
+        exp = scalar_powers(F, F.generator)
+        # the generator is the first element whose powers reach every unit
+        assert sorted(exp) == list(range(1, q))
+        assert all(len(set(scalar_powers(F, g))) < q - 1 for g in range(1, F.generator))
+        log = [0] * q
+        for i, a in enumerate(exp):
+            log[a] = i
+        assert F._exp == exp and F._log == log and F.units == exp, q
+        S = 2 * q
+        assert F.log_table.dtype == np.int32 and F.log_table.tolist() == [
+            log[a] if a else S for a in range(q)
+        ]
+        assert F.exp_table.dtype == np.uint16
+        assert F.exp_table.tolist() == exp * 2 + [0] * (2 * q + 3)
+        # zech_table[d + S] = log(1 + g^d), S when that sum is 0
+        zech = [d for d in range(-S, -(q - 2))]
+        for d in range(-(q - 2), q - 1):
+            one_plus = F.add(1, exp[d % (q - 1)])
+            zech.append(log[one_plus] if one_plus else S)
+        zech += [0] * (2 * q + 1 - (q - 1))
+        assert F.zech_table.dtype == np.int32 and F.zech_table.tolist() == zech, q
+
+
+def table_digest(F):
+    h = hashlib.sha256()
+    for table in (F._exp, F._log, F.log_table, F.exp_table, F.zech_table):
+        h.update(np.asarray(table, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+def test_large_tables_pinned(gf65536):
+    # digests of the tables the scalar construction built
+    assert table_digest(GF(4096)) == (
+        "6bf24a0c64a3173a6ad183654e7ecd8c53ddb41fe0f726d2e19f7c384ecc4304"
+    )
+    assert table_digest(gf65536) == (
+        "6ef7046ed70156411dbb42741fc0e85c208f8e39b45f01524411d7e87a4d06f5"
+    )
+
+
+def vaddmatmul_reference(F, c, a, b):
+    out = np.broadcast_to(np.asarray(c, dtype=np.uint16), (a.shape[0], b.shape[1]))
+    for j in range(a.shape[1]):
+        out = F.vadd(out, F.vmul(a[:, j, None], b[None, j]))
+    return out
+
+
+def test_vaddmatmul_matches_vadd_vmul(gf65536):
+    rng = np.random.default_rng(4)
+    for F in [GF(q) for q in prime_powers(32)] + [GF(257), GF(4096), gf65536]:
+        for m, t, w in ((1, 1, 1), (9, PANEL, 13), (30, 3, 7), (4, 2 * PANEL, 2)):
+            a, b, c = (rng.integers(0, F.q, shape) for shape in ((m, t), (t, w), (m, w)))
+            got = F.vaddmatmul(c, a, b)
+            assert got.dtype == np.uint16
+            assert np.array_equal(got, vaddmatmul_reference(F, c, a, b)), (F, m, t, w)
+        assert np.array_equal(F.vaddmatmul(0, a, b), vaddmatmul_reference(F, 0, a, b))
+
+
+def test_vaddmatmul_exact_at_largest_prime():
+    # every sum takes its largest value: (p-1) + t (p-1)^2 = t - 1 mod p
+    F, p = GF(65521), 65521
+    for t in (PANEL, 2 * PANEL):
+        a, b = np.full((3, t), p - 1), np.full((t, 4), p - 1)
+        got = F.vaddmatmul(np.full((3, 4), p - 1), a, b)
+        assert (got == t - 1).all()
+        assert np.array_equal(got, vaddmatmul_reference(F, p - 1, a, b))
+    # the largest p with k = 2: all digits p - 1 over many terms
+    E = GF(251 ** 2)
+    a, b = np.full((2, 8 * PANEL), E.q - 1), np.full((8 * PANEL, 3), E.q - 1)
+    assert np.array_equal(E.vaddmatmul(E.q - 1, a, b), vaddmatmul_reference(E, E.q - 1, a, b))
+    # above about 2^21 terms the sums could pass 2^53
+    wide = np.broadcast_to(np.uint16(0), (1, 1 << 22))
+    with pytest.raises(FieldError, match="not exact"):
+        F.vaddmatmul(0, wide, wide.T)

@@ -4,6 +4,9 @@ row_basis_reference and exhaustive_reference are the pure-Python
 oracles that ran for q > 256 before every field size moved to the GF
 array kernel: one scalar field operation per entry. The array oracles
 must return the same basis, row for row, and the same distance.
+unionfind_reference is the double loop over point pairs that the
+union-find oracle ran before it compared each point with all later
+points at once; the class counts must agree.
 """
 
 import ast
@@ -12,21 +15,26 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import projtoric.oracle
+from projtoric.cli import load_document
 from projtoric.code import generator_matrix
 from projtoric.gf import GF
 from projtoric.oracle import (
+    PANEL,
     BudgetExceededError,
     _exhaustive,
-    _row_basis,
     min_distance_exhaustive,
     min_weight_random_upper,
     pick_check,
     rank_gf,
     reduction_class_count_unionfind,
+    row_basis,
 )
-from projtoric.polytope import Polytope
+from projtoric.polytope import Polytope, PolytopeError
+
+from test_code import DATA, PINNED_MATRICES
 
 
 def row_basis_reference(entries, field):
@@ -72,6 +80,28 @@ def exhaustive_reference(basis, field):
     return best
 
 
+def unionfind_reference(P, q):
+    pts = list(P.lattice_points)
+    tight = [P.tight_facets(m) for m in pts]
+    parent = list(range(len(pts)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            if tight[i] != tight[j]:
+                continue
+            if all((a - b) % (q - 1) == 0 for a, b in zip(pts[i], pts[j])):
+                pi, pj = find(i), find(j)
+                if pi != pj:
+                    parent[pi] = pj
+    return sum(1 for i in range(len(pts)) if find(i) == i)
+
+
 def random_entries(rng, q, rows, cols):
     # sparse rows and a repeated row make zero columns, skipped pivots
     # and dependent rows common
@@ -106,7 +136,62 @@ def test_row_basis_backends_agree(gf65536):
             entries = random_entries(
                 rng, field.q, rng.randrange(1, 7), rng.randrange(1, 9)
             )
-            assert _row_basis(entries, field) == row_basis_reference(entries, field)
+            basis = row_basis(entries, field)
+            assert basis == row_basis_reference(entries, field)
+            # an echelon basis reduces to itself, so verify can hand its
+            # basis to the distance oracles
+            assert row_basis(basis, field) == basis
+
+
+def test_row_basis_fixes_data_bases():
+    for name, q, _ in PINNED_MATRICES:
+        P, _ = load_document(DATA / name)
+        entries = generator_matrix(P, GF(q)).entries
+        basis = row_basis(entries, q)
+        assert len(basis) == rank_gf(entries, q)
+        assert row_basis(basis, q) == basis, name
+
+
+def combination(field, coeffs, rows):
+    out = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        out = [field.add(x, field.mul(c, y)) for x, y in zip(out, row)]
+    return out
+
+
+def panel_cases(rng, field):
+    """Matrices whose elimination crosses panel boundaries."""
+    q, n = field.q, 2 * PANEL + 9
+
+    def rnd(cols):
+        return [rng.randrange(q) for _ in range(cols)]
+
+    # one panel, one panel and a column, three panels
+    yield random_entries(rng, q, 8, PANEL)
+    yield random_entries(rng, q, 8, PANEL + 1)
+    yield random_entries(rng, q, 12, n)
+    # zero columns wider than a panel between two nonzero blocks: the
+    # columns after the first block hold no pivot
+    yield [rnd(5) + [0] * (PANEL + 3) + rnd(7) for _ in range(9)]
+    # tall and rank deficient: 40 combinations of 3 rows
+    base = [rnd(n) for _ in range(3)]
+    yield [combination(field, rnd(3), base) for _ in range(40)]
+    # rows equal to a pivot row inside the first panel and zero after
+    # it, which become nonzero there only through the trailing update
+    top = [1 + rng.randrange(q - 1)] + rnd(n - 1)
+    yield [top, top[:PANEL] + [0] * (n - PANEL), top[:3] + [0] * (n - 3), rnd(n)]
+    # the largest entries everywhere, with a full first panel of pivots
+    yield [[q - 1 - rng.randrange(2) for _ in range(n)] for _ in range(PANEL + 4)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16, 25, 27, 31, 257, 65521, 65536])
+def test_row_basis_panels_match_reference(q, gf65536):
+    field = gf65536 if q == 1 << 16 else GF(q)
+    rng = random.Random(q)
+    for entries in panel_cases(rng, field):
+        basis = row_basis(entries, field)
+        assert basis == row_basis_reference(entries, field)
+        assert row_basis(basis, field) == basis
 
 
 def test_row_basis_chunked_update():
@@ -116,7 +201,7 @@ def test_row_basis_chunked_update():
     entries = [[rng.randrange(257) for _ in range(30000)] for _ in range(5)]
     entries.insert(2, [0] * 30000)
     entries.append(entries[1])
-    assert _row_basis(entries, field) == row_basis_reference(entries, field)
+    assert row_basis(entries, field) == row_basis_reference(entries, field)
 
 
 def test_exhaustive_examples(segment01, toy_triangle):
@@ -149,7 +234,7 @@ def test_exhaustive_backends_agree(gf65536):
         done = 0
         while done < 8:
             entries = random_entries(rng, q, rng.randrange(1, 4), rng.randrange(2, 7))
-            basis = _row_basis(entries, field)
+            basis = row_basis(entries, field)
             if not basis:
                 continue
             done += 1
@@ -217,6 +302,23 @@ def test_oracle_does_not_import_code():
             modules += [a.name for a in node.names]
     assert "gf" in modules
     assert not any(m.split(".")[-1] == "code" for m in modules)
+
+
+@st.composite
+def polytopes(draw):
+    dim = draw(st.sampled_from((1, 2, 3)))
+    coords = st.integers(-3, 3) if dim < 3 else st.integers(-2, 2)
+    points = draw(st.lists(st.tuples(*[coords] * dim), min_size=dim + 1, max_size=dim + 4))
+    try:
+        return Polytope.from_vertices(points)
+    except PolytopeError:
+        assume(False)
+
+
+@settings(deadline=None, max_examples=40, suppress_health_check=[HealthCheck.filter_too_much])
+@given(polytopes(), st.sampled_from((2, 3, 4, 5, 7, 16, 31)))
+def test_unionfind_matches_pairwise_reference(P, q):
+    assert reduction_class_count_unionfind(P, q) == unionfind_reference(P, q)
 
 
 def test_unionfind_class_counts(toy_triangle, unit_square, segment01):
