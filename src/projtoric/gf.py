@@ -11,6 +11,8 @@ table for addition, back the array operations vadd, vmul and vneg.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 
@@ -135,40 +137,40 @@ class GF:
     """
 
     def __init__(self, q):
-        self.p, self.k = p, k = prime_power(field_size(q))
+        self.p, self.k = prime_power(field_size(q))
         self.q = q
-        self.modulus = canonical_modulus(p, k) if k > 1 else None
-        # [i, j]: the digits of x^(i + j) mod the modulus
-        self._folds = np.array([[_poly_mulmod([1], [0] * (i + j) + [1], self.modulus, p, k)
-                                 for j in range(k)] for i in range(k)])
-        self._digit_table = (np.arange(q)[:, None] // p ** np.arange(k) % p).astype(np.uint16)
+        self.modulus = canonical_modulus(self.p, self.k) if self.k > 1 else None
         self._build_tables()
 
     def _build_tables(self):
         p, k, q, mod = self.p, self.k, self.q, self.modulus
-        # the generator is the first element with g^((q-1)/r) != 1 for
-        # every prime r | q - 1, found with scalar products
-        mul = (lambda a, b: a * b % p) if k == 1 else (
-            lambda a, b: _undigits(_poly_mulmod(_digits(a, p, k), _digits(b, p, k), mod, p, k), p))
-        power = lambda g, e: mul(power(mul(g, g), e // 2), g if e % 2 else 1) if e else 1
-        full = lambda g: all(power(g, (q - 1) // r) != 1 for r in _factorize(q - 1))
-        gen = next(g for g in range(1, q) if full(g))
-        # its powers double as g^(L + i) = g^L * g^i with step = g^L; the
-        # appended row gives the next step g^(2L)
-        exp, step = np.ones(1, dtype=np.uint16), np.array([[gen]])
-        while len(exp) < q - 1:
-            powers = self.vaddmatmul(0, np.append(exp, step)[:, None], step)[:, 0]
-            exp, step = np.append(exp, powers[:-1]), powers[-1:, None]
-        self.generator, exp = gen, exp[:q - 1]
-        self._exp = exp.tolist()
-        self.units = exp.tolist()
+        if k == 1:
+            mul = lambda a, b: a * b % p
+        else:
+            mul = lambda a, b: _undigits(
+                _poly_mulmod(_digits(a, p, k), _digits(b, p, k), mod, p, k), p)
+
+        def power(g, e):
+            acc = 1
+            while e:
+                acc, g, e = mul(acc, g) if e & 1 else acc, mul(g, g), e >> 1
+            return acc
+
+        # g has order q-1 iff g^((q-1)/r) != 1 for every prime r | q-1
+        primes = _factorize(q - 1)
+        gen = next(g for g in range(1, q) if all(power(g, (q - 1) // r) != 1 for r in primes))
+        exp, log, acc = [1] * (q - 1), [0] * q, 1
+        for i in range(q - 1):
+            exp[i] = acc
+            log[acc] = i
+            acc = mul(acc, gen)
+        self.generator, self._exp, self._log, self.units = gen, exp, log, list(exp)
 
         S = 2 * q
         self.log_table = np.full(q, S, dtype=np.int32)
         self.log_table[exp] = np.arange(q - 1)
-        self._log = np.where(self.log_table == S, 0, self.log_table).tolist()
         self.exp_table = np.zeros(4 * q + 1, dtype=np.uint16)
-        self.exp_table[:2 * (q - 1)] = np.tile(exp, 2)  # two periods of g^i
+        self.exp_table[:2 * (q - 1)] = exp * 2  # two periods of g^i
         d = np.arange(-(q - 2), q - 1)
         a = self.exp_table[d % (q - 1)].astype(np.intp)
         # adding 1 only changes the lowest base-p digit of a code
@@ -186,17 +188,11 @@ class GF:
         self._check(a)
         self._check(b)
         p, k = self.p, self.k
-        if k == 1:
-            return (a + b) % p
-        da, db = _digits(a, p, k), _digits(b, p, k)
-        return _undigits([(x + y) % p for x, y in zip(da, db)], p)
+        return _undigits([(x + y) % p for x, y in zip(_digits(a, p, k), _digits(b, p, k))], p)
 
     def neg(self, a):
         self._check(a)
-        p, k = self.p, self.k
-        if k == 1:
-            return (-a) % p
-        return _undigits([(-x) % p for x in _digits(a, p, k)], p)
+        return _undigits([-x % self.p for x in _digits(a, self.p, self.k)], self.p)
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -234,13 +230,11 @@ class GF:
 
     def vaddmatmul(self, c, a, b):
         """c + a @ b for code matrices a (m x t), b (t x w), c (m x w or a
-        code): one float64 product of a's base-p digits with the digits of
-        x^i * b (b's digits times the rows of x^s mod the modulus, mod p),
-        plus c's digits, mod p. Sums stay below t k (p-1)^2 + p, exact
-        under 2^53: any t < 2^21 at every q <= 2^16.
+        code): a's base-p digits times the digits of x^i * b (b's digits
+        times the rows of x^s mod the modulus, mod p) in float64, plus c's
+        digits, mod p. Sums stay below t k (p-1)^2 + p < 2^53 for t < 2^21.
         """
         p, k = self.p, self.k
-        a, b = np.asarray(a), np.asarray(b)
         (m, t), w = a.shape, b.shape[1]
         bound = t * k * (p - 1) ** 2 + p
         if bound >= 1 << 53:
@@ -262,6 +256,17 @@ class GF:
     def _planes(self, codes):
         """Base-p digits of a code array as float64, on a new last axis."""
         return np.take(self._digit_table, codes, axis=0).astype(np.float64)
+
+    @cached_property
+    def _digit_table(self):
+        p, k = self.p, self.k
+        return (np.arange(self.q)[:, None] // p ** np.arange(k) % p).astype(np.uint16)
+
+    @cached_property
+    def _folds(self):  # [i, j]: the digits of x^(i + j) mod the modulus
+        p, k = self.p, self.k
+        return np.array([[_poly_mulmod([1], [0] * (i + j) + [1], self.modulus, p, k)
+                          for j in range(k)] for i in range(k)])
 
     def vneg(self, a):
         """Elementwise -a of a code array."""

@@ -43,7 +43,7 @@ def row_basis(entries, field):
     from the others nonzero there. Columns go in panels of PANEL; inside
     one, rows change on its columns and on H, their multiples of its
     pivot rows as they began it; later columns then take rows += H @ pivots.
-    """
+    The last 4 PANEL columns are one panel with no H and no product."""
     field = as_field(field)
     if not entries or not entries[0]:
         return []
@@ -52,9 +52,10 @@ def row_basis(entries, field):
     lead = _leads(A, 0, n)
     basis = []
     while (c0 := int(lead.min())) < n:
-        c1 = min(c0 + PANEL, n)
+        c1 = n if n - c0 <= 4 * PANEL else c0 + PANEL
         width, act = c1 - c0, np.flatnonzero(lead < c1)
-        W = np.concatenate([A[act, c0:c1], np.zeros((len(act), width), np.uint16)], axis=1)
+        hw = width if c1 < n else 0  # the columns of H; the last panel has none
+        W = np.concatenate([A[act, c0:c1], np.zeros((len(act), hw), np.uint16)], axis=1)
         wlead = lead[act] - c0
         pivots = []
         while (col := int(wlead.min())) < width:
@@ -63,30 +64,28 @@ def row_basis(entries, field):
             slot = width + len(pivots)
             pivots.append(piv)
             wlead[piv] = width
-            W[piv, slot] = 1  # the pivot row as it stood joins its own subtraction
+            W[piv, slot:slot + 1] = 1  # the pivot row as it stood joins its update
             prow = W[piv, col:]
             scale = field.vneg(field.vmul(W[update, col], field.inv(int(prow[0]))))
-            for part in _chunks(len(update), 2 * width - col):
+            for part in _chunks(len(update), width + hw - col):
                 rows = update[part]
                 W[rows, col:] = field.vadd(W[rows, col:], field.vmul(scale[part, None], prow))
                 wlead[rows] = _leads(W[rows, col:width], col, width)
-            W[piv, slot] = 0
+            W[piv, slot:slot + 1] = 0
         A[act, c0:c1] = W[:, :width]
         touched = np.flatnonzero(W[:, width:].any(axis=1))
         rows, H = act[touched], W[touched, width:width + len(pivots)]
-        B = A[act[pivots]]
         lead[act] = n
-        # column chunks keep every float64 temporary of the product within 2^14 entries
+        # column chunks keep the product's output and digit planes of B within 2^14 entries
         for cols in _chunks(n - c1 if len(rows) else 0,
                             4 * field.k * max(len(rows), field.k * len(pivots))):
             cols = slice(c1 + cols.start, c1 + cols.stop)
-            block = field.vaddmatmul(A[rows, cols], H, B[:, cols])
+            block = field.vaddmatmul(A[rows, cols], H, A[act[pivots], cols])
             A[rows, cols] = block
             lead[rows] = np.minimum(lead[rows], _leads(block, cols.start, n))
         lead[act[pivots]] = n
         basis += act[pivots].tolist()
-    A = A[basis]  # frees the whole matrix before its basis rows become lists
-    return A.tolist()
+    return A[basis].tolist()
 
 
 def rank_gf(entries, field):
@@ -197,9 +196,7 @@ def reduction_class_count_unionfind(P, field):
 
     for i in range(len(pts)):
         for j in (i + 1 + np.flatnonzero((keys[i + 1:] == keys[i]).all(axis=1))).tolist():
-            pi, pj = find(i), find(j)
-            if pi != pj:
-                parent[pi] = pj
+            parent[find(i)] = find(j)
     return sum(1 for i in range(len(pts)) if find(i) == i)
 
 

@@ -8,7 +8,7 @@ from projtoric.variety import check_hypotheses
 
 @pytest.fixture(scope="session")
 def gf65536():
-    # the largest supported field, shared by the tests that need it
+    # the largest supported field; building its tables takes about a second
     return GF(1 << 16)
 
 

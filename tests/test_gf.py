@@ -195,8 +195,7 @@ def test_array_ops_broadcast_and_scalar_arguments():
 
 
 def scalar_powers(F, g):
-    """g^0 .. g^(q-2) by one scalar _poly_mulmod product per power, the
-    construction the vectorised doubling replaced."""
+    """g^0 .. g^(q-2) by one scalar _poly_mulmod product per power."""
     p, k, q = F.p, F.k, F.q
     if k == 1:
         mul = lambda a, b: (a * b) % p

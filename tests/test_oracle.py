@@ -160,19 +160,21 @@ def combination(field, coeffs, rows):
 
 
 def panel_cases(rng, field):
-    """Matrices whose elimination crosses panel boundaries."""
-    q, n = field.q, 2 * PANEL + 9
+    """Matrices whose elimination crosses panel boundaries. The last
+    4 PANEL columns form one panel, so a matrix needs more columns than
+    that for a second panel."""
+    q, n = field.q, 5 * PANEL + 9
 
     def rnd(cols):
         return [rng.randrange(q) for _ in range(cols)]
 
-    # one panel, one panel and a column, three panels
-    yield random_entries(rng, q, 8, PANEL)
-    yield random_entries(rng, q, 8, PANEL + 1)
+    # one panel at the widest, two panels, three panels
+    yield random_entries(rng, q, 8, 4 * PANEL)
+    yield random_entries(rng, q, 8, 4 * PANEL + 1)
     yield random_entries(rng, q, 12, n)
-    # zero columns wider than a panel between two nonzero blocks: the
-    # columns after the first block hold no pivot
-    yield [rnd(5) + [0] * (PANEL + 3) + rnd(7) for _ in range(9)]
+    # zero columns wider than the last panel between two nonzero blocks:
+    # the first panel holds pivots in its first columns only
+    yield [rnd(5) + [0] * (4 * PANEL + 3) + rnd(7) for _ in range(9)]
     # tall and rank deficient: 40 combinations of 3 rows
     base = [rnd(n) for _ in range(3)]
     yield [combination(field, rnd(3), base) for _ in range(40)]
