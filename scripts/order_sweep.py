@@ -97,6 +97,7 @@ def run(cfg):
         if q ** k <= cfg.exhaustive_budget:
             M = generator_matrix(P, fieldq)
             d = min_distance_exhaustive(M.entries, fieldq)
+            assert best <= d, f"bound {best} exceeds the distance {d}: {P.vertices} over F{q}"
             tally.compared += 1
             if best == d:
                 tally.exact += 1

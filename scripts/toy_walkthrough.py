@@ -59,6 +59,7 @@ def main():
 
     d = min_distance_exhaustive(M.entries, field)
     print(f"exhaustive minimum distance: {d}")
+    assert details.bound <= d, "the bound must not exceed the distance"
     print(f"code parameters: [{n}, {k}, {d}] over F{field.q}")
 
 

@@ -281,9 +281,9 @@ def field_size(field):
     without building any tables."""
     if isinstance(field, GF):
         return field.q
-    prime_power(field)
-    if field > 1 << 16:
+    if isinstance(field, int) and field > 1 << 16:  # before factoring it
         raise FieldError(f"field size {field} exceeds the 2^16 table limit")
+    prime_power(field)
     return field
 
 

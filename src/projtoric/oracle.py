@@ -5,6 +5,12 @@ route than the main pipeline: matrix rank by Gaussian elimination,
 minimum distance by enumerating codewords, class counts by union-find
 on raw congruences, polygon areas by Pick's theorem. Nothing imports
 from the code module.
+
+Both distance oracles form every codeword as a row of one GF matrix
+product, GF.vaddmatmul(c, C, B), of coefficient rows C and an echelon
+basis B. The exhaustive search takes only normalised messages (first
+nonzero coefficient 1), as a unit multiple of a word has its weight;
+its budget still caps q^k, the number of all messages.
 """
 
 from __future__ import annotations
@@ -93,44 +99,45 @@ def rank_gf(entries, field):
     return len(row_basis(entries, field))
 
 
+def _combinations(q, s):
+    """All q^s coefficient vectors of length s as rows, the zero one first."""
+    return np.indices((q,) * s, dtype=np.uint16).reshape(s, q ** s).T
+
+
 def _exhaustive(basis, field):
-    # meet in the middle: materialize all combinations of a small head
-    # block once, then walk the remaining coefficients depth first with
-    # incremental partial sums
+    # meet in the middle: the head block holds all q^s combinations of
+    # the last s rows. A word with a nonzero tail is a unit times a
+    # normalised tail word (first nonzero coefficient 1) plus a head
+    # word, and a unit multiple has the same weight. Only the head's
+    # negation is kept, as a + b != 0 exactly where a != -b.
     q = field.q
-    B = np.array(basis, dtype=np.uint16)
-    r, n = B.shape
-    s = 0
+    B = np.asarray(basis, dtype=np.uint16)
+    (r, n), s = B.shape, 0
     while s < r and q ** (s + 1) <= 4096:
         s += 1
-    block = np.zeros((1, n), dtype=np.uint16)
-    for i in range(s):
-        # c = 0 comes first so the zero combination stays at index 0
-        block = np.concatenate(
-            [field.vadd(block, field.vmul(c, B[i])) for c in range(q)], axis=0
-        )
-    rest = B[s:]
-    best = n + 1
-
-    def leaf(partial, zero_tail):
-        nonlocal best
-        # a + b != 0 exactly when a != -b
-        wts = np.count_nonzero(block != field.vneg(partial), axis=1)
-        if zero_tail:
-            wts = wts[1:]
-        if len(wts):
-            best = min(best, int(wts.min()))
-
-    def walk(i, partial, zero_tail):
-        if i == len(rest):
-            leaf(partial, zero_tail)
-            return
-        walk(i + 1, partial, zero_tail)
-        for c in range(1, q):
-            walk(i + 1, field.vadd(partial, field.vmul(c, rest[i])), False)
-
-    walk(0, np.zeros(n, dtype=np.uint16), True)
+    t = r - s
+    coeffs = _combinations(q, s)
+    neg = np.empty((len(coeffs), n), dtype=np.uint16)
+    # chunks keep each product's digit sums, and each comparison with
+    # the head block, within 2^14 entries
+    for part in _chunks(len(neg), 4 * field.k * n):
+        neg[part] = field.vneg(field.vaddmatmul(0, coeffs[part], B[t:]))
+    best = int(np.count_nonzero(neg[1:], axis=1).min(initial=n))
+    for i in range(t):  # the tails that lead with row i
+        coeffs = _combinations(q, t - 1 - i)
+        for part in _chunks(len(coeffs), 4 * field.k * len(neg) * n):
+            words = field.vaddmatmul(B[i], coeffs[part], B[i + 1:t])
+            best = min(best, int(np.count_nonzero(words[:, None] != neg, axis=2).min()))
     return best
+
+
+def _basis(entries, field):
+    """The field and an echelon basis of the rows as a code array."""
+    field = as_field(field)
+    basis = row_basis(entries, field)
+    if not basis:
+        raise ValueError("zero matrix spans no nonzero codewords")
+    return field, np.array(basis, dtype=np.uint16)
 
 
 def min_distance_exhaustive(entries, field, budget=1 << 24):
@@ -139,40 +146,28 @@ def min_distance_exhaustive(entries, field, budget=1 << 24):
     Refuses with BudgetExceededError when q^rank exceeds the budget;
     raises ValueError on a rank-zero matrix (no nonzero words exist).
     """
-    field = as_field(field)
-    basis = row_basis(entries, field)
-    if not basis:
-        raise ValueError("zero matrix spans no nonzero codewords")
-    if field.q ** len(basis) > budget:
+    field, B = _basis(entries, field)
+    if field.q ** len(B) > budget:
         raise BudgetExceededError(
-            f"q^k = {field.q ** len(basis)} exceeds the budget of {budget} words"
+            f"q^k = {field.q ** len(B)} exceeds the budget of {budget} words"
         )
-    return _exhaustive(basis, field)
+    return _exhaustive(B, field)
 
 
 def min_weight_random_upper(entries, field, iterations=200, seed=0):
     """Upper bound on the minimum distance from random codewords."""
-    field = as_field(field)
-    basis = row_basis(entries, field)
-    if not basis:
-        raise ValueError("zero matrix spans no nonzero codewords")
+    field, B = _basis(entries, field)
+    (k, n), q = B.shape, field.q
     rng = random.Random(seed)
-    q = field.q
     coeffs = []
     for _ in range(iterations):
-        c = [rng.randrange(q) for _ in basis]
+        c = [rng.randrange(q) for _ in range(k)]
         if not any(c):
             c[rng.randrange(len(c))] = 1 + rng.randrange(q - 1)
         coeffs.append(c)
-    B = np.array(basis, dtype=np.uint16)
-    C = np.array(coeffs, dtype=np.uint16).reshape(-1, len(basis))
-    best = n = B.shape[1]
-    for part in _chunks(len(C), n):
-        words = np.zeros((len(C[part]), n), dtype=np.uint16)
-        for c, row in zip(C[part].T, B):
-            words = field.vadd(words, field.vmul(c[:, None], row))
-        best = min(best, int(np.count_nonzero(words, axis=1).min()))
-    return best
+    C = np.array(coeffs, dtype=np.uint16).reshape(-1, k)
+    return min((int(np.count_nonzero(field.vaddmatmul(0, C[part], B), axis=1).min())
+                for part in _chunks(len(C), 4 * field.k * n)), default=n)
 
 
 def reduction_class_count_unionfind(P, field):

@@ -218,6 +218,17 @@ def test_missing_q_exits_two(capsys, tmp_path):
     assert "invalid input" in err
 
 
+def test_huge_q_exits_two_without_factoring(capsys, tmp_path, segment_doc):
+    # a Mersenne prime far above the 2^16 table limit: trial division
+    # of it would not finish
+    huge = 2**61 - 1
+    doc = write_doc(tmp_path, "huge.json", vertices=[[0], [1]], q=huge)
+    for argv in (["--polytope", doc], ["--polytope", segment_doc, "--q", str(huge)]):
+        code, _, err = run(capsys, "dim", *argv)
+        assert code == 2
+        assert "2^16 table limit" in err
+
+
 def test_dim_mismatch_exits_two(capsys, tmp_path):
     doc = write_doc(
         tmp_path, "mismatch.json", vertices=[[0, 0], [1, 0], [0, 1]],

@@ -241,11 +241,24 @@ def test_exhaustive_backends_agree(gf65536):
                 continue
             done += 1
             assert _exhaustive(basis, field) == exhaustive_reference(basis, field)
-    # q = 257 takes one head row and walks the other
+    # bases one row longer than the head block (q^s <= 4096 words) also
+    # run the tail of normalised messages; every rotation of the rows puts
+    # another row there, so a word the tail misses shows in one of them
+    for q, rows in ((3, 8), (4, 7), (16, 4)):
+        field = GF(q)
+        while len(basis := row_basis(random_entries(rng, q, rows, rows + 1), field)) < rows:
+            pass
+        d = exhaustive_reference(basis, field)
+        for j in range(rows):
+            assert _exhaustive(basis[j:] + basis[:j], field) == d, (q, j)
+    # q = 257 takes one head row and one tail row
     basis = [[1, 0, 5, 7, 0, 3], [0, 1, 9, 0, 200, 4]]
     assert _exhaustive(basis, GF(257)) == exhaustive_reference(basis, GF(257)) == 4
     # q = 65536 has no head block; a single row's words all have its weight
     assert min_distance_exhaustive([[0, 1, 65535, 0]], gf65536) == 2
+    # nor has a 2 x 5 Reed-Solomon code over it, whose distance is n - k + 1
+    rs = [[1] * 5, [1, 2, 3, 4, 5]]
+    assert _exhaustive(rs, gf65536) == 4
 
 
 def test_random_upper_bounds_exhaustive(toy_triangle):
