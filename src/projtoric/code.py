@@ -340,10 +340,35 @@ def is_surjective(Pbig, P, field):
     return len(_reduced_points(Pbig, q)) == count_rational_points(P, q)
 
 
+def _dilate_lower_bound(P, q):
+    """L of find_surjective_dilate, read from the points of one dilate cP."""
+    lifted = np.array([f.dim > 0 for f in P.faces])
+    for c in range(1, P.dim + 2):
+        C = P if c == 1 else P.dilate(c)
+        if np.bincount(C.lattice_point_faces, minlength=lifted.size)[lifted].all():
+            break
+    normals = np.array(P.normals, dtype=np.int64).T
+    slack = C.lattice_scan[0] @ normals + C.offsets
+    vertex_slack = np.array(P.vertices, dtype=np.int64) @ normals + P.offsets
+
+    def least(fi):  # L - 1 - (q-1)c of face fi: max over v, min over x, max over j
+        a = vertex_slack[list(P.faces[fi].vertex_indices)]
+        steps = -(q - 1) * slack[C.lattice_point_faces == fi, None] // np.maximum(a, 1)
+        return np.where(a > 0, steps, -np.inf).max(axis=2).min(axis=0).max()
+    return max(1, 1 + (q - 1) * c + int(max(map(least, np.flatnonzero(lifted)))))
+
+
 def find_surjective_dilate(P, field, lambda_max=16):
     """Smallest factor lam <= lambda_max with lam*P surjective over P,
-    or None when no such factor exists in range."""
-    for lam in range(1, lambda_max + 1):
+    or None when no such factor exists in range. The linear search starts
+    at L, the largest over faces F of dim >= 1 and vertices v of F of the
+    least lam at which relint(lam*F) meets lam*v + (q-1)Z^N (else lam*P
+    misses a class of F): 1 + min over lattice x in relint(c(F - v)) of max
+    over facets j with a_j(v) = a_j + <v, u_j> > 0 of floor((q-1) *
+    -<x, u_j> / a_j(v)), as relint(k(F - v)) lies in relint(k'(F - v)) for
+    k <= k' and relint(c(F - v)) holds a lattice point for c = dim F + 1:
+    the sum of c affinely independent vertices of F, minus cv."""
+    for lam in range(_dilate_lower_bound(P, field_size(field)), lambda_max + 1):
         if is_surjective(P.dilate(lam), P, field):
             return lam
     return None

@@ -90,9 +90,9 @@ class Polytope:
         and up, supply facets explicitly through from_vrep_hrep.
         """
         pts = sorted({_as_lattice_point(p) for p in points})
+        if len({len(p) for p in pts}) != 1:
+            raise PolytopeError("no points, or points of mixed dimensions")
         n = len(pts[0])
-        if any(len(p) != n for p in pts):
-            raise PolytopeError("points have mixed dimensions")
         if n > 3:
             raise PolytopeError(
                 "facet enumeration from vertices is supported up to dimension 3"
@@ -133,9 +133,9 @@ class Polytope:
         verts = [_as_lattice_point(v) for v in vertices]
         if len(set(verts)) != len(verts):
             raise PolytopeError("duplicate vertices")
+        if len({len(v) for v in verts}) != 1:
+            raise PolytopeError("no vertices, or vertices of mixed dimensions")
         n = len(verts[0])
-        for v in verts:
-            _as_lattice_point(v, n)
         if _affine_rank(verts) != n:
             raise PolytopeError("vertices do not span the ambient space")
         if len(normals) != len(offsets):
@@ -317,15 +317,15 @@ def same_normal_fan(P, Q):
 
     Equivalent to having the same facet normal set and the same
     collection of vertex cones (sets of facet normals tight at a
-    vertex).
+    vertex), read from the cached face lattice, which a dilate shares.
     """
     if P.dim != Q.dim or set(P.normals) != set(Q.normals):
         return False
 
     def cones(R):
         return sorted(
-            tuple(sorted(R.normals[f] for f in R.tight_facets(v)))
-            for v in R.vertices
+            tuple(sorted(R.normals[i] for i in f.facet_indices))
+            for f in R.faces_of_dim(0)
         )
 
     return cones(P) == cones(Q)

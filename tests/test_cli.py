@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from projtoric import cli
 from projtoric.code import generator_matrix
@@ -386,6 +389,96 @@ def test_info_non_simple_lists_offending_vertices(capsys, tmp_path):
     assert "H1 (simple): FAIL" in out
     assert "offending vertices: (0, 0, 0)\n" in out
     assert "k = unavailable (hypotheses fail)" in out
+
+
+@pytest.mark.parametrize("command", ["info", "matrix", "dim", "bound", "verify", "subcode"])
+@pytest.mark.parametrize("doc", [dict(vertices=[], q=4), dict(vertices=[], q=4, facets=[])])
+def test_empty_vertex_list_exits_two(capsys, tmp_path, command, doc):
+    path = write_doc(tmp_path, "empty.json", **doc)
+    code, out, err = run(capsys, command, "--polytope", path)
+    assert (code, out) == (2, "")
+    assert "invalid input" in err
+
+
+FUZZ_JUNK = st.sampled_from([0, -1, 6, 1 << 17, 2.5, True, "4", None, [1]])
+FUZZ_BROKEN = {
+    "vertices": st.one_of(
+        st.just([]),
+        st.lists(st.lists(st.integers(-2, 2), max_size=3), min_size=2, max_size=5),
+        st.lists(st.one_of(FUZZ_JUNK, st.lists(FUZZ_JUNK, min_size=1)), min_size=1, max_size=4),
+    ),
+    "q": FUZZ_JUNK,
+    "facets": st.one_of(
+        FUZZ_JUNK,
+        st.lists(st.lists(st.integers(-2, 2)), min_size=1, max_size=3),
+        st.lists(
+            st.fixed_dictionaries(
+                {},
+                optional={
+                    "normal": st.one_of(FUZZ_JUNK, st.lists(st.integers(-2, 2), max_size=3)),
+                    "offset": st.one_of(FUZZ_JUNK, st.integers(-2, 2)),
+                },
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    ),
+    "order": st.sampled_from(["bogus", "", "permlex:0,0", "wlex:", 5, None]),
+    "lambda_max": FUZZ_JUNK,
+    "dim": st.integers(0, 4),
+}
+
+
+@st.composite
+def fuzz_documents(draw):
+    """A document of lattice points in [-2, 2]^d, at most one of whose
+    keys holds a malformed value."""
+    d = draw(st.integers(1, 3))
+    point = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+    doc = dict(
+        vertices=draw(st.lists(point, min_size=d + 1, max_size=6)),
+        q=draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9])),
+    )
+    if draw(st.booleans()):
+        doc["order"] = draw(st.sampled_from(["lex", "grlex", "permlex:1,0", "wlex:1,-2"]))
+    if draw(st.booleans()):
+        doc["lambda_max"] = draw(st.integers(1, 40))
+    broken = draw(st.sampled_from([None, None, None, *FUZZ_BROKEN]))
+    if broken is not None:
+        doc[broken] = draw(FUZZ_BROKEN[broken])
+    return doc
+
+
+FUZZ_ORDERS = ["lex", "grlex", "permlex:1,0", "permlex:0,0", "wlex:2,-1", "wlex:", "permlex:a", "x"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    fuzz_documents(),
+    st.sampled_from(["info", "matrix", "dim", "bound", "verify", "subcode"]),
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "--order": st.sampled_from(FUZZ_ORDERS),
+            "--lambda-max": st.integers(-2, 40).map(str),
+            "--cols": st.sampled_from(["all", "torus", "0,1", "-1", "99999", "a", ""]),
+            "--rows": st.sampled_from(["0,0;1,0", "0", "1,x", "0,0,0", ";"]),
+        },
+    ),
+)
+def test_fuzzed_documents_and_flags_exit_cleanly(tmp_path_factory, doc, command, flags):
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, "--polytope", str(path)]
+    # flag=value, so that a value such as -1 is not read as a flag
+    for flag, value in flags.items():
+        if command == "subcode" or flag not in ("--cols", "--rows"):
+            argv += [flag + "=" + value]
+    if command == "verify":  # keeps the exhaustive distance search small
+        argv += ["--budget", "4096"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.entry(argv)
+    assert code in (0, 2, 3, 4)
 
 
 # verify's stdout and exit code on every data document, recorded before

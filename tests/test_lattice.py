@@ -18,8 +18,10 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from projtoric import code
 from projtoric.code import (
     OrderSpec,
+    _dilate_lower_bound,
     _reduced_points,
     _rows,
     bounds_over_orders,
@@ -190,6 +192,85 @@ def test_dilate_search_and_bounds_match_scalar_reference(case, q):
     for order, (small, counts) in zip(orders, expected):
         details = distance_lower_bound_details(P, B, q, order)
         assert (details.reduced, details.counts) == (small, counts)
+
+
+@settings(deadline=None, max_examples=50, suppress_health_check=[HealthCheck.filter_too_much])
+@given(polytopes(), st.sampled_from((2, 3, 4, 5, 7)))
+def test_dilate_lower_bound_is_below_the_linear_search(case, q):
+    # the drawn polytope may miss the origin; then no dilate beyond 1
+    # dominates it, but the bound, which ignores translation, still holds
+    # for the anchored copy
+    P = case[0]
+    A = anchored(P)
+    cap = 8 if P.dim == 3 else 12
+    low = _dilate_lower_bound(P, q)
+    assert low == _dilate_lower_bound(A, q) >= 1
+    lam = next((k for k in range(1, cap + 1) if ref_is_surjective(A.dilate(k), A, q)), None)
+    assert lam is None or low <= lam
+    assert find_surjective_dilate(P, q, cap) == next(
+        (k for k in range(1, cap + 1) if ref_is_surjective(P.dilate(k), P, q)), None
+    )
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 5])
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 9, 16])
+def test_segment_bound_is_q_over_length(length, q):
+    P = Polytope.from_vertices([(-1,), (length - 1,)])
+    assert _dilate_lower_bound(P, q) == find_surjective_dilate(P, q, 4 * q) == -(-q // length)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("q", [2, 3, 5, 8])
+def test_unit_simplex_bound(dim, q):
+    unit = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    P = Polytope.from_vertices([(0,) * dim] + unit)
+    assert _dilate_lower_bound(P, q) == find_surjective_dilate(P, q, 4 * q) == dim * (q - 1) + 1
+
+
+# the shapes and fields of perfbench's certify workload
+CERTIFY_SHAPES = {
+    "toy": [(0, 0), (1, 0), (-2, 3)],
+    "square": [(0, 0), (1, 0), (0, 1), (1, 1)],
+    "tri2": [(0, 0), (2, 0), (0, 2)],
+    "quad": [(0, 0), (2, 0), (3, 2), (0, 3)],
+    "trap": [(0, 0), (3, 0), (2, 1), (0, 1)],
+    "pent": [(0, 0), (2, 0), (3, 1), (1, 3), (0, 2)],
+    "hex": [(0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1)],
+    "cube": [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)],
+    "simplex": [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)],
+    "prism": [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1)],
+    "box2": [(x, y, z) for x in (0, 2) for y in (0, 1) for z in (0, 1)],
+}
+CERTIFY_CASES = (
+    ("toy", 8), ("hex", 8), ("square", 9), ("pent", 9), ("quad", 11), ("trap", 11),
+    ("tri2", 13), ("pent", 13), ("toy", 16), ("hex", 16), ("square", 25), ("trap", 25),
+    ("tri2", 27), ("square", 27), ("toy", 31), ("tri2", 31),
+    ("simplex", 5), ("box2", 5), ("prism", 7), ("cube", 7), ("cube", 8), ("prism", 8),
+    ("box2", 9), ("prism", 9), ("cube", 11), ("box2", 11),
+)
+
+
+@pytest.mark.parametrize(
+    "shape,q,lam", [("toy", 16, 21), ("toy", 31, 41), ("simplex", 5, 13), ("prism", 9, 17)]
+)
+def test_dilate_lower_bound_pins(shape, q, lam):
+    P = Polytope.from_vertices(CERTIFY_SHAPES[shape])
+    assert _dilate_lower_bound(P, q) == find_surjective_dilate(P, q, 4 * q) == lam
+
+
+def test_search_checks_one_dilate_per_certify_case(monkeypatch):
+    checked = []
+
+    def counting(Pbig, P, field):
+        checked.append(Pbig.offsets)
+        return is_surjective(Pbig, P, field)
+
+    monkeypatch.setattr(code, "is_surjective", counting)
+    for shape, q in CERTIFY_CASES:
+        checked.clear()
+        P = Polytope.from_vertices(CERTIFY_SHAPES[shape])
+        lam = find_surjective_dilate(P, q, 4 * q)
+        assert lam is not None and len(checked) == 1, (shape, q)
 
 
 @pytest.mark.parametrize("q", [3, 5])

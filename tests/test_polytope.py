@@ -178,6 +178,13 @@ def test_from_vertices_rejects_degenerate_input():
         Polytope.from_vertices([(0, 0), (1,)])
 
 
+def test_empty_vertex_lists_are_rejected():
+    with pytest.raises(PolytopeError, match="no points"):
+        Polytope.from_vertices([])
+    with pytest.raises(PolytopeError, match="no vertices"):
+        Polytope.from_vrep_hrep([], [(1,), (-1,)], [0, 1])
+
+
 def test_toy_lattice_points(toy_triangle):
     assert toy_triangle.lattice_points == (
         (-2, 3), (-1, 2), (0, 0), (0, 1), (1, 0),
