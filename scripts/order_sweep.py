@@ -96,7 +96,7 @@ def run(cfg):
         k = len(projective_reduction(P, fieldq).representatives)
         if q ** k <= cfg.exhaustive_budget:
             M = generator_matrix(P, fieldq)
-            d = min_distance_exhaustive(M.entries, fieldq)
+            d = min_distance_exhaustive(M.codes, fieldq)
             assert best <= d, f"bound {best} exceeds the distance {d}: {P.vertices} over F{q}"
             tally.compared += 1
             if best == d:

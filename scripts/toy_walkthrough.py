@@ -47,7 +47,7 @@ def main():
     M = generator_matrix(P, field)
     print(f"generator matrix: {M.shape[0]} x {M.shape[1]}, "
           f"block widths {M.block_widths}")
-    for row in M.entries:
+    for row in M.codes.tolist():
         print("  " + " ".join(f"{x}" for x in row))
 
     lam = find_surjective_dilate(P, field, lambda_max=10)
@@ -57,7 +57,7 @@ def main():
     print(f"distance bound: {details.bound}, "
           f"attained at {details.attained_at()}")
 
-    d = min_distance_exhaustive(M.entries, field)
+    d = min_distance_exhaustive(M.codes, field)
     print(f"exhaustive minimum distance: {d}")
     assert details.bound <= d, "the bound must not exceed the distance"
     print(f"code parameters: [{n}, {k}, {d}] over F{field.q}")

@@ -32,7 +32,6 @@ from .code import (
     ReductionSet,
     SurjectivityError,
     best_bound_over_orders,
-    block_matrix,
     dimension,
     distance_lower_bound,
     distance_lower_bound_details,
@@ -69,7 +68,6 @@ __all__ = [
     "SingularMatrixError",
     "SurjectivityError",
     "best_bound_over_orders",
-    "block_matrix",
     "build_flags",
     "check_hypotheses",
     "count_rational_points",

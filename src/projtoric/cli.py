@@ -13,6 +13,8 @@ import json
 import sys
 from collections import Counter
 
+import numpy as np
+
 from .code import (
     OrderSpec,
     bounds_over_orders,
@@ -129,7 +131,7 @@ def _emit_matrix(entries, meta, fmt):
             print(",".join(str(x) for x in row))
     else:
         payload = dict(meta)
-        payload["entries"] = [list(row) for row in entries]
+        payload["entries"] = entries
         print(json.dumps(payload, indent=2))
 
 
@@ -180,7 +182,7 @@ def cmd_matrix(args):
         "row_points": [list(m) for m in M.row_points],
         "block_widths": list(M.block_widths),
     }
-    _emit_matrix(M.entries, meta, args.format)
+    _emit_matrix(M.codes.tolist(), meta, args.format)
     return 0
 
 
@@ -221,16 +223,12 @@ def cmd_verify(args):
     lam_max = _lambda_max_from(args, doc)
     M = generator_matrix(P, field)
     if args.inject_corruption:
-        flat = next(
-            ((i, j) for i, row in enumerate(M.entries) for j, x in enumerate(row) if x == 0),
-            None,
-        )
-        if flat is None:
+        zeros = np.argwhere(M.codes == 0)
+        if not len(zeros):
             raise ValueError("matrix has no structural zero to corrupt")
-        i, j = flat
-        rows = [list(r) for r in M.entries]
-        rows[i][j] = 1
-        M = dataclasses.replace(M, entries=tuple(tuple(r) for r in rows))
+        codes = M.codes.copy()
+        codes[tuple(zeros[0])] = 1
+        M = dataclasses.replace(M, codes=codes)
     failures = 0
 
     def check(label, ok, detail=""):
@@ -242,7 +240,7 @@ def cmd_verify(args):
             print(f"FAIL {label}" + (f" ({detail})" if detail else ""))
 
     k = len(projective_reduction(P, field, order).representatives)
-    basis = row_basis(M.entries, field)
+    basis = row_basis(M.codes, field)
     rk = len(basis)
     uf = reduction_class_count_unionfind(P, field)
     n = count_rational_points(P, field.q)

@@ -135,44 +135,31 @@ def _straightened(flag, points, k):
     return (points - flag.base_vertex) @ np.array(flag.inverse_transform)[:k].T
 
 
-def block_matrix(P, Q, flag, field):
-    """The columns of the evaluation matrix belonging to one face.
-
-    Rows run over all lattice points of P in row order; columns over
-    the (q-1)^dim(Q) unit tuples of the face's torus orbit. A row is
-    zero when its point misses Q, and otherwise holds the products of
-    unit powers given by the flag's straightening (negative exponents
-    are evaluated through field inversion).
-    """
-    field = as_field(field)
-    if Q not in flag.chain:
-        raise ValueError("flag does not contain the face")
-    points, row_face = _rows(P)
-    on = _subface_table(P.faces)[row_face, P.faces.index(Q)]
-    out = np.zeros((len(points), (field.q - 1) ** Q.dim), dtype=np.uint16)
-    out[on] = _evaluate(_straightened(flag, points[on], Q.dim), field)
-    return tuple(tuple(row.tolist()) for row in out)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvaluationMatrix:
     """Generator matrix of the code of P with its index bookkeeping.
 
-    entries holds element codes of GF(q). Row i evaluates the monomial
-    of row_points[i], which lies in the interior of
+    codes is the matrix: a read-only uint16 array of element codes of
+    GF(q), which every consumer takes as it is; entries is its export
+    form, a tuple of tuples of ints. Row i evaluates the monomial of
+    row_points[i], which lies in the interior of
     faces[row_face_index[i]]. Column j belongs to the orbit block of
     faces[col_face_index[j]]; blocks appear in decreasing face
-    dimension and have widths block_widths.
+    dimension and have widths block_widths, so a face's block is a
+    column slice of codes.
     """
 
     field: GF
     polytope: object
-    entries: tuple
+    codes: np.ndarray
     row_points: tuple
     row_face_index: tuple
     faces: tuple
     block_widths: tuple
     col_face_index: tuple
+
+    def __post_init__(self):
+        self.codes.flags.writeable = False
 
     @property
     def q(self):
@@ -180,7 +167,12 @@ class EvaluationMatrix:
 
     @property
     def shape(self):
-        return (len(self.entries), len(self.entries[0]) if self.entries else 0)
+        return self.codes.shape
+
+    @property
+    def entries(self):
+        """The matrix as a tuple of tuples of ints, built row by row."""
+        return tuple(tuple(row.tolist()) for row in self.codes)
 
     def torus_columns(self):
         """Indices of the columns of the dense torus block."""
@@ -191,14 +183,11 @@ class EvaluationMatrix:
         )
 
     def structural_violations(self):
-        """Entries breaking the zero pattern: nonzero off the column's
-        face, or zero on it. Empty on a correctly assembled matrix."""
-        on_face = _subface_table(self.faces)[:, self.col_face_index]
-        bad = []
-        for i, fi in enumerate(self.row_face_index):
-            wrong = np.flatnonzero(on_face[fi] != (np.array(self.entries[i]) != 0))
-            bad.extend((i, j) for j in wrong.tolist())
-        return bad
+        """Entries breaking the zero pattern, nonzero off the column's
+        face or zero on it, as (i, j) pairs in row-major order. Empty on
+        a correctly assembled matrix."""
+        on_face = _subface_table(self.faces)[np.ix_(self.row_face_index, self.col_face_index)]
+        return list(map(tuple, np.argwhere(on_face != (self.codes != 0)).tolist()))
 
 
 def generator_matrix(P, field, flags=None):
@@ -226,7 +215,7 @@ def generator_matrix(P, field, flags=None):
     return EvaluationMatrix(
         field,
         P,
-        tuple(tuple(row.tolist()) for row in out),
+        out,
         tuple(map(tuple, points.tolist())),
         tuple(row_face.tolist()),
         faces,
@@ -238,10 +227,11 @@ def generator_matrix(P, field, flags=None):
 def toric_generator_matrix(P, field):
     """Generator matrix of the classical toric code: the same monomials
     evaluated only on the dense torus, entry t^m for t in units^dim.
-    This is one block with identity straightening based at the origin."""
+    This is one block with identity straightening based at the origin,
+    returned as a uint16 array of element codes."""
     field = as_field(field)
     require_hypotheses(P, field.q)
-    return tuple(tuple(row.tolist()) for row in _evaluate(_rows(P)[0], field))
+    return _evaluate(_rows(P)[0], field)
 
 
 @dataclass(frozen=True)
@@ -456,8 +446,9 @@ def subcode_matrix(M, rows=None, cols=None):
     """Submatrix of an evaluation matrix, orderings preserved.
 
     rows selects lattice points (all when None); cols selects column
-    indices (all when None). Raises ValueError on an empty selection or
-    an unknown row point.
+    indices (all when None). Returns a tuple of tuples of ints, the
+    form the command line emits. Raises ValueError on an empty
+    selection or an unknown row point.
     """
     index = {m: i for i, m in enumerate(M.row_points)}
     rows = M.row_points if rows is None else [tuple(m) for m in rows]
@@ -470,4 +461,5 @@ def subcode_matrix(M, rows=None, cols=None):
         raise ValueError("column index out of range")
     if not rows or not cidx:
         raise ValueError("empty selection")
-    return tuple(tuple(M.entries[index[m]][j] for j in cidx) for m in rows)
+    sub = M.codes[np.ix_([index[m] for m in rows], cidx)]
+    return tuple(tuple(row.tolist()) for row in sub)

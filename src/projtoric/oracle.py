@@ -6,6 +6,10 @@ minimum distance by enumerating codewords, class counts by union-find
 on raw congruences, polygon areas by Pick's theorem. Nothing imports
 from the code module.
 
+A matrix is any array-like of element codes, one row per generator: a
+uint16 array such as EvaluationMatrix.codes, or nested sequences of
+ints. It is read, never written. row_basis returns a uint16 array.
+
 Both distance oracles form every codeword as a row of one GF matrix
 product, GF.vaddmatmul(c, C, B), of coefficient rows C and an echelon
 basis B. The exhaustive search takes only normalised messages (first
@@ -49,11 +53,13 @@ def row_basis(entries, field):
     from the others nonzero there. Columns go in panels of PANEL; inside
     one, rows change on its columns and on H, their multiples of its
     pivot rows as they began it; later columns then take rows += H @ pivots.
-    The last 4 PANEL columns are one panel with no H and no product."""
+    The last 4 PANEL columns are one panel with no H and no product.
+    entries is any 2D array-like of element codes and is not written;
+    the basis comes back as a new uint16 array, one row per basis row."""
     field = as_field(field)
-    if not entries or not entries[0]:
-        return []
-    A = np.array(entries, dtype=np.uint16)
+    A = np.array(entries, dtype=np.uint16, ndmin=2)
+    if not A.size:
+        return A[:0]
     n = A.shape[1]
     lead = _leads(A, 0, n)
     basis = []
@@ -91,7 +97,7 @@ def row_basis(entries, field):
             lead[rows] = np.minimum(lead[rows], _leads(block, cols.start, n))
         lead[act[pivots]] = n
         basis += act[pivots].tolist()
-    return A[basis].tolist()
+    return A[basis]
 
 
 def rank_gf(entries, field):
@@ -135,9 +141,9 @@ def _basis(entries, field):
     """The field and an echelon basis of the rows as a code array."""
     field = as_field(field)
     basis = row_basis(entries, field)
-    if not basis:
+    if not len(basis):
         raise ValueError("zero matrix spans no nonzero codewords")
-    return field, np.array(basis, dtype=np.uint16)
+    return field, basis
 
 
 def min_distance_exhaustive(entries, field, budget=1 << 24):

@@ -61,7 +61,7 @@ def test_toy_triangle_full_pipeline(toy_triangle):
         M = generator_matrix(toy_triangle, field)
         assert M.shape == (5, 21)
         assert dimension(toy_triangle, field) == 5
-        assert rank_gf(M.entries, field) == 5
+        assert rank_gf(M.codes, field) == 5
 
         assert find_surjective_dilate(toy_triangle, field, lambda_max=10) == 5
         P4 = toy_triangle.dilate(4)
@@ -77,7 +77,7 @@ def test_toy_triangle_full_pipeline(toy_triangle):
         details = distance_lower_bound_details(toy_triangle, P5, field)
         assert details.bound == 8
         assert details.attained_at() == ((0, 1), (1, 0))
-        assert min_distance_exhaustive(M.entries, field) == 8
+        assert min_distance_exhaustive(M.codes, field) == 8
 
 
 def test_quadrilateral_determinant_obstruction(quadrilateral):
@@ -102,7 +102,7 @@ def test_segment_extended_reed_solomon(segment01):
         big = segment01.dilate(find_surjective_dilate(segment01, field))
         bound = distance_lower_bound(segment01, big, field)
         assert bound == 3
-        assert min_distance_exhaustive(M.entries, field) == 3
+        assert min_distance_exhaustive(M.codes, field) == 3
 
 
 def test_point_count_identities(unit_square, segment01):
@@ -141,7 +141,7 @@ def test_random_polygon_property_suite(polygon_corpus):
             k = len(red.representatives)
 
             # (a) matrix rank equals the combinatorial dimension
-            assert rank_gf(M.entries, field) == k
+            assert rank_gf(M.codes, field) == k
             # (b) an independent union-find grouping agrees
             assert reduction_class_count_unionfind(P, field) == k
             # (d) zero pattern is exactly the block triangular one
@@ -153,7 +153,7 @@ def test_random_polygon_property_suite(polygon_corpus):
                 lam = find_surjective_dilate(A, field)
                 assert lam is not None
                 big = A.dilate(lam)
-                d = min_distance_exhaustive(M.entries, field)
+                d = min_distance_exhaustive(M.codes, field)
                 for order in stock_orders(2):
                     assert distance_lower_bound(A, big, field, order) <= d
 
@@ -164,8 +164,8 @@ def test_random_polygon_property_suite(polygon_corpus):
             assert MQ.shape == M.shape
             assert dimension(Q, field) == k
             if q ** k <= 1 << 20:
-                assert min_distance_exhaustive(MQ.entries, field) == \
-                    min_distance_exhaustive(M.entries, field)
+                assert min_distance_exhaustive(MQ.codes, field) == \
+                    min_distance_exhaustive(M.codes, field)
 
             # (f) the flag cover is an implementation detail
             if flag_instances < 20 and q ** k <= 1 << 20:
@@ -177,9 +177,9 @@ def test_random_polygon_property_suite(polygon_corpus):
                         P, field, flags=build_flags(P, reverse=True)
                     )
                     assert MB.shape == M.shape
-                    assert rank_gf(MB.entries, field) == k
-                    assert min_distance_exhaustive(MB.entries, field) == \
-                        min_distance_exhaustive(M.entries, field)
+                    assert rank_gf(MB.codes, field) == k
+                    assert min_distance_exhaustive(MB.codes, field) == \
+                        min_distance_exhaustive(M.codes, field)
         assert flag_instances == 20
 
 
@@ -189,7 +189,7 @@ def test_hirzebruch_dimension_cross_method(hirzebruch):
         k = dimension(hirzebruch, field)
         assert k == 18
         M = generator_matrix(hirzebruch, field)
-        assert rank_gf(M.entries, field) == k
+        assert rank_gf(M.codes, field) == k
         assert reduction_class_count_unionfind(hirzebruch, field) == k
 
 
@@ -237,19 +237,19 @@ def test_random_3d_property_suite():
             field = GF(q)
             M = generator_matrix(P, field)
             k = dimension(P, field)
-            assert rank_gf(M.entries, field) == k
+            assert rank_gf(M.codes, field) == k
             assert reduction_class_count_unionfind(P, field) == k
             assert M.structural_violations() == []
             MB = generator_matrix(P, field, flags=build_flags(P, reverse=True))
             assert MB.structural_violations() == []
-            assert rank_gf(MB.entries, field) == k
+            assert rank_gf(MB.codes, field) == k
             if q ** k <= 1 << 24:
                 exact += 1
                 A = anchored(P)
                 lam = find_surjective_dilate(A, field, 4 * q)
                 assert lam is not None
-                d = min_distance_exhaustive(M.entries, field)
+                d = min_distance_exhaustive(M.codes, field)
                 assert best_bound_over_orders(A, A.dilate(lam), field)[0] <= d
                 if q ** k <= 1 << 20:
-                    assert min_distance_exhaustive(MB.entries, field) == d
+                    assert min_distance_exhaustive(MB.codes, field) == d
         assert exact >= 12

@@ -83,7 +83,7 @@ def test_matrix_json_is_deterministic(capsys, toy_doc):
     payload = json.loads(first)
     P = Polytope.from_vertices([(0, 0), (1, 0), (-2, 3)])
     M = generator_matrix(P, GF(4))
-    assert payload["entries"] == [list(r) for r in M.entries]
+    assert payload["entries"] == M.codes.tolist()
     assert tuple(payload["shape"]) == M.shape
     assert payload["q"] == 4
 

@@ -4,6 +4,7 @@ import itertools
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,7 +14,6 @@ from projtoric.code import (
     _subface_table,
     SurjectivityError,
     best_bound_over_orders,
-    block_matrix,
     bounds_over_orders,
     dimension,
     distance_lower_bound,
@@ -85,6 +85,8 @@ def test_ordered_lattice_points_follow_faces(toy_triangle):
 def test_segment_matrix_frozen(segment01):
     M = generator_matrix(segment01, GF(3))
     assert M.shape == (2, 4)
+    assert M.codes.dtype == np.uint16
+    assert M.codes.tolist() == [[1, 1, 1, 0], [1, 2, 0, 1]]
     assert M.entries == ((1, 1, 1, 0), (1, 2, 0, 1))
     assert M.row_points == ((0,), (1,))
     assert M.block_widths == (2, 1, 1)
@@ -97,7 +99,7 @@ def test_toy_matrix_shape_and_rank(toy_triangle):
     assert M.shape == (5, 21)
     assert M.block_widths == (9, 3, 3, 3, 1, 1, 1)
     assert M.q == 4
-    assert rank_gf(M.entries, field) == 5
+    assert rank_gf(M.codes, field) == 5
 
 
 def test_structural_violations_empty(toy_triangle, quadrilateral, hirzebruch):
@@ -106,24 +108,27 @@ def test_structural_violations_empty(toy_triangle, quadrilateral, hirzebruch):
         assert generator_matrix(P, GF(q)).structural_violations() == []
 
 
-def _with_entry(M, i, j, value):
-    rows = [list(r) for r in M.entries]
-    rows[i][j] = value
-    return dataclasses.replace(M, entries=tuple(tuple(r) for r in rows))
+def _with_entry(M, *flips):
+    codes = M.codes.copy()
+    for i, j, value in flips:
+        codes[i, j] = value
+    return dataclasses.replace(M, codes=codes)
 
 
 @pytest.mark.parametrize("q", [4, 257])
 def test_structural_violations_name_the_flipped_entry(toy_triangle, q):
     M = generator_matrix(toy_triangle, GF(q))
-    zero = next(
-        (i, j) for i, r in enumerate(M.entries) for j, x in enumerate(r) if x == 0
-    )
-    on_face = (len(M.entries) - 1, M.shape[1] - 1)
-    assert M.entries[on_face[0]][on_face[1]] != 0
+    zero = tuple(np.argwhere(M.codes == 0)[0].tolist())
+    on_face = (M.shape[0] - 1, M.shape[1] - 1)
+    assert M.codes[on_face] != 0
     for (i, j), value in ((zero, 1), (on_face, 0)):
-        bad = _with_entry(M, i, j, value).structural_violations()
+        bad = _with_entry(M, (i, j, value)).structural_violations()
         assert bad == [(i, j)]
         assert all(type(x) is int for x in bad[0])
+    # two flips in different rows come back in row-major order
+    assert zero[0] < on_face[0]
+    bad = _with_entry(M, (*on_face, 0), (*zero, 1)).structural_violations()
+    assert bad == [zero, on_face]
 
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -144,9 +149,11 @@ PINNED_MATRICES = [
 @pytest.mark.parametrize("name,q,digest", PINNED_MATRICES)
 def test_generator_matrix_sha256_pinned(name, q, digest):
     P, _ = load_document(DATA / name)
-    entries = generator_matrix(P, GF(q)).entries
+    M = generator_matrix(P, GF(q))
+    entries = M.entries
     assert all(type(x) is int for row in entries for x in row)
     assert hashlib.sha256(json.dumps(entries).encode()).hexdigest() == digest
+    assert json.dumps(M.codes.tolist()) == json.dumps(entries)
 
 
 def test_matrix_requires_hypotheses(quadrilateral):
@@ -157,7 +164,7 @@ def test_matrix_requires_hypotheses(quadrilateral):
 
 
 def test_toric_matrix_segment(segment01):
-    assert toric_generator_matrix(segment01, GF(3)) == ((1, 1), (1, 2))
+    assert toric_generator_matrix(segment01, GF(3)).tolist() == [[1, 1], [1, 2]]
 
 
 def test_toric_matrix_reed_solomon():
@@ -165,14 +172,14 @@ def test_toric_matrix_reed_solomon():
     P = Polytope.from_vertices([(0,), (3,)])
     field = GF(5)
     T = toric_generator_matrix(P, field)
-    assert len(T) == 4 and len(T[0]) == 4
+    assert T.shape == (4, 4)
     assert rank_gf(T, field) == 4
 
 
 def test_toric_matrix_square_invertible(unit_square):
     field = GF(3)
     T = toric_generator_matrix(unit_square, field)
-    assert len(T) == 4 and len(T[0]) == 4
+    assert T.shape == (4, 4)
     assert rank_gf(T, field) == 4
 
 
@@ -194,12 +201,10 @@ def test_torus_block_matches_toric_matrix(toy_triangle, unit_square, hirzebruch)
     for P, q in cases:
         field = GF(q)
         M = generator_matrix(P, field)
-        torus = [
-            tuple(row[j] for j in M.torus_columns()) for row in M.entries
-        ]
+        torus = M.codes[:, M.torus_columns()]
         T = toric_generator_matrix(P, field)
-        assert _lead_normalized_columns(torus, field) == \
-            _lead_normalized_columns(T, field)
+        assert _lead_normalized_columns(torus.tolist(), field) == \
+            _lead_normalized_columns(T.tolist(), field)
         assert rank_gf(torus, field) == rank_gf(T, field)
 
 
@@ -208,10 +213,13 @@ def test_face_blocks_match_toric_reduction(toy_triangle, hirzebruch):
     # straightened exponents on that face
     for P, q in ((toy_triangle, 4), (hirzebruch, 7)):
         field = GF(q)
-        assign = flag_assignment(P, build_flags(P))
-        for Q in P.faces:
+        flags = build_flags(P)
+        assign = flag_assignment(P, flags)
+        M = generator_matrix(P, field, flags=flags)
+        ends = np.cumsum(M.block_widths)
+        for fi, Q in enumerate(P.faces):
             flag = assign[Q]
-            B = block_matrix(P, Q, flag, field)
+            B = M.codes[:, ends[fi] - M.block_widths[fi]:ends[fi]]
             on = _subface_table(P.faces)[P.lattice_point_faces, P.faces.index(Q)]
             on_face = [
                 flag.exponents(m)[: Q.dim]
@@ -219,12 +227,6 @@ def test_face_blocks_match_toric_reduction(toy_triangle, hirzebruch):
                 if yes
             ]
             assert rank_gf(B, field) == len(toric_reduction(on_face, field))
-
-
-def test_block_matrix_rejects_foreign_face(toy_triangle, unit_square):
-    flag = build_flags(toy_triangle)[0]
-    with pytest.raises(ValueError):
-        block_matrix(toy_triangle, unit_square.faces[0], flag, GF(4))
 
 
 def test_projective_reduction_toy(toy_triangle):
@@ -376,7 +378,7 @@ def test_duplicate_class_rows_are_kept():
     field = GF(3)
     M = generator_matrix(P, field)
     assert M.shape[0] == 5
-    assert rank_gf(M.entries, field) == 4
+    assert rank_gf(M.codes, field) == 4
     assert dimension(P, field) == 4
 
 
@@ -388,8 +390,8 @@ def test_flag_choice_does_not_change_matrix_rank(toy_triangle, hirzebruch):
             P, field, flags=build_flags(P, reverse=True)
         )
         assert forward.shape == backward.shape
-        assert rank_gf(forward.entries, field) == \
-            rank_gf(backward.entries, field)
+        assert rank_gf(forward.codes, field) == \
+            rank_gf(backward.codes, field)
 
 
 def test_int_field_sizes_build_no_tables(toy_triangle, monkeypatch):
