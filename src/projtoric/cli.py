@@ -22,7 +22,6 @@ from .code import (
     distance_lower_bound,
     find_surjective_dilate,
     generator_matrix,
-    projective_reduction,
     stock_orders,
     subcode_matrix,
 )
@@ -103,14 +102,20 @@ def _field_from(args, doc):
     return GF(_integer(q, "q"))
 
 
-def _order_from(args, doc):
+def _order_from(args, doc, P):
+    """The order of --order, else of the document, else None. Raises
+    ValueError when the order does not fit the dimension of P."""
     if args.order is not None:
-        return parse_order(args.order)
-    if "order" in doc:
-        if not isinstance(doc["order"], str):
-            raise ValueError(f"order must be a string, got {doc['order']!r}")
-        return parse_order(doc["order"])
-    return OrderSpec.lex()
+        text = args.order
+    elif "order" in doc:
+        text = doc["order"]
+        if not isinstance(text, str):
+            raise ValueError(f"order must be a string, got {text!r}")
+    else:
+        return None
+    order = parse_order(text)
+    order.key((0,) * P.dim)
+    return order
 
 
 def _lambda_max_from(args, doc):
@@ -196,6 +201,7 @@ def cmd_dim(args):
 def cmd_bound(args):
     P, doc = load_document(args.polytope)
     field = _field_from(args, doc)
+    order = _order_from(args, doc, P)
     lam_max = _lambda_max_from(args, doc)
     require_hypotheses(P, field.q)
     lam = find_surjective_dilate(P, field, lam_max)
@@ -203,23 +209,19 @@ def cmd_bound(args):
         print(f"lambda = none (no surjective dilate up to {lam_max})")
         return 0
     print(f"lambda = {lam}")
-    Pbig = P.dilate(lam)
-    if args.order is not None:
-        orders = [parse_order(args.order)]
-    else:
-        orders = stock_orders(P.dim)
-    bounds = bounds_over_orders(P, Pbig, field, orders)
-    for order, bound in bounds:
-        print(f"bound[{order.name}] = {bound}")
-    best_order, best = max(bounds, key=lambda ob: ob[1])
-    print(f"best = {best} ({best_order.name})")
+    orders = stock_orders(P.dim) if order is None else [order]
+    bounds = bounds_over_orders(P, P.dilate(lam), field, orders)
+    for details in bounds:
+        print(f"bound[{details.order.name}] = {details.bound}")
+    best = max(bounds, key=lambda d: d.bound)
+    print(f"best = {best.bound} ({best.order.name})")
     return 0
 
 
 def cmd_verify(args):
     P, doc = load_document(args.polytope)
     field = _field_from(args, doc)
-    order = _order_from(args, doc)
+    order = _order_from(args, doc, P)
     lam_max = _lambda_max_from(args, doc)
     M = generator_matrix(P, field)
     if args.inject_corruption:
@@ -239,7 +241,7 @@ def cmd_verify(args):
             failures += 1
             print(f"FAIL {label}" + (f" ({detail})" if detail else ""))
 
-    k = len(projective_reduction(P, field, order).representatives)
+    k = dimension(P, field)
     basis = row_basis(M.codes, field)
     rk = len(basis)
     uf = reduction_class_count_unionfind(P, field)
@@ -295,20 +297,21 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt=False):
+    def common(p, fmt=False, bound_options=False):
         p.add_argument("--polytope", required=True, help="polytope document (JSON)")
         p.add_argument("--q", type=int, default=None, help="field size, overrides the document")
-        p.add_argument("--order", default=None, help="lex | grlex | permlex:P | wlex:W")
-        p.add_argument("--lambda-max", dest="lambda_max", type=int, default=None)
+        if bound_options:
+            p.add_argument("--order", default=None, help="lex | grlex | permlex:P | wlex:W")
+            p.add_argument("--lambda-max", dest="lambda_max", type=int, default=None)
         if fmt:
             p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     common(sub.add_parser("info", help="facets, faces, hypotheses, parameters"))
     common(sub.add_parser("matrix", help="emit the generator matrix"), fmt=True)
     common(sub.add_parser("dim", help="dimension of the code"))
-    common(sub.add_parser("bound", help="distance lower bound per order"))
+    common(sub.add_parser("bound", help="distance lower bound per order"), bound_options=True)
     p = sub.add_parser("verify", help="run the oracle ledger")
-    common(p)
+    common(p, bound_options=True)
     p.add_argument("--budget", type=int, default=1 << 24)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--require-distance", action="store_true")

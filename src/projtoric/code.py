@@ -13,7 +13,8 @@ translated offset-difference region.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 
 import numpy as np
 
@@ -106,10 +107,15 @@ def _rows(P):
     return P.lattice_scan[0][by_face], face[by_face]
 
 
+def _tuples(points):
+    """The rows of an integer array as a tuple of tuples of ints."""
+    return tuple(map(tuple, points.tolist()))
+
+
 def ordered_lattice_points(P):
     """Lattice points of P in row order: interior of P first, then
     interiors of faces by decreasing dimension, vertices last."""
-    return tuple(map(tuple, _rows(P)[0].tolist()))
+    return _tuples(_rows(P)[0])
 
 
 def _subface_table(faces):
@@ -216,7 +222,7 @@ def generator_matrix(P, field, flags=None):
         field,
         P,
         out,
-        tuple(map(tuple, points.tolist())),
+        _tuples(points),
         tuple(row_face.tolist()),
         faces,
         widths,
@@ -238,14 +244,20 @@ def toric_generator_matrix(P, field):
 class ReductionSet:
     """Face-by-face reduction of the lattice points of P mod q-1.
 
-    mapping sends every lattice point to the representative of its
-    class (same face interior, congruent coordinates); representatives
-    lists one order-minimal point per class.
+    representatives lists one order-minimal point per class (same face
+    interior, congruent coordinates); mapping, built on first read,
+    sends every lattice point to the representative of its class.
     """
 
     order: OrderSpec
-    mapping: dict
     representatives: tuple
+    _sort: tuple = dataclass_field(repr=False, compare=False)  # (points, perm, starts, listed)
+
+    @cached_property
+    def mapping(self):
+        points, perm, starts, _ = self._sort
+        rep_of = perm[starts][np.cumsum(starts) - 1]
+        return dict(zip(_tuples(points[perm]), _tuples(points[rep_of])))
 
 
 def _classes(points, face, q, order=None):
@@ -269,14 +281,13 @@ def _reduced_points(P, q, order=None):
 
 
 def _reduction(points, face, q, order):
-    """(mapping, representatives): each row's point sent to the order-
-    minimal point of its class, and those listed by face, then in order."""
+    """ReductionSet of the rows of points, with face[i] the face of row i:
+    the class sort of _classes, and the rows of the representatives
+    listed by face, then in the order."""
     perm, starts = _classes(points, face, q, order)
     reps = perm[starts]
-    rep_of = reps[np.cumsum(starts) - 1]
-    mapping = dict(zip(map(tuple, points[perm].tolist()), map(tuple, points[rep_of].tolist())))
-    reps = reps[np.lexsort(tuple(order.columns(points[reps]).T[::-1]) + (face[reps],))]
-    return mapping, tuple(map(tuple, points[reps].tolist()))
+    listed = reps[np.lexsort(tuple(order.columns(points[reps]).T[::-1]) + (face[reps],))]
+    return ReductionSet(order, _tuples(points[listed]), (points, perm, starts, listed))
 
 
 def projective_reduction(P, field, order=None):
@@ -287,10 +298,8 @@ def projective_reduction(P, field, order=None):
     represented by its order-minimal member. Representatives are listed
     by face, then in the order.
     """
-    q = field_size(field)
-    if order is None:
-        order = OrderSpec.lex()
-    return ReductionSet(order, *_reduction(*_rows(P), q, order))
+    order = OrderSpec.lex() if order is None else order
+    return _reduction(P.lattice_scan[0], P.lattice_point_faces, field_size(field), order)
 
 
 def toric_reduction(points, field, order=None):
@@ -304,7 +313,7 @@ def toric_reduction(points, field, order=None):
     points = np.array([tuple(m) for m in points], dtype=np.int64)
     if not len(points):
         return ()
-    return _reduction(points, np.zeros(len(points), dtype=np.int64), q, order)[1]
+    return _reduction(points, np.zeros(len(points), dtype=np.int64), q, order).representatives
 
 
 def dimension(P, field):
@@ -391,22 +400,34 @@ def _survivor_counts(region, small, large):
     )
 
 
-def distance_lower_bound_details(P, Pbig, field, order=None):
-    """Distance bound together with the count behind each reduced point.
+def bounds_over_orders(P, Pbig, field, orders=None):
+    """BoundDetails for each monomial order, in the given order.
 
     For each reduced point m of P, counts the reduced points of Pbig
     whose difference from m satisfies every offset-difference
     inequality; the minimum count bounds the minimum distance from
-    below. Raises SurjectivityError unless Pbig is surjective over P.
+    below. Only the representative choice varies with the order.
+    Raises SurjectivityError unless Pbig is surjective over P.
     """
-    if order is None:
-        order = OrderSpec.lex()
+    q = field_size(field)
+    orders = stock_orders(P.dim) if orders is None else list(orders)
+    if not orders:
+        raise ValueError("empty order list")
     if not is_surjective(Pbig, P, field):
         raise SurjectivityError("enlarged polytope is not surjective over the base")
-    small = projective_reduction(P, field, order).representatives
-    large = _reduced_points(Pbig, field_size(field), order)
-    counts = _survivor_counts(offset_difference(Pbig, P), np.array(small, dtype=np.int64), large)
-    return BoundDetails(min(counts), order, small, counts)
+    region = offset_difference(Pbig, P)
+    details = []
+    for order in orders:
+        red = projective_reduction(P, q, order)
+        points, _, _, listed = red._sort
+        counts = _survivor_counts(region, points[listed], _reduced_points(Pbig, q, order))
+        details.append(BoundDetails(min(counts), order, red.representatives, counts))
+    return tuple(details)
+
+
+def distance_lower_bound_details(P, Pbig, field, order=None):
+    """bounds_over_orders for one order, lex by default."""
+    return bounds_over_orders(P, Pbig, field, [OrderSpec.lex() if order is None else order])[0]
 
 
 def distance_lower_bound(P, Pbig, field, order=None):
@@ -414,32 +435,11 @@ def distance_lower_bound(P, Pbig, field, order=None):
     return distance_lower_bound_details(P, Pbig, field, order).bound
 
 
-def bounds_over_orders(P, Pbig, field, orders=None):
-    """(order, bound) for each monomial order, in the given order.
-
-    Only the representative choice varies with the order.
-    """
-    q = field_size(field)
-    if orders is None:
-        orders = stock_orders(P.dim)
-    orders = list(orders)
-    if not orders:
-        raise ValueError("empty order list")
-    if not is_surjective(Pbig, P, field):
-        raise SurjectivityError("enlarged polytope is not surjective over the base")
-    region = offset_difference(Pbig, P)
-    bounds = []
-    for order in orders:
-        small, large = (_reduced_points(R, q, order) for R in (P, Pbig))
-        bounds.append((order, min(_survivor_counts(region, small, large))))
-    return tuple(bounds)
-
-
 def best_bound_over_orders(P, Pbig, field, orders=None):
     """(best bound, achieving order) over a set of monomial orders.
     Ties keep the earliest order."""
-    order, bound = max(bounds_over_orders(P, Pbig, field, orders), key=lambda ob: ob[1])
-    return bound, order
+    best = max(bounds_over_orders(P, Pbig, field, orders), key=lambda d: d.bound)
+    return best.bound, best.order
 
 
 def subcode_matrix(M, rows=None, cols=None):
@@ -461,5 +461,4 @@ def subcode_matrix(M, rows=None, cols=None):
         raise ValueError("column index out of range")
     if not rows or not cidx:
         raise ValueError("empty selection")
-    sub = M.codes[np.ix_([index[m] for m in rows], cidx)]
-    return tuple(tuple(row.tolist()) for row in sub)
+    return _tuples(M.codes[np.ix_([index[m] for m in rows], cidx)])

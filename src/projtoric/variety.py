@@ -123,20 +123,16 @@ class Flag:
     """A maximal chain of faces with its straightening data.
 
     chain holds one face of each dimension 0..dim, ending at the
-    polytope itself. facet_order lists the facets through the base
-    vertex, ordered so the first dim-j of them cut out the j-face.
-    normal_matrix stacks their normals; transform is the column
-    operation (Hermite transform with columns reversed) whose inverse
-    sends m - base_vertex to straightened coordinates, and
+    polytope itself. Stack the normals of the facets through the base
+    vertex, ordered so the first dim-j of them cut out the j-face;
+    inverse_transform inverts their Hermite column transform, columns
+    reversed, and sends m - base_vertex to straightened coordinates.
     hnf_diagonal records the diagonal of the Hermite form.
     """
 
     polytope: object
     chain: tuple
     base_vertex: tuple
-    facet_order: tuple
-    normal_matrix: tuple
-    transform: tuple
     inverse_transform: tuple
     hnf_diagonal: tuple
 
@@ -176,18 +172,13 @@ def flag_for_chain(P, chain):
         if len(dropped) != 1:
             raise HypothesisError("chain does not peel one facet per step")
         order.append(dropped.pop())
-    A = [list(P.normals[f]) for f in order]
-    H, T = hnf_lower(A)
-    transform = [[row[n - 1 - j] for j in range(n)] for row in T]
-    inverse = unimodular_inverse(transform)
+    H, T = hnf_lower([list(P.normals[f]) for f in order])
+    inverse = unimodular_inverse([row[::-1] for row in T])
     base = P.vertices[chain[0].vertex_indices[0]]
     return Flag(
         P,
         chain,
         base,
-        tuple(order),
-        tuple(tuple(r) for r in A),
-        tuple(tuple(r) for r in transform),
         tuple(tuple(r) for r in inverse),
         tuple(H[i][i] for i in range(n)),
     )
@@ -208,16 +199,23 @@ def straighten(flag, point):
 def build_flags(P, reverse=False):
     """A deterministic list of flags whose chains cover every face.
 
-    With reverse=True the sweep runs in the opposite canonical order,
-    which generally yields a different cover; comparing the two checks
-    that downstream results do not depend on the choice. Polygons get
-    a boundary walk (one flag per vertex); other dimensions a greedy
-    cover with a repair pass for faces the greedy sweep missed.
+    One greedy sweep: each vertex, in canonical order, starts a chain
+    that climbs through the first faces not yet covered, and a repair
+    pass emits a chain through any face the sweep missed. With
+    reverse=True the sweep runs in the opposite canonical order, which
+    generally yields a different cover; comparing the two checks that
+    downstream results do not depend on the choice.
+
+    On a polygon the cover is the boundary walk from the first vertex
+    towards its smaller neighbour (larger, with reverse), one flag per
+    vertex holding the edge to the next: with vertices indexed
+    lexicographically the boundary is two index-monotone chains from
+    vertex 0 to vertex r-1; on one chain every vertex takes the edge to
+    its larger neighbour, on the other the edge to its smaller one, and
+    vertex r-1 takes the one edge still uncovered.
     """
     if not P.is_simple():
         raise HypothesisError("flags require a simple polytope")
-    if P.dim == 2:
-        return _polygon_flags(P, reverse)
     faces = P.faces
     by_dim = [list(P.faces_of_dim(d)) for d in range(P.dim + 1)]
 
@@ -260,34 +258,6 @@ def build_flags(P, reverse=False):
     for f in ordered(faces):
         if f not in covered:
             emit(f)
-    return flags
-
-
-def _polygon_flags(P, reverse):
-    # walk the boundary cycle so r flags cover all r vertices and r edges
-    verts = P.faces_of_dim(0)
-    edges = P.faces_of_dim(1)
-    nbr = {}
-    for e in edges:
-        i, j = e.vertex_indices
-        nbr.setdefault(i, []).append(j)
-        nbr.setdefault(j, []).append(i)
-    pick = max if reverse else min
-    start = verts[-1].vertex_indices[0] if reverse else verts[0].vertex_indices[0]
-    cycle = [start]
-    cur, nxt = start, pick(nbr[start])
-    while nxt != start:
-        cycle.append(nxt)
-        cur, nxt = nxt, next(k for k in nbr[nxt] if k != cur)
-    by_vertex = {f.vertex_indices[0]: f for f in verts}
-    by_edge = {f.vertex_indices: f for f in edges}
-    top = P.faces[0]
-    flags = []
-    r = len(cycle)
-    for t in range(r):
-        a, b = cycle[t], cycle[(t + 1) % r]
-        edge = by_edge[tuple(sorted((a, b)))]
-        flags.append(flag_for_chain(P, (by_vertex[a], edge, top)))
     return flags
 
 

@@ -125,6 +125,38 @@ def test_bound_tie_keeps_earliest_order(capsys, tmp_path):
     )
 
 
+def test_bound_reads_the_document_order(capsys, tmp_path):
+    doc = write_doc(
+        tmp_path, "tie.json", vertices=[[0, 0], [2, -7], [7, 2], [9, -7]], q=4,
+        order="grlex",
+    )
+    code, out, _ = run(capsys, "bound", "--polytope", doc)
+    assert code == 0
+    assert out == "lambda = 4\nbound[grlex] = 1\nbest = 1 (grlex)\n"
+
+
+@pytest.mark.parametrize("order", ["bogus", "permlex:1,0,2", 5])
+def test_bound_refuses_a_bad_document_order(capsys, tmp_path, order):
+    # checked before the dilate search, which finds none under this cap
+    doc = write_doc(
+        tmp_path, "order.json", vertices=[[0, 0], [1, 0], [-2, 3]], q=4,
+        order=order, lambda_max=2,
+    )
+    code, out, err = run(capsys, "bound", "--polytope", doc)
+    assert code == 2
+    assert out == ""
+    assert "invalid input" in err
+
+
+@pytest.mark.parametrize("command", ["info", "matrix", "dim", "subcode"])
+@pytest.mark.parametrize("flag", [["--order", "lex"], ["--lambda-max", "4"]])
+def test_flags_of_bound_and_verify_only_exit_two(capsys, toy_doc, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.entry([command, "--polytope", toy_doc, *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_bound_hypothesis_failure_exit(capsys, quad_doc):
     code, out, err = run(capsys, "bound", "--polytope", quad_doc)
     assert code == 3
@@ -470,9 +502,11 @@ def test_fuzzed_documents_and_flags_exit_cleanly(tmp_path_factory, doc, command,
     path = tmp_path_factory.mktemp("fuzz") / "doc.json"
     path.write_text(json.dumps(doc))
     argv = [command, "--polytope", str(path)]
-    # flag=value, so that a value such as -1 is not read as a flag
+    # flag=value, so that a value such as -1 is not read as a flag; each
+    # subcommand gets only the flags it takes
+    takes = {"--cols": ("subcode",), "--rows": ("subcode",)}
     for flag, value in flags.items():
-        if command == "subcode" or flag not in ("--cols", "--rows"):
+        if command in takes.get(flag, ("bound", "verify")):
             argv += [flag + "=" + value]
     if command == "verify":  # keeps the exhaustive distance search small
         argv += ["--budget", "4096"]

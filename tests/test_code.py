@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import build_polygon_corpus
 from projtoric.cli import load_document
 from projtoric.code import (
     OrderSpec,
@@ -134,7 +135,12 @@ def test_structural_violations_name_the_flipped_entry(toy_triangle, q):
 DATA = Path(__file__).resolve().parent.parent / "data"
 
 # sha256 of json.dumps(entries); the quadrilateral fails H2 over its own
-# F7, so it is pinned over F5
+# F7, so it is pinned over F5. corpus7[i] is polygon i of
+# build_polygon_corpus(24, seed=7) over its corpus field, with the flags
+# of build_flags(P) and, under the suffix :reverse, build_flags(P, True).
+# Their digests were recorded while polygons took their flags from a
+# boundary walk, one flag per vertex; the greedy cover must match them.
+CORPUS7 = {f"corpus7[{i}]": P for i, (P, _) in enumerate(build_polygon_corpus(24, seed=7))}
 PINNED_MATRICES = [
     ("cube.json", 3, "26afb211cd4da20f35f23cf289effe69be7792819dd2680977d52c45f0035382"),
     ("hirzebruch_232.json", 7, "085a62da87a18d770ff8c7d6acb58d6ed1324e63e4d85344873456e3ba5a8836"),
@@ -144,12 +150,63 @@ PINNED_MATRICES = [
     ("unit_square.json", 3, "6f3408584129a245742662bd22f485f5dcfcc7a277c849259f843242d5291ada"),
     ("toy_triangle.json", 16, "d6dd49b4c6f0803c816514c8d7b435bd1669ffad7edb33675e4fcf12339b5568"),
 ]
+PINNED_CORPUS_MATRICES = [
+    ("corpus7[0]", 7, "49d5e6ca3cef38e2fd4b6d64c90ee9550dac6386d5794de38b93bd7d647af1cc"),
+    ("corpus7[0]:reverse", 7, "a652d7ac65d8729ed10aade955b6929e1a693b757f96cc995b6d6732f5c8fda9"),
+    ("corpus7[1]", 7, "eafa911c6e0dc9201f8b1201a1d94d17858e681f02c8f10b260bae0a9b2f63e1"),
+    ("corpus7[1]:reverse", 7, "225dc4cd5434f28cf574bc65844c2df4c729d8f6eb62124ffc153d979f897b02"),
+    ("corpus7[2]", 5, "798f55d7c1486e05776dc5746de31a542a1548b44f5ff0650c334ca5e2fd0970"),
+    ("corpus7[2]:reverse", 5, "9781391a5811c5face5a0ee205702eeab02ac71faebae6ac76baaf56189f5970"),
+    ("corpus7[3]", 7, "71cfab94fbcb324975a1a6e085e4a173843706deadf81eb5aa555e47d48ee491"),
+    ("corpus7[3]:reverse", 7, "a1ed36823730f6499d4e66a7fe34b71080fa796f3bdefcd46119d9e79b1bdf3d"),
+    ("corpus7[4]", 3, "a30ca9e3a8bcd94c5ad8189a9fa799132073d1f92b5a2e0be63283767293c3bf"),
+    ("corpus7[4]:reverse", 3, "16ceab26c10baafd6ae8712484dfd9233339a8c88ad223b13dc8e83f1d30a3f4"),
+    ("corpus7[5]", 5, "47fca29c0a68687c3972d61913ec133c02041d8fabcf85f3f69961010a96547e"),
+    ("corpus7[5]:reverse", 5, "41f94db0a2d3c9ca92fa0dc26bf0f66d7f5d348253b72cab6bca4d359da23ba7"),
+    ("corpus7[6]", 5, "954894deda32bf4a4637504fd4ec4ddf3570cd9782873c21218fba4f25511230"),
+    ("corpus7[6]:reverse", 5, "42cb8a4de15d4b6eddee3e1f20bc360fb3f849c6a85a870f4c205b827df4c9fa"),
+    ("corpus7[7]", 7, "f56ef52a23c06c266ff6a4ca9c7288c606925f7e271cccd9042e68f199ab1e81"),
+    ("corpus7[7]:reverse", 7, "ec7066986731c728220156c2137d60cf3e0f9b49153b7eb0fc837bdf3ddc1d5c"),
+    ("corpus7[8]", 7, "d2e89d8bb4f1634977e53f647d1ee329c0816d6d7b5e50abf51a361f4522b6c2"),
+    ("corpus7[8]:reverse", 7, "87e0c2bfc8ac3517914a74140315b4851cb72e4fe56ba68f13969b47c8de1b39"),
+    ("corpus7[9]", 7, "828f180ced2657b1230aba20b4d811ca2453e89c3094f23bf91755b21201ebb5"),
+    ("corpus7[9]:reverse", 7, "3894dcf9a6702079010fbad3dcec7aca6e86b4092856da56c391344c8ca16315"),
+    ("corpus7[10]", 7, "bc5f0bcb1d85fd8d623255621bc9a63bd64f7e37e564083725405c951a586daa"),
+    ("corpus7[10]:reverse", 7, "89ce9bb936a59e7cba6717aaf39a9f2ceb47094e0f1c633a04e0769887b4b999"),
+    ("corpus7[11]", 3, "3817557bc7351819a28d04d497ed509d56564a1274d34a0f3fdc9e2d7cc067ed"),
+    ("corpus7[11]:reverse", 3, "ce1efde5ec9c5ac1afea27032c71fd9032cb62ffe906b3dfdf8f00e690cb3486"),
+    ("corpus7[12]", 7, "6a431cc35250498b96dce65b32e0b2ee8bd1e26b8861d44e4fb30a9e4d54f8c4"),
+    ("corpus7[12]:reverse", 7, "8f728d29cb0a5989420f36e43532dc2b67cfaa679064e0b23a00f56a54221da2"),
+    ("corpus7[13]", 5, "56bbcc2d86b9b41548b2c15a4c84b65d279dcd81122490d813081955dda1bcc8"),
+    ("corpus7[13]:reverse", 5, "49372479a0bed5f4298a8f45c8c63d404557fb17ad46295d4b51e949c8209ce2"),
+    ("corpus7[14]", 3, "9e1310d3266567edcf3c19515ebf23137faa843cc781487cae4f439a548fa44d"),
+    ("corpus7[14]:reverse", 3, "63fa11be3484da1f140ed9d9c595512006a3473c5ff220e57ccf65c6e0dacf3b"),
+    ("corpus7[15]", 7, "a967508cd110a6b4c0df6d6a4cd4c5747c2939c3ffa4291c42ee001ba00a8e3b"),
+    ("corpus7[15]:reverse", 7, "39fa59a1a0b3b5b835039e1cb66c13690ec8142fe97b795350da165b8dddfeab"),
+    ("corpus7[16]", 5, "5485be7ee1878aac808ed3e0e8002abd039a654f6d613b5bb8c29fd1b6293fe4"),
+    ("corpus7[16]:reverse", 5, "d2b14fc411c436e5e7c1ded55c392d405ef03e5b8b21e41c1112dbaac351f9df"),
+    ("corpus7[17]", 4, "038a2d47a5ade72ec045c1f045a39527b474a3b525d89e268ff720d8b7fb718b"),
+    ("corpus7[17]:reverse", 4, "dc1760c56a0e3882c728a22f7b068f2488e39c7d10f742f6e220e10006cad69c"),
+    ("corpus7[18]", 5, "9cf2e17c9f9298d801c348f86da8d2357a47fbfd69804840cc54f6474227f716"),
+    ("corpus7[18]:reverse", 5, "d4a64fe2e7f051d35097536d6cd14d542ea7809713e5fbabac15e289c27bca9f"),
+    ("corpus7[19]", 5, "1937ee28ce50b014d6f9b412e16eccd5b10161fef83f35f08c685e92974a4eef"),
+    ("corpus7[19]:reverse", 5, "91d5b99a5298fd350d9c4bfa89636ec69b009287a0aa2651c427f7b507bc89c9"),
+    ("corpus7[20]", 3, "2c52cf9d3dc5f0c72f941756fdf1de4893d0dc3bf99e9a7e6dc00aa22dbb2c59"),
+    ("corpus7[20]:reverse", 3, "f33ba3778bd75b4bdcf0240b0f8120bc56b27ce97126899d95491610f0b27b0f"),
+    ("corpus7[21]", 5, "c15b5f718bbb73d063bacea543fc1c90649ea1b7e1e57069b29ebdd4d14400da"),
+    ("corpus7[21]:reverse", 5, "095c0f8a63a3e1f6b1ef8a0644f4f3988106122be532bf73b922ab6fc3d0e477"),
+    ("corpus7[22]", 3, "84fbc5f868a3156d1c0f23a3ed9c37ec30d0d8651dcc63d58e3f347a5c508385"),
+    ("corpus7[22]:reverse", 3, "8585b58a01d48ee605a7b0600369c7c0079575d407753c3e248d4ace9bd021d5"),
+    ("corpus7[23]", 7, "9c9c343b34397a7d10d3bc2ab269380d31814a26843c570bf17da6e899da19ff"),
+    ("corpus7[23]:reverse", 7, "b59c267d7fb84df14058aeef2b101ff9da3ded727d39c8627e38e18f9c0b5f32"),
+]
 
 
-@pytest.mark.parametrize("name,q,digest", PINNED_MATRICES)
+@pytest.mark.parametrize("name,q,digest", PINNED_MATRICES + PINNED_CORPUS_MATRICES)
 def test_generator_matrix_sha256_pinned(name, q, digest):
-    P, _ = load_document(DATA / name)
-    M = generator_matrix(P, GF(q))
+    key, _, reverse = name.partition(":")
+    P = CORPUS7[key] if key in CORPUS7 else load_document(DATA / key)[0]
+    M = generator_matrix(P, GF(q), flags=build_flags(P, reverse == "reverse"))
     entries = M.entries
     assert all(type(x) is int for row in entries for x in row)
     assert hashlib.sha256(json.dumps(entries).encode()).hexdigest() == digest
@@ -408,7 +465,7 @@ def test_int_field_sizes_build_no_tables(toy_triangle, monkeypatch):
     assert find_surjective_dilate(toy_triangle, 4096, 3) is None
     assert reduction_class_count_unionfind(toy_triangle, q) == 5
     P5 = toy_triangle.dilate(5)
-    assert [b for _, b in bounds_over_orders(toy_triangle, P5, 4)] == [8, 8, 8]
+    assert [d.bound for d in bounds_over_orders(toy_triangle, P5, 4)] == [8, 8, 8]
     assert distance_lower_bound_details(toy_triangle, P5, 4).bound == 8
     with pytest.raises(FieldError):
         projective_reduction(toy_triangle, 1 << 17)

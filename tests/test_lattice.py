@@ -188,10 +188,11 @@ def test_dilate_search_and_bounds_match_scalar_reference(case, q):
     assume(lam is not None)
     B = P.dilate(lam)
     expected = [ref_counts(P, B, q, order) for order in orders]
-    assert [b for _, b in bounds_over_orders(P, B, q, orders)] == [min(c) for _, c in expected]
-    for order, (small, counts) in zip(orders, expected):
-        details = distance_lower_bound_details(P, B, q, order)
-        assert (details.reduced, details.counts) == (small, counts)
+    every = bounds_over_orders(P, B, q, orders)
+    assert [d.bound for d in every] == [min(c) for _, c in expected]
+    for order, (small, counts), details in zip(orders, expected, every):
+        assert details == distance_lower_bound_details(P, B, q, order)
+        assert (details.order, details.reduced, details.counts) == (order, small, counts)
 
 
 @settings(deadline=None, max_examples=50, suppress_health_check=[HealthCheck.filter_too_much])
@@ -291,7 +292,7 @@ def test_4d_box_matches_scalar_reference(q):
     assert lam == next(k for k in range(1, 9) if ref_is_surjective(A.dilate(k), A, q))
     B = A.dilate(lam)
     expected = [min(ref_counts(A, B, q, order)[1]) for order in orders]
-    assert [b for _, b in bounds_over_orders(A, B, q, orders)] == expected
+    assert [d.bound for d in bounds_over_orders(A, B, q, orders)] == expected
 
 
 def test_order_keys_sort_like_the_scalar_keys():
@@ -320,7 +321,7 @@ def test_kernel_does_not_import_numpy_ma():
         "P = Polytope.from_vertices([(0, 0), (1, 0), (-2, 3)])\n"
         "assert dimension(P, 4) == 5\n"
         "lam = find_surjective_dilate(P, 4, 10)\n"
-        "assert [b for _, b in bounds_over_orders(P, P.dilate(lam), 4)] == [8, 8, 8]\n"
+        "assert [d.bound for d in bounds_over_orders(P, P.dilate(lam), 4)] == [8, 8, 8]\n"
         "print('numpy.ma' in sys.modules)\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
