@@ -2,7 +2,8 @@
 
 Reads polytope documents (JSON), runs the constructions, and emits
 matrices and parameter reports. Exit codes: 0 success, 1 verification
-failure, 2 validation error, 3 hypothesis failure, 4 budget refusal.
+failure, 2 validation error, 3 hypothesis failure or no surjective
+dilate up to the cap, 4 budget refusal.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import dataclasses
 import json
 import sys
 from collections import Counter
+from functools import cache
 
 import numpy as np
 
@@ -206,8 +208,8 @@ def cmd_bound(args):
     require_hypotheses(P, field.q)
     lam = find_surjective_dilate(P, field, lam_max)
     if lam is None:
-        print(f"lambda = none (no surjective dilate up to {lam_max})")
-        return 0
+        print(f"no surjective dilate up to {lam_max}", file=sys.stderr)
+        return 3
     print(f"lambda = {lam}")
     orders = stock_orders(P.dim) if order is None else [order]
     bounds = bounds_over_orders(P, P.dilate(lam), field, orders)
@@ -266,7 +268,7 @@ def cmd_verify(args):
             check("true distance below upper", d <= upper, f"{d} vs {upper}")
         else:
             print("skip exhaustive distance (over budget)")
-    return 1 if failures else 0
+    return 1 if failures else 3 if lam is None else 0
 
 
 def cmd_subcode(args):
@@ -290,6 +292,7 @@ def cmd_subcode(args):
     return 0
 
 
+@cache  # one parser per process: parse_args leaves it as it was
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="projtoric",

@@ -11,9 +11,12 @@ table for addition, back the array operations vadd, vmul and vneg.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
+
+
+CAP = 1 << 17  # float entries of one temporary of a product chunk
 
 
 class FieldError(ValueError):
@@ -122,9 +125,9 @@ def canonical_modulus(p, k):
 class GF:
     """The finite field with q = p^k elements, q <= 2^16.
 
-    add/sub work digitwise in base p; mul, inv, and pow run off
-    exp/log tables for the canonical generator. units lists the
-    nonzero elements in generator-power order g^0, g^1, ..., g^{q-2}.
+    inv runs off exp/log tables for the canonical generator. units
+    lists the nonzero elements in generator-power order g^0, g^1, ...,
+    g^{q-2}.
 
     vadd, vmul and vneg act elementwise on numpy code arrays, with
     broadcasting, and return uint16 arrays. With S = 2q as the log of 0:
@@ -184,40 +187,11 @@ class GF:
             raise FieldError(f"{a!r} is not an element code of GF({self.q})")
         return a
 
-    def add(self, a, b):
-        self._check(a)
-        self._check(b)
-        p, k = self.p, self.k
-        return _undigits([(x + y) % p for x, y in zip(_digits(a, p, k), _digits(b, p, k))], p)
-
-    def neg(self, a):
-        self._check(a)
-        return _undigits([-x % self.p for x in _digits(a, self.p, self.k)], self.p)
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def mul(self, a, b):
-        self._check(a)
-        self._check(b)
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
-
     def inv(self, a):
         self._check(a)
         if a == 0:
             raise FieldError("0 has no multiplicative inverse")
         return self._exp[(-self._log[a]) % (self.q - 1)]
-
-    def pow(self, a, e):
-        """a**e for any integer e; negative e uses the inverse."""
-        self._check(a)
-        if a == 0:
-            if e < 0:
-                raise FieldError("0 cannot be raised to a negative power")
-            return 1 if e == 0 else 0
-        return self._exp[(self._log[a] * e) % (self.q - 1)]
 
     def vmul(self, a, b):
         """Elementwise a*b of code arrays."""
@@ -229,44 +203,56 @@ class GF:
         return self.exp_table[la + self.zech_table[self.log_table[b] - la + 2 * self.q]]
 
     def vaddmatmul(self, c, a, b):
-        """c + a @ b for code matrices a (m x t), b (t x w), c (m x w or a
-        code): a's base-p digits times the digits of x^i * b (b's digits
-        times the rows of x^s mod the modulus, mod p) in float64, plus c's
-        digits, mod p. Sums stay below t k (p-1)^2 + p < 2^53 for t < 2^21.
-        """
+        """c + a @ b for code matrices a (m x t), b (t x w) and c (m x w,
+        a row or a code). The operand with fewer entries, say a, goes into
+        shifted digit planes, digit l of a b being the sum over j of b_j
+        times digit l of x^j a (a's digits times the rows of x^s mod the
+        modulus), whose product with b's digits, plus c's, is reduced mod
+        p. Sums stay below t k (p-1)^2 + p: exact in float32 below 2^24,
+        in float64 below 2^53. Chunks of terms, rows and columns keep each
+        float temporary within CAP entries."""
         p, k = self.p, self.k
         (m, t), w = a.shape, b.shape[1]
         bound = t * k * (p - 1) ** 2 + p
         if bound >= 1 << 53:
             raise FieldError(f"a product over {t} terms is not exact in float64")
-        if k == 1:  # prime q: the codes are their own digits
-            sums = (a @ b.astype(np.float64) + c)[..., None]
-        else:  # shifts[j, i, :, l] = digit l of x^i * b[j, :]
-            shifts = (self._planes(b)[:, None] @ self._folds).astype(np.int32)
-            shifts -= shifts // p * p
-            sums = self._planes(a).reshape(m, t * k) @ shifts.reshape(t * k, w * k)
-            sums = sums.reshape(m, w, k) + self._planes(c)
-        digits = sums.astype(np.int32 if bound < 1 << 31 else np.int64)
-        digits -= digits // p * p  # floor division by p is far faster than %
-        codes = digits[..., k - 1]
-        for i in range(k - 2, -1, -1):
-            codes = codes * p + digits[..., i]
-        return codes.astype(np.uint16)
+        dt, it = (np.float32, np.int32) if bound < 1 << 24 else (np.float64, np.int64)
+        res = np.broadcast_to(np.asarray(c, np.uint16), (m, w)).copy()
+        x, y, out = (a, b, res) if m <= w else (b.T, a.T, res.T)  # x is expanded
+        tc = max(1, min(t, CAP // k ** 2))
+        rc = max(1, min(len(x), CAP // (k ** 2 * tc)))
+        wc = max(1, CAP // (k * max(tc, rc)))
+        for s in range(0, t, tc):
+            for r in range(0, len(x), rc):
+                planes = self._planes(x[r:r + rc, s:s + tc], dt)
+                rows, terms = planes.shape[1:]
+                shifted = np.fmod(self._shifts.astype(dt) @ planes.reshape(k, -1), p)  # exact
+                shifted = shifted.reshape(k, k, rows, terms).swapaxes(1, 2).reshape(k * rows, -1)
+                for j in range(0, y.shape[1], wc):
+                    part = out[r:r + rc, j:j + wc]
+                    sums = shifted @ self._planes(y[s:s + tc, j:j + wc], dt).reshape(k * terms, -1)
+                    digits = (sums.reshape(k, rows, -1) + self._planes(part, dt)).astype(it)
+                    digits -= digits // p * p  # floor division by p is far faster than %
+                    part[...] = reduce(lambda acc, digit: acc * p + digit, digits[::-1])
+        return res
 
-    def _planes(self, codes):
-        """Base-p digits of a code array as float64, on a new last axis."""
-        return np.take(self._digit_table, codes, axis=0).astype(np.float64)
+    def _planes(self, codes, dt):
+        """Base-p digits of a code array as floats, on a new first axis."""
+        if self.k == 1:  # prime q: the codes are their own digits
+            return codes.astype(dt)[None]
+        return np.take(self._digit_table, codes, axis=1).astype(dt, copy=False)
 
     @cached_property
-    def _digit_table(self):
+    def _digit_table(self):  # [l, a]: digit l of a
         p, k = self.p, self.k
-        return (np.arange(self.q)[:, None] // p ** np.arange(k) % p).astype(np.uint16)
+        return (np.arange(self.q) // p ** np.arange(k)[:, None] % p).astype(np.float32)
 
     @cached_property
-    def _folds(self):  # [i, j]: the digits of x^(i + j) mod the modulus
+    def _shifts(self):  # [l, j, i]: digit l of x^(i + j) mod the modulus
         p, k = self.p, self.k
-        return np.array([[_poly_mulmod([1], [0] * (i + j) + [1], self.modulus, p, k)
-                          for j in range(k)] for i in range(k)])
+        powers = [[_poly_mulmod([1], [0] * (i + j) + [1], self.modulus, p, k) for j in range(k)]
+                  for i in range(k)]
+        return np.array(powers, np.float32).T.reshape(k * k, k)
 
     def vneg(self, a):
         """Elementwise -a of a code array."""

@@ -32,7 +32,7 @@ class BudgetExceededError(Exception):
     """Raised when an exhaustive search would enumerate too many words."""
 
 
-PANEL = 32  # columns eliminated per trailing-update product
+LEAF = 8  # widest column range the recursion leaves to the row loop
 
 
 def _chunks(count, width):
@@ -47,57 +47,79 @@ def _leads(rows, col, n):
     return np.where(nonzero.any(axis=1), col + nonzero.argmax(axis=1), n)
 
 
+def _loop(W, field, record):
+    """The row loop of _eliminate, rows updated on W's columns and on H's.
+    For prime q an update is one int64 multiply-add reduced by floor
+    division: (p-1)^2 + (p-1) is past int32 at p = 65521."""
+    p, width = field.p, W.shape[1]
+    X = np.concatenate([W, np.zeros((len(W), min(W.shape) if record else 0), np.uint16)], axis=1)
+    lead, pivots = _leads(W, 0, width), []
+    while (col := int(lead.min(initial=width))) < width:
+        hits = np.flatnonzero(lead == col)
+        piv, update = hits[0], hits[1:]
+        slot = width + len(pivots)
+        pivots.append(piv)
+        lead[piv] = width
+        X[piv, slot:slot + 1] = 1  # the pivot row as it stood joins its update
+        prow, inv = X[piv, col:], field.inv(int(X[piv, col]))
+        if field.k == 1:
+            rows = X[update, col, None].astype(np.int64) * (p - inv) % p * prow
+            rows += X[update, col:]
+            rows -= rows // p * p
+        else:
+            scale = field.vneg(field.vmul(X[update, col, None], inv))
+            rows = field.vadd(X[update, col:], field.vmul(scale, prow))
+        X[update, col:] = rows
+        lead[update] = _leads(rows[:, :width - col], col, width)
+        X[piv, slot:slot + 1] = 0
+    W[...] = X[:, :width]
+    return np.array(pivots, np.intp), X[:, width:width + len(pivots)]
+
+
+def _eliminate(W, field, record, leaf=LEAF):
+    """Eliminates W's columns in place, all rows pending, by the rule of
+    row_basis. Returns the pivot rows in column order and, if record, H:
+    on any columns further right W's rows end as they began plus H @ (the
+    pivot rows as they began). Past leaf columns the left half goes
+    first, the right half takes rows += H_L @ (left pivot rows) and goes
+    next, and H = [H_L + H_R H_L[right pivots], H_R] (FFLAS-FFPACK)."""
+    width = W.shape[1]
+    if width <= leaf or not len(W):
+        return _loop(W, field, record)
+    h = width // 2
+    left = np.flatnonzero(W[:, :h].any(axis=1))
+    L = W[left, :h]
+    pl, HL = _eliminate(L, field, True)
+    W[left, :h] = L
+    pl, moved = left[pl], HL.any(axis=1)
+    W[left[moved], h:] = field.vaddmatmul(W[left[moved], h:], HL[moved], W[pl, h:])
+    right = np.setdiff1d(np.flatnonzero(W[:, h:].any(axis=1)), pl)  # pending, nonzero
+    R = W[right, h:]
+    pr, HR = _eliminate(R, field, record)
+    W[right, h:] = R
+    pivots = np.concatenate([pl, right[pr]])
+    if not record:
+        return pivots, None
+    H = np.zeros((len(W), len(pivots)), np.uint16)
+    H[left, :len(pl)] = HL
+    H[right, len(pl):] = HR
+    H[right, :len(pl)] = field.vaddmatmul(H[right, :len(pl)], HR, H[right[pr], :len(pl)])
+    return pivots, H
+
+
 def row_basis(entries, field):
     """Row echelon basis over GF(q): at each column the first pending row
     (in input order) nonzero there becomes a basis row and is subtracted
-    from the others nonzero there. Columns go in panels of PANEL; inside
-    one, rows change on its columns and on H, their multiples of its
-    pivot rows as they began it; later columns then take rows += H @ pivots.
-    The last 4 PANEL columns are one panel with no H and no product.
-    entries is any 2D array-like of element codes and is not written;
-    the basis comes back as a new uint16 array, one row per basis row."""
+    from the others nonzero there. Columns are halved recursively down to
+    LEAF (16 LEAF for the whole matrix), each update between halves being
+    one GF.vaddmatmul. entries is any 2D array-like of element codes and
+    is not written; the basis is a new uint16 array, in pivot order."""
     field = as_field(field)
     A = np.array(entries, dtype=np.uint16, ndmin=2)
     if not A.size:
         return A[:0]
-    n = A.shape[1]
-    lead = _leads(A, 0, n)
-    basis = []
-    while (c0 := int(lead.min())) < n:
-        c1 = n if n - c0 <= 4 * PANEL else c0 + PANEL
-        width, act = c1 - c0, np.flatnonzero(lead < c1)
-        hw = width if c1 < n else 0  # the columns of H; the last panel has none
-        W = np.concatenate([A[act, c0:c1], np.zeros((len(act), hw), np.uint16)], axis=1)
-        wlead = lead[act] - c0
-        pivots = []
-        while (col := int(wlead.min())) < width:
-            hits = np.flatnonzero(wlead == col)
-            piv, update = hits[0], hits[1:]
-            slot = width + len(pivots)
-            pivots.append(piv)
-            wlead[piv] = width
-            W[piv, slot:slot + 1] = 1  # the pivot row as it stood joins its update
-            prow = W[piv, col:]
-            scale = field.vneg(field.vmul(W[update, col], field.inv(int(prow[0]))))
-            for part in _chunks(len(update), width + hw - col):
-                rows = update[part]
-                W[rows, col:] = field.vadd(W[rows, col:], field.vmul(scale[part, None], prow))
-                wlead[rows] = _leads(W[rows, col:width], col, width)
-            W[piv, slot:slot + 1] = 0
-        A[act, c0:c1] = W[:, :width]
-        touched = np.flatnonzero(W[:, width:].any(axis=1))
-        rows, H = act[touched], W[touched, width:width + len(pivots)]
-        lead[act] = n
-        # column chunks keep the product's output and digit planes of B within 2^14 entries
-        for cols in _chunks(n - c1 if len(rows) else 0,
-                            4 * field.k * max(len(rows), field.k * len(pivots))):
-            cols = slice(c1 + cols.start, c1 + cols.stop)
-            block = field.vaddmatmul(A[rows, cols], H, A[act[pivots], cols])
-            A[rows, cols] = block
-            lead[rows] = np.minimum(lead[rows], _leads(block, cols.start, n))
-        lead[act[pivots]] = n
-        basis += act[pivots].tolist()
-    return A[basis]
+    pivots, _ = _eliminate(A, field, False, 16 * LEAF)
+    return A[pivots]
 
 
 def rank_gf(entries, field):
@@ -172,8 +194,7 @@ def min_weight_random_upper(entries, field, iterations=200, seed=0):
             c[rng.randrange(len(c))] = 1 + rng.randrange(q - 1)
         coeffs.append(c)
     C = np.array(coeffs, dtype=np.uint16).reshape(-1, k)
-    return min((int(np.count_nonzero(field.vaddmatmul(0, C[part], B), axis=1).min())
-                for part in _chunks(len(C), 4 * field.k * n)), default=n)
+    return int(np.count_nonzero(field.vaddmatmul(0, C, B), axis=1).min(initial=n))
 
 
 def reduction_class_count_unionfind(P, field):

@@ -165,11 +165,50 @@ def test_bound_hypothesis_failure_exit(capsys, quad_doc):
 
 
 def test_bound_without_dilate(capsys, toy_doc):
-    code, out, _ = run(
+    code, out, err = run(
         capsys, "bound", "--polytope", toy_doc, "--lambda-max", "2"
     )
+    assert code == 3
+    assert out == ""
+    assert "no surjective dilate up to 2" in err
+
+
+def test_no_surjective_dilate_under_the_default_cap_exits_three(capsys, tmp_path):
+    # the toy triangle over F16 has lambda = 21, past the default cap of 16
+    path = write_doc(tmp_path, "toy16.json", vertices=[[0, 0], [1, 0], [-2, 3]], q=16)
+    assert run(capsys, "bound", "--polytope", path) == (3, "", "no surjective dilate up to 16\n")
+    code, out, _ = run(capsys, "verify", "--polytope", path)
+    assert code == 3
+    assert "FAIL" not in out
+    assert out.endswith(
+        "ok   Pick's theorem\nskip distance bound (no surjective dilate in range)\n"
+    )
+    code, out, _ = run(capsys, "verify", "--polytope", path, "--inject-corruption")
+    assert code == 1
+    assert "FAIL block triangularity" in out
+    code, out, _ = run(capsys, "bound", "--polytope", path, "--lambda-max", "21")
     assert code == 0
-    assert "lambda = none (no surjective dilate up to 2)" in out
+    assert "lambda = 21" in out
+
+
+def test_parser_is_built_once_and_keeps_no_flags(capsys, toy_doc):
+    # toy_doc's code has q^k = 4^5 words: the exhaustive distance runs
+    # under the default budget and is refused under 4 with --require-distance
+    assert cli.build_parser() is cli.build_parser()
+    plain = run(capsys, "verify", "--polytope", toy_doc)
+    assert plain[0] == 0
+    assert "ok   bound below true distance" in plain[1]
+    code, _, err = run(
+        capsys, "verify", "--polytope", toy_doc, "--require-distance", "--budget", "4"
+    )
+    assert code == 4
+    assert "budget refusal" in err
+    assert run(capsys, "verify", "--polytope", toy_doc) == plain
+    with pytest.raises(SystemExit) as exc:
+        cli.entry(["verify", "--polytope", toy_doc, "--budget", "many"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, "verify", "--polytope", toy_doc) == plain
 
 
 def test_verify_clean(capsys, toy_doc):
@@ -400,9 +439,9 @@ def test_document_lambda_cap_is_used(capsys, tmp_path):
         tmp_path, "cap.json", vertices=[[0, 0], [1, 0], [-2, 3]], q=4,
         lambda_max=2,
     )
-    code, out, _ = run(capsys, "bound", "--polytope", path)
-    assert code == 0
-    assert out == "lambda = none (no surjective dilate up to 2)\n"
+    code, out, err = run(capsys, "bound", "--polytope", path)
+    assert code == 3
+    assert (out, err) == ("", "no surjective dilate up to 2\n")
     code, out, _ = run(capsys, "bound", "--polytope", path, "--lambda-max", "5")
     assert code == 0
     assert "lambda = 5" in out

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import build_polygon_corpus
+from reference import mul
 from projtoric.cli import load_document
 from projtoric.code import (
     OrderSpec,
@@ -247,7 +248,7 @@ def _lead_normalized_columns(entries, field):
         lead = next((x for x in col if x), None)
         assert lead is not None
         s = field.inv(lead)
-        cols.append(tuple(field.mul(s, x) for x in col))
+        cols.append(tuple(mul(field, s, x) for x in col))
     return sorted(cols)
 
 

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from projtoric import gf
 from projtoric.gf import (
     GF,
     FieldError,
@@ -14,7 +15,8 @@ from projtoric.gf import (
     field_size,
     prime_power,
 )
-from projtoric.oracle import PANEL
+
+from reference import add, mul, neg, power
 
 
 def test_prime_power_decomposition():
@@ -55,34 +57,34 @@ def test_units_frozen():
     units = F4.units
     assert sorted(units) == [1, 2, 3]
     for u in units:
-        assert F4.mul(F4.mul(u, u), u) == 1  # cubes of units are 1
+        assert mul(F4, mul(F4, u, u), u) == 1  # cubes of units are 1
 
 
 def test_arithmetic_frozen_values():
     F7 = GF(7)
-    assert F7.mul(3, 5) == 1
+    assert mul(F7, 3, 5) == 1
     F4 = GF(4)
-    assert F4.mul(2, 2) == 3
-    assert F4.pow(2, -1) == 3
-    assert F4.add(2, 2) == 0  # characteristic 2
+    assert mul(F4, 2, 2) == 3
+    assert power(F4, 2, -1) == 3
+    assert add(F4, 2, 2) == 0  # characteristic 2
 
 
 def test_pow_conventions():
     F5 = GF(5)
-    assert F5.pow(0, 0) == 1
-    assert F5.pow(0, 3) == 0
-    assert F5.pow(2, -1) == 3
+    assert power(F5, 0, 0) == 1
+    assert power(F5, 0, 3) == 0
+    assert power(F5, 2, -1) == 3
     with pytest.raises(FieldError):
-        F5.pow(0, -1)
+        power(F5, 0, -1)
 
 
 def test_inverse_and_negation():
     for q in (2, 3, 4, 5, 7, 8, 9, 16):
         F = GF(q)
         for a in range(1, q):
-            assert F.mul(a, F.inv(a)) == 1
+            assert mul(F, a, F.inv(a)) == 1
         for a in range(q):
-            assert F.add(a, F.neg(a)) == 0
+            assert add(F, a, neg(F, a)) == 0
         with pytest.raises(FieldError):
             F.inv(0)
 
@@ -91,10 +93,10 @@ def test_frobenius_fixes_every_element():
     for q in (2, 3, 4, 8, 9, 16):
         F = GF(q)
         for a in range(q):
-            assert F.pow(a, q) == a or a == 0
+            assert power(F, a, q) == a or a == 0
             acc = 1
             for _ in range(q):
-                acc = F.mul(acc, a)
+                acc = mul(F, acc, a)
             assert acc == (a if a else 0)
 
 
@@ -103,12 +105,12 @@ def test_field_axioms_exhaustive_small():
         F = GF(q)
         for a in range(q):
             for b in range(q):
-                assert F.add(a, b) == F.add(b, a)
-                assert F.mul(a, b) == F.mul(b, a)
+                assert add(F, a, b) == add(F, b, a)
+                assert mul(F, a, b) == mul(F, b, a)
                 for c in range(q):
-                    assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
-                    assert F.add(a, F.add(b, c)) == F.add(F.add(a, b), c)
-                    assert F.mul(a, F.mul(b, c)) == F.mul(F.mul(a, b), c)
+                    assert mul(F, a, add(F, b, c)) == add(F, mul(F, a, b), mul(F, a, c))
+                    assert add(F, a, add(F, b, c)) == add(F, add(F, a, b), c)
+                    assert mul(F, a, mul(F, b, c)) == mul(F, mul(F, a, b), c)
 
 
 def test_generator_has_full_order():
@@ -119,7 +121,7 @@ def test_generator_has_full_order():
         x = 1
         for _ in range(q - 1):
             seen.add(x)
-            x = F.mul(x, g)
+            x = mul(F, x, g)
         assert len(seen) == q - 1
         assert x == 1
 
@@ -129,15 +131,15 @@ def test_units_are_generator_powers_in_order():
     units = F.units
     assert units[0] == 1
     for a, b in zip(units, units[1:]):
-        assert F.mul(a, F.generator) == b
+        assert mul(F, a, F.generator) == b
 
 
 def test_out_of_range_codes_rejected():
     F = GF(4)
     with pytest.raises(FieldError):
-        F.add(4, 0)
+        add(F, 4, 0)
     with pytest.raises(FieldError):
-        F.mul(-1, 2)
+        mul(F, -1, 2)
 
 
 def test_as_field_roundtrip():
@@ -164,7 +166,7 @@ def assert_array_ops_match(F, a, b):
     for x, y, s, m, n in zip(
         a.tolist(), b.tolist(), sums.tolist(), prods.tolist(), negs.tolist()
     ):
-        assert (s, m, n) == (F.add(x, y), F.mul(x, y), F.neg(x)), (F, x, y)
+        assert (s, m, n) == (add(F, x, y), mul(F, x, y), neg(F, x)), (F, x, y)
 
 
 def test_array_ops_match_scalar_exhaustively():
@@ -181,7 +183,7 @@ def test_array_ops_match_scalar_sampled(gf65536):
         # x + (-x) and x + x exercise the zero and doubling rows of the
         # Zech table
         a += a[:200] * 2
-        b += [F.neg(x) for x in a[:200]] + a[:200]
+        b += [neg(F, x) for x in a[:200]] + a[:200]
         assert_array_ops_match(F, np.array(a), np.array(b))
 
 
@@ -190,8 +192,8 @@ def test_array_ops_broadcast_and_scalar_arguments():
     col = np.arange(9)[:, None]
     table = F.vmul(col, np.arange(9)[None, :])
     assert table.shape == (9, 9)
-    assert F.vmul(3, np.arange(9)).tolist() == [F.mul(3, x) for x in range(9)]
-    assert int(F.vadd(4, 5)) == F.add(4, 5)
+    assert F.vmul(3, np.arange(9)).tolist() == [mul(F, 3, x) for x in range(9)]
+    assert int(F.vadd(4, 5)) == add(F, 4, 5)
 
 
 def scalar_powers(F, g):
@@ -239,7 +241,7 @@ def test_tables_match_scalar_construction():
         # zech_table[d + S] = log(1 + g^d), S when that sum is 0
         zech = [d for d in range(-S, -(q - 2))]
         for d in range(-(q - 2), q - 1):
-            one_plus = F.add(1, exp[d % (q - 1)])
+            one_plus = add(F, 1, exp[d % (q - 1)])
             zech.append(log[one_plus] if one_plus else S)
         zech += [0] * (2 * q + 1 - (q - 1))
         assert F.zech_table.dtype == np.int32 and F.zech_table.tolist() == zech, q
@@ -272,7 +274,7 @@ def vaddmatmul_reference(F, c, a, b):
 def test_vaddmatmul_matches_vadd_vmul(gf65536):
     rng = np.random.default_rng(4)
     for F in [GF(q) for q in prime_powers(32)] + [GF(257), GF(4096), gf65536]:
-        for m, t, w in ((1, 1, 1), (9, PANEL, 13), (30, 3, 7), (4, 2 * PANEL, 2)):
+        for m, t, w in ((1, 1, 1), (9, 32, 13), (30, 3, 7), (4, 64, 2)):
             a, b, c = (rng.integers(0, F.q, shape) for shape in ((m, t), (t, w), (m, w)))
             got = F.vaddmatmul(c, a, b)
             assert got.dtype == np.uint16
@@ -283,16 +285,46 @@ def test_vaddmatmul_matches_vadd_vmul(gf65536):
 def test_vaddmatmul_exact_at_largest_prime():
     # every sum takes its largest value: (p-1) + t (p-1)^2 = t - 1 mod p
     F, p = GF(65521), 65521
-    for t in (PANEL, 2 * PANEL):
+    for t in (32, 64):
         a, b = np.full((3, t), p - 1), np.full((t, 4), p - 1)
         got = F.vaddmatmul(np.full((3, 4), p - 1), a, b)
         assert (got == t - 1).all()
         assert np.array_equal(got, vaddmatmul_reference(F, p - 1, a, b))
     # the largest p with k = 2: all digits p - 1 over many terms
     E = GF(251 ** 2)
-    a, b = np.full((2, 8 * PANEL), E.q - 1), np.full((8 * PANEL, 3), E.q - 1)
+    a, b = np.full((2, 256), E.q - 1), np.full((256, 3), E.q - 1)
     assert np.array_equal(E.vaddmatmul(E.q - 1, a, b), vaddmatmul_reference(E, E.q - 1, a, b))
+    # float32 is exact while the sums stay below 2^24: 255 (p-1)^2 + p
+    # is below it at p = 257, 256 (p-1)^2 + p past it
+    G = GF(257)
+    for t in (255, 256):
+        a, b = np.full((3, t), 256), np.full((t, 4), 256)
+        assert (G.vaddmatmul(np.full((3, 4), 256), a, b) == t - 1).all()
     # above about 2^21 terms the sums could pass 2^53
     wide = np.broadcast_to(np.uint16(0), (1, 1 << 22))
     with pytest.raises(FieldError, match="not exact"):
         F.vaddmatmul(0, wide, wide.T)
+
+
+def scalar_vaddmatmul(F, c, a, b):
+    """c + a @ b by scalar add and mul, one term at a time."""
+    out = np.broadcast_to(c, (a.shape[0], b.shape[1])).tolist()
+    for i, row in enumerate(a.tolist()):
+        for j, col in enumerate(b.T.tolist()):
+            for x, y in zip(row, col):
+                out[i][j] = add(F, out[i][j], mul(F, x, y))
+    return out
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 256])
+@pytest.mark.parametrize("cap", [gf.CAP, 97])
+def test_vaddmatmul_expands_either_operand(q, cap, monkeypatch):
+    # m <= w expands a, m > w expands b; a cap of 97 float entries
+    # splits every product into chunks of terms, rows and columns
+    monkeypatch.setattr(gf, "CAP", cap)
+    F, rng = GF(q), np.random.default_rng(q)
+    for m, t, w in ((3, 17, 40), (40, 17, 3), (21, 9, 21), (1, 70, 2), (6, 0, 5)):
+        a, b = rng.integers(0, q, (m, t)), rng.integers(0, q, (t, w))
+        for c in (0, rng.integers(0, q, w), rng.integers(0, q, (m, w))):
+            got = F.vaddmatmul(c, a, b)
+            assert got.tolist() == scalar_vaddmatmul(F, c, a, b), (m, t, w)

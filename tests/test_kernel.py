@@ -20,6 +20,7 @@ from projtoric.polytope import Polytope, PolytopeError
 from projtoric.variety import build_flags, check_hypotheses, flag_assignment
 
 from conftest import anchored
+from reference import mul, power
 
 
 def on_face(P, Q, m):
@@ -38,7 +39,7 @@ def scalar_rows(points, exponents, k, field, on=lambda m: True):
         for x in cols:
             val = 1
             for base, exp in zip(x, e):
-                val = field.mul(val, field.pow(base, exp))
+                val = mul(field, val, power(field, base, exp))
             row.append(val)
         rows.append(tuple(row))
     return tuple(rows)

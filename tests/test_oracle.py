@@ -23,7 +23,7 @@ from projtoric.cli import load_document
 from projtoric.code import generator_matrix
 from projtoric.gf import GF
 from projtoric.oracle import (
-    PANEL,
+    LEAF,
     BudgetExceededError,
     _exhaustive,
     min_distance_exhaustive,
@@ -35,6 +35,7 @@ from projtoric.oracle import (
 )
 from projtoric.polytope import Polytope, PolytopeError
 
+from reference import add, mul, sub
 from test_code import DATA, PINNED_MATRICES
 
 
@@ -54,8 +55,8 @@ def row_basis_reference(entries, field):
         rest = []
         for r in pending:
             if r[col] != 0:
-                c = field.mul(r[col], inv)
-                r = [field.sub(x, field.mul(c, y)) for x, y in zip(r, prow)]
+                c = mul(field, r[col], inv)
+                r = [sub(field, x, mul(field, c, y)) for x, y in zip(r, prow)]
             rest.append(r)
         basis.append(prow)
         pending = rest
@@ -74,7 +75,7 @@ def exhaustive_reference(basis, field):
         for c, row in zip(coeffs, basis):
             if c == 0:
                 continue
-            word = [field.add(w, field.mul(c, x)) for w, x in zip(word, row)]
+            word = [add(field, w, mul(field, c, x)) for w, x in zip(word, row)]
         wt = sum(1 for w in word if w != 0)
         if wt < best:
             best = wt
@@ -178,49 +179,55 @@ def test_row_basis_fixes_data_bases():
 def combination(field, coeffs, rows):
     out = [0] * len(rows[0])
     for c, row in zip(coeffs, rows):
-        out = [field.add(x, field.mul(c, y)) for x, y in zip(out, row)]
+        out = [add(field, x, mul(field, c, y)) for x, y in zip(out, row)]
     return out
 
 
-def panel_cases(rng, field):
-    """Matrices whose elimination crosses panel boundaries. The last
-    4 PANEL columns form one panel, so a matrix needs more columns than
-    that for a second panel."""
-    q, n = field.q, 5 * PANEL + 9
+def recursion_cases(rng, field):
+    """Matrices wider than the 16 LEAF columns that row_basis eliminates
+    as one range, so that it halves their columns recursively: every
+    column half and the H records of both halves meet these cases."""
+    q, n = field.q, 16 * LEAF + 41
 
     def rnd(cols):
         return [rng.randrange(q) for _ in range(cols)]
 
-    # one panel at the widest, two panels, three panels
-    yield random_entries(rng, q, 8, 4 * PANEL)
-    yield random_entries(rng, q, 8, 4 * PANEL + 1)
-    yield random_entries(rng, q, 12, n)
-    # zero columns wider than the last panel between two nonzero blocks:
-    # the first panel holds pivots in its first columns only
-    yield [rnd(5) + [0] * (4 * PANEL + 3) + rnd(7) for _ in range(9)]
-    # tall and rank deficient: 40 combinations of 3 rows
-    base = [rnd(n) for _ in range(3)]
-    yield [combination(field, rnd(3), base) for _ in range(40)]
-    # rows equal to a pivot row inside the first panel and zero after
-    # it, which become nonzero there only through the trailing update
+    # one range at the widest, then recursion
+    yield random_entries(rng, q, 8, 16 * LEAF)
+    yield random_entries(rng, q, 8, 16 * LEAF + 1)
+    yield random_entries(rng, q, 12, 300)
+    # combinations of a staircase, whose rows lead every 47th column:
+    # pivots fall in leaves all across the width, with rows to update
+    stairs = [[0] * (47 * i) + [1 + rng.randrange(q - 1)] + rnd(599 - 47 * i) for i in range(12)]
+    yield [combination(field, rnd(12), stairs) for _ in range(14)]
+    # zero columns and zero rows between nonzero blocks, repeated rows
+    rows = [rnd(5) + [0] * (16 * LEAF + 3) + rnd(7) + [0] * 40 + rnd(3) for _ in range(7)]
+    yield [row for pair in zip(rows, [[0] * len(rows[0])] * 7, rows[::-1]) for row in pair]
+    # tall and wide, rank deficient: combinations of a few rows
+    base = [rnd(16 * LEAF + 3) for _ in range(3)]
+    yield [combination(field, rnd(3), base) for _ in range(135)]
+    base = [rnd(600) for _ in range(3)]
+    yield [combination(field, rnd(3), base) for _ in range(6)]
+    # rows equal to a pivot row on its first columns and zero after
+    # them, which become nonzero there only through the trailing update
     top = [1 + rng.randrange(q - 1)] + rnd(n - 1)
-    yield [top, top[:PANEL] + [0] * (n - PANEL), top[:3] + [0] * (n - 3), rnd(n)]
-    # the largest entries everywhere, with a full first panel of pivots
-    yield [[q - 1 - rng.randrange(2) for _ in range(n)] for _ in range(PANEL + 4)]
+    yield [top, top[:LEAF] + [0] * (n - LEAF), top[:3] + [0] * (n - 3), rnd(n)]
+    # the largest entries everywhere: near p - 1 for the int64 leaf
+    yield [[q - 1 - rng.randrange(2) for _ in range(n)] for _ in range(LEAF + 6)]
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16, 25, 27, 31, 257, 65521, 65536])
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16, 25, 27, 31, 256, 257, 65521, 65536])
 def test_row_basis_panels_match_reference(q, gf65536):
     field = gf65536 if q == 1 << 16 else GF(q)
     rng = random.Random(q)
-    for entries in panel_cases(rng, field):
+    for entries in recursion_cases(rng, field):
         basis = row_basis(entries, field)
         assert basis.tolist() == row_basis_reference(entries, field)
         assert np.array_equal(row_basis(basis, field), basis)
 
 
 def test_row_basis_chunked_update():
-    # 30000 columns leave room for two rows per update chunk
+    # 30000 columns are halved twelve times down to one leaf
     rng = random.Random(5)
     field = GF(257)
     entries = [[rng.randrange(257) for _ in range(30000)] for _ in range(5)]
