@@ -23,7 +23,6 @@ from .variety import (
     flag_for_chain,
     picard_invariants,
     require_hypotheses,
-    straighten,
     vertex_determinants,
 )
 from .code import (
@@ -38,12 +37,9 @@ from .code import (
     find_surjective_dilate,
     generator_matrix,
     is_surjective,
-    ordered_lattice_points,
     projective_reduction,
     stock_orders,
     subcode_matrix,
-    toric_generator_matrix,
-    toric_reduction,
 )
 from .oracle import (
     BudgetExceededError,
@@ -83,7 +79,6 @@ __all__ = [
     "min_distance_exhaustive",
     "min_weight_random_upper",
     "offset_difference",
-    "ordered_lattice_points",
     "pick_check",
     "picard_invariants",
     "projective_reduction",
@@ -93,10 +88,7 @@ __all__ = [
     "same_normal_fan",
     "snf_invariant_factors",
     "stock_orders",
-    "straighten",
     "subcode_matrix",
-    "toric_generator_matrix",
-    "toric_reduction",
     "vertex_determinants",
 ]
 

@@ -56,16 +56,17 @@ def _integers(values, what):
 
 def load_document(path):
     """The polytope of a JSON document, all of whose numbers must be
-    integers, and the document itself."""
+    integers, and the document itself. A facets list, when present and
+    nonempty, is checked against the vertices; [] means their hull."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or not isinstance(doc.get("vertices"), list):
         raise ValueError("polytope document has no vertex list")
     vertices = [_integers(v, "vertex") for v in doc["vertices"]]
-    if doc.get("facets"):
-        facets = doc["facets"]
-        if not isinstance(facets, list) or not all(isinstance(f, dict) for f in facets):
-            raise ValueError("facets must be a list of {normal, offset} objects")
+    facets = doc.get("facets", [])
+    if not isinstance(facets, list) or not all(isinstance(f, dict) for f in facets):
+        raise ValueError("facets must be a list of {normal, offset} objects")
+    if facets:
         normals = [_integers(f["normal"], "facet normal") for f in facets]
         offsets = [_integer(f["offset"], "facet offset") for f in facets]
         P = Polytope.from_vrep_hrep(vertices, normals, offsets)

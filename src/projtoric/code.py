@@ -13,13 +13,12 @@ translated offset-difference region.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
 from .gf import GF, as_field, field_size
-from .polytope import offset_difference, same_normal_fan
+from .polytope import PolytopeError, offset_difference, same_normal_fan
 from .variety import build_flags, flag_assignment, require_hypotheses, count_rational_points
 
 
@@ -112,12 +111,6 @@ def _tuples(points):
     return tuple(map(tuple, points.tolist()))
 
 
-def ordered_lattice_points(P):
-    """Lattice points of P in row order: interior of P first, then
-    interiors of faces by decreasing dimension, vertices last."""
-    return _tuples(_rows(P)[0])
-
-
 def _subface_table(faces):
     """table[a, b]: faces[a] lies on every facet that faces[b] lies on."""
     sets = [set(f.facet_indices) for f in faces]
@@ -136,11 +129,6 @@ def _evaluate(exponents, field):
     return field.exp_table[powers]
 
 
-def _straightened(flag, points, k):
-    """The first k straightened coordinates of each row of points."""
-    return (points - flag.base_vertex) @ np.array(flag.inverse_transform)[:k].T
-
-
 @dataclass(frozen=True, eq=False)
 class EvaluationMatrix:
     """Generator matrix of the code of P with its index bookkeeping.
@@ -149,20 +137,17 @@ class EvaluationMatrix:
     GF(q), which every consumer takes as it is; entries is its export
     form, a tuple of tuples of ints. Row i evaluates the monomial of
     row_points[i], which lies in the interior of
-    faces[row_face_index[i]]. Column j belongs to the orbit block of
-    faces[col_face_index[j]]; blocks appear in decreasing face
-    dimension and have widths block_widths, so a face's block is a
-    column slice of codes.
+    faces[row_face_index[i]]. The columns are the orbit blocks of the
+    faces in face order, of widths block_widths, so a face's block is a
+    column slice of codes; the first is the torus of P itself.
     """
 
     field: GF
-    polytope: object
     codes: np.ndarray
     row_points: tuple
     row_face_index: tuple
     faces: tuple
     block_widths: tuple
-    col_face_index: tuple
 
     def __post_init__(self):
         self.codes.flags.writeable = False
@@ -181,18 +166,16 @@ class EvaluationMatrix:
         return tuple(tuple(row.tolist()) for row in self.codes)
 
     def torus_columns(self):
-        """Indices of the columns of the dense torus block."""
-        return tuple(
-            j
-            for j, fi in enumerate(self.col_face_index)
-            if self.faces[fi].dim == self.polytope.dim
-        )
+        """Indices of the columns of the dense torus block, the block of
+        faces[0] = P, the one face of full dimension."""
+        return tuple(range(self.block_widths[0]))
 
     def structural_violations(self):
         """Entries breaking the zero pattern, nonzero off the column's
         face or zero on it, as (i, j) pairs in row-major order. Empty on
         a correctly assembled matrix."""
-        on_face = _subface_table(self.faces)[np.ix_(self.row_face_index, self.col_face_index)]
+        col_face = np.repeat(np.arange(len(self.faces)), self.block_widths)
+        on_face = _subface_table(self.faces)[np.ix_(self.row_face_index, col_face)]
         return list(map(tuple, np.argwhere(on_face != (self.codes != 0)).tolist()))
 
 
@@ -216,78 +199,37 @@ def generator_matrix(P, field, flags=None):
     start = 0
     for fi, (Q, w) in enumerate(zip(faces, widths)):
         on = on_face[:, fi]
-        out[on, start:start + w] = _evaluate(_straightened(assign[Q], points[on], Q.dim), field)
+        out[on, start:start + w] = _evaluate(assign[Q].straighten(points[on])[:, :Q.dim], field)
         start += w
-    return EvaluationMatrix(
-        field,
-        P,
-        out,
-        _tuples(points),
-        tuple(row_face.tolist()),
-        faces,
-        widths,
-        tuple(np.repeat(np.arange(len(faces)), widths).tolist()),
-    )
-
-
-def toric_generator_matrix(P, field):
-    """Generator matrix of the classical toric code: the same monomials
-    evaluated only on the dense torus, entry t^m for t in units^dim.
-    This is one block with identity straightening based at the origin,
-    returned as a uint16 array of element codes."""
-    field = as_field(field)
-    require_hypotheses(P, field.q)
-    return _evaluate(_rows(P)[0], field)
+    return EvaluationMatrix(field, out, _tuples(points), tuple(row_face.tolist()), faces, widths)
 
 
 @dataclass(frozen=True)
 class ReductionSet:
-    """Face-by-face reduction of the lattice points of P mod q-1.
-
+    """Face-by-face reduction of the lattice points of P mod q-1:
     representatives lists one order-minimal point per class (same face
-    interior, congruent coordinates); mapping, built on first read,
-    sends every lattice point to the representative of its class.
-    """
+    interior, congruent coordinates)."""
 
     order: OrderSpec
     representatives: tuple
-    _sort: tuple = dataclass_field(repr=False, compare=False)  # (points, perm, starts, listed)
-
-    @cached_property
-    def mapping(self):
-        points, perm, starts, _ = self._sort
-        rep_of = perm[starts][np.cumsum(starts) - 1]
-        return dict(zip(_tuples(points[perm]), _tuples(points[rep_of])))
 
 
-def _classes(points, face, q, order=None):
-    """Sort rows by class, (face, coordinates mod q-1), then by the
-    order's columns. Returns the sorting permutation and, per sorted
-    row, whether it starts a class; a class starts at its order-minimal
-    member. The lexsort is stable, so rows that tie keep their order."""
-    key = np.column_stack((face, points % (q - 1)))
+def _representatives(P, q, order=None):
+    """Indices of one lattice point of P per class, (face, coordinates
+    mod q-1), in class order: the order-minimal one when an order is
+    given. Rows sort by class, then by the order's columns, and the
+    lexsort is stable, so rows that tie keep their order."""
+    points = P.lattice_scan[0]
+    key = np.column_stack((P.lattice_point_faces, points % (q - 1)))
     cols = () if order is None else tuple(order.columns(points).T[::-1])
     perm = np.lexsort(cols + tuple(key.T[::-1]))
     key = key[perm]
-    return perm, np.concatenate(([True], (key[1:] != key[:-1]).any(axis=1)))
+    return perm[np.concatenate(([True], (key[1:] != key[:-1]).any(axis=1)))]
 
 
 def _reduced_points(P, q, order=None):
-    """One point of each class of P, in class order: the order-minimal
-    one when an order is given."""
-    points = P.lattice_scan[0]
-    perm, starts = _classes(points, P.lattice_point_faces, q, order)
-    return points[perm[starts]]
-
-
-def _reduction(points, face, q, order):
-    """ReductionSet of the rows of points, with face[i] the face of row i:
-    the class sort of _classes, and the rows of the representatives
-    listed by face, then in the order."""
-    perm, starts = _classes(points, face, q, order)
-    reps = perm[starts]
-    listed = reps[np.lexsort(tuple(order.columns(points[reps]).T[::-1]) + (face[reps],))]
-    return ReductionSet(order, _tuples(points[listed]), (points, perm, starts, listed))
+    """The points of _representatives."""
+    return P.lattice_scan[0][_representatives(P, q, order)]
 
 
 def projective_reduction(P, field, order=None):
@@ -299,21 +241,10 @@ def projective_reduction(P, field, order=None):
     by face, then in the order.
     """
     order = OrderSpec.lex() if order is None else order
-    return _reduction(P.lattice_scan[0], P.lattice_point_faces, field_size(field), order)
-
-
-def toric_reduction(points, field, order=None):
-    """Plain reduction mod q-1 of a set of lattice points, faces ignored.
-
-    Returns one order-minimal representative per congruence class.
-    """
-    q = field_size(field)
-    if order is None:
-        order = OrderSpec.lex()
-    points = np.array([tuple(m) for m in points], dtype=np.int64)
-    if not len(points):
-        return ()
-    return _reduction(points, np.zeros(len(points), dtype=np.int64), q, order).representatives
+    reps = _representatives(P, field_size(field), order)
+    points = P.lattice_scan[0][reps]
+    listed = np.lexsort(tuple(order.columns(points).T[::-1]) + (P.lattice_point_faces[reps],))
+    return ReductionSet(order, _tuples(points[listed]))
 
 
 def dimension(P, field):
@@ -340,12 +271,16 @@ def is_surjective(Pbig, P, field):
 
 
 def _dilate_lower_bound(P, q):
-    """L of find_surjective_dilate, read from the points of one dilate cP."""
+    """L of find_surjective_dilate, read from the points of one dilate cP.
+    Raises PolytopeError unless (q-1) times cP's slack_bound lies below
+    2^63, so that int64 holds each (q-1)-fold slack."""
     lifted = np.array([f.dim > 0 for f in P.faces])
     for c in range(1, P.dim + 2):
         C = P if c == 1 else P.dilate(c)
         if np.bincount(C.lattice_point_faces, minlength=lifted.size)[lifted].all():
             break
+    if (q - 1) * C.slack_bound() >> 63:
+        raise PolytopeError(f"(q-1) times a facet slack of {c}P exceeds int64")
     normals = np.array(P.normals, dtype=np.int64).T
     slack = C.lattice_scan[0] @ normals + C.offsets
     vertex_slack = np.array(P.vertices, dtype=np.int64) @ normals + P.offsets
@@ -418,10 +353,9 @@ def bounds_over_orders(P, Pbig, field, orders=None):
     region = offset_difference(Pbig, P)
     details = []
     for order in orders:
-        red = projective_reduction(P, q, order)
-        points, _, _, listed = red._sort
-        counts = _survivor_counts(region, points[listed], _reduced_points(Pbig, q, order))
-        details.append(BoundDetails(min(counts), order, red.representatives, counts))
+        reduced = projective_reduction(P, q, order).representatives
+        counts = _survivor_counts(region, np.array(reduced), _reduced_points(Pbig, q, order))
+        details.append(BoundDetails(min(counts), order, reduced, counts))
     return tuple(details)
 
 

@@ -125,12 +125,11 @@ def canonical_modulus(p, k):
 class GF:
     """The finite field with q = p^k elements, q <= 2^16.
 
-    inv runs off exp/log tables for the canonical generator. units
-    lists the nonzero elements in generator-power order g^0, g^1, ...,
-    g^{q-2}.
-
-    vadd, vmul and vneg act elementwise on numpy code arrays, with
-    broadcasting, and return uint16 arrays. With S = 2q as the log of 0:
+    Arithmetic runs off numpy exp/log tables for the canonical
+    generator g; exp_table[:q-1] lists the units g^0, g^1, ..., g^{q-2}.
+    inv takes and returns one int code; vadd, vmul and vneg act
+    elementwise on numpy code arrays, with broadcasting, and return
+    uint16 arrays. With S = 2q as the log of 0:
     log_table[a] = i for a = g^i; exp_table[i] = g^(i mod q-1) below
     2(q-1) and 0 up to 4q, so x*y = exp_table[log x + log y]; and
     zech_table[d + S] = log(1 + g^d) for |d| <= q-2 (S when that is 0),
@@ -162,12 +161,11 @@ class GF:
         # g has order q-1 iff g^((q-1)/r) != 1 for every prime r | q-1
         primes = _factorize(q - 1)
         gen = next(g for g in range(1, q) if all(power(g, (q - 1) // r) != 1 for r in primes))
-        exp, log, acc = [1] * (q - 1), [0] * q, 1
+        exp, acc = [1] * (q - 1), 1
         for i in range(q - 1):
             exp[i] = acc
-            log[acc] = i
             acc = mul(acc, gen)
-        self.generator, self._exp, self._log, self.units = gen, exp, log, list(exp)
+        self.generator = gen
 
         S = 2 * q
         self.log_table = np.full(q, S, dtype=np.int32)
@@ -191,7 +189,7 @@ class GF:
         self._check(a)
         if a == 0:
             raise FieldError("0 has no multiplicative inverse")
-        return self._exp[(-self._log[a]) % (self.q - 1)]
+        return int(self.exp_table[self.q - 1 - self.log_table[a]])
 
     def vmul(self, a, b):
         """Elementwise a*b of code arrays."""

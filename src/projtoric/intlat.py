@@ -19,19 +19,6 @@ def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(A, B):
-    inner = len(B)
-    cols = len(B[0])
-    return [
-        [sum(row[t] * B[t][j] for t in range(inner)) for j in range(cols)]
-        for row in A
-    ]
-
-
-def mat_vec(A, v):
-    return [sum(a * x for a, x in zip(row, v)) for row in A]
-
-
 def _egcd(a, b):
     """Extended Euclid: (g, x, y) with g = gcd(a, b) >= 0 and a*x + b*y = g."""
     old_r, r = a, b

@@ -32,7 +32,7 @@ class BudgetExceededError(Exception):
     """Raised when an exhaustive search would enumerate too many words."""
 
 
-LEAF = 8  # widest column range the recursion leaves to the row loop
+LEAF = 8  # widest column range, and most rows, the recursion leaves to the row loop
 
 
 def _chunks(count, width):
@@ -80,11 +80,12 @@ def _eliminate(W, field, record, leaf=LEAF):
     """Eliminates W's columns in place, all rows pending, by the rule of
     row_basis. Returns the pivot rows in column order and, if record, H:
     on any columns further right W's rows end as they began plus H @ (the
-    pivot rows as they began). Past leaf columns the left half goes
-    first, the right half takes rows += H_L @ (left pivot rows) and goes
-    next, and H = [H_L + H_R H_L[right pivots], H_R] (FFLAS-FFPACK)."""
+    pivot rows as they began). Past leaf columns and LEAF rows the left
+    half goes first, the right half takes rows += H_L @ (left pivot rows)
+    and goes next, and H = [H_L + H_R H_L[right pivots], H_R]
+    (FFLAS-FFPACK)."""
     width = W.shape[1]
-    if width <= leaf or not len(W):
+    if width <= leaf or len(W) <= LEAF:
         return _loop(W, field, record)
     h = width // 2
     left = np.flatnonzero(W[:, :h].any(axis=1))
@@ -111,9 +112,10 @@ def row_basis(entries, field):
     """Row echelon basis over GF(q): at each column the first pending row
     (in input order) nonzero there becomes a basis row and is subtracted
     from the others nonzero there. Columns are halved recursively down to
-    LEAF (16 LEAF for the whole matrix), each update between halves being
-    one GF.vaddmatmul. entries is any 2D array-like of element codes and
-    is not written; the basis is a new uint16 array, in pivot order."""
+    LEAF (16 LEAF for the whole matrix) or to at most LEAF rows, each
+    update between halves being one GF.vaddmatmul. entries is any 2D
+    array-like of element codes and is not written; the basis is a new
+    uint16 array, in pivot order."""
     field = as_field(field)
     A = np.array(entries, dtype=np.uint16, ndmin=2)
     if not A.size:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd
 
 import numpy as np
@@ -211,12 +211,32 @@ class Polytope:
             if _dot(point, u) == -a
         )
 
+    def slack_bound(self):
+        """max |<m, u> + a| over the points m of the bounding box and the
+        facets (u, a), exactly in Python ints: an affine function takes
+        its extremes over a box at corners."""
+        box = [(min(c), max(c)) for c in zip(*self.vertices)]
+        return max(
+            abs(a + sum(pick(x * lo, x * hi) for x, (lo, hi) in zip(u, box)))
+            for u, a in zip(self.normals, self.offsets)
+            for pick in (min, max)
+        )
+
     @cached_property
     def lattice_scan(self):
         """(points, tight): the lattice points as an int64 array in
         lexicographic order and the mask of the facets tight at each. The
         bounding box is scanned in slabs along the first coordinate of at
-        most 2^12 grid points (or one unit wide), so temporaries stay small."""
+        most 2^12 grid points (or one unit wide), so temporaries stay small.
+
+        Raises PolytopeError unless every vertex coordinate, normal entry
+        and offset and the slack_bound lie below 2^63 in absolute value,
+        so that int64 holds each value the scan forms. The slack_bound is
+        at most (dim + 1) v^2 for v the largest of those |entries|, so it
+        is computed only when that reaches 2^63."""
+        v = max(map(abs, chain.from_iterable((*self.vertices, *self.normals, self.offsets))))
+        if (self.dim + 1) * v * v >> 63 and max(v, self.slack_bound()) >> 63:
+            raise PolytopeError("a coordinate, normal, offset or facet slack exceeds int64")
         box = np.array(self.vertices, dtype=np.int64)
         lo, extent = box.min(axis=0), np.ptp(box, axis=0) + 1
         normals = np.array(self.normals, dtype=np.int64).T
@@ -284,10 +304,6 @@ class Polytope:
 
     def faces_of_dim(self, d):
         return tuple(f for f in self.faces if f.dim == d)
-
-    def face_lattice(self):
-        """Faces grouped by dimension: entry d holds the d-faces."""
-        return tuple(self.faces_of_dim(d) for d in range(self.dim + 1))
 
     def is_simple(self):
         """Whether every vertex lies on exactly dim facets."""

@@ -14,14 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .gf import prime_power
-from .intlat import (
-    determinant,
-    hnf_lower,
-    mat_vec,
-    snf_invariant_factors,
-    unimodular_inverse,
-)
+from .intlat import determinant, hnf_lower, snf_invariant_factors, unimodular_inverse
 
 
 class HypothesisError(Exception):
@@ -130,24 +126,17 @@ class Flag:
     hnf_diagonal records the diagonal of the Hermite form.
     """
 
-    polytope: object
     chain: tuple
     base_vertex: tuple
     inverse_transform: tuple
     hnf_diagonal: tuple
 
-    def exponents(self, point):
-        """Straightened coordinates of any lattice point, base at 0.
-
-        For a point on the j-face of the chain, all but the first j
-        coordinates are zero.
-        """
-        return tuple(
-            mat_vec(
-                [list(r) for r in self.inverse_transform],
-                [a - b for a, b in zip(point, self.base_vertex)],
-            )
-        )
+    def straighten(self, points):
+        """Straightened coordinates of the rows of an int64 array of
+        points, base vertex at 0: (points - base_vertex) @ inverse^T. The
+        map is affine on all of Z^N; for a point on the j-face of the
+        chain, all but the first j coordinates are zero."""
+        return (points - np.array(self.base_vertex)) @ np.array(self.inverse_transform).T
 
 
 def flag_for_chain(P, chain):
@@ -176,24 +165,11 @@ def flag_for_chain(P, chain):
     inverse = unimodular_inverse([row[::-1] for row in T])
     base = P.vertices[chain[0].vertex_indices[0]]
     return Flag(
-        P,
         chain,
         base,
         tuple(tuple(r) for r in inverse),
         tuple(H[i][i] for i in range(n)),
     )
-
-
-def straighten(flag, point):
-    """Straightened coordinates of a lattice point on one of the flag's
-    faces: for a point of the j-face, the last dim - j entries are zero.
-
-    Raises ValueError when the point lies outside the polytope.
-    """
-    P = flag.polytope
-    if not P.contains(point):
-        raise ValueError(f"{tuple(point)} lies outside the polytope")
-    return flag.exponents(point)
 
 
 def build_flags(P, reverse=False):

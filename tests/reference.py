@@ -1,11 +1,24 @@
-"""Scalar GF(q) arithmetic, one element code at a time.
+"""Scalar references, one element code or one lattice point at a time.
 
 The array kernels of projtoric.gf (vadd, vmul, vneg, vaddmatmul) and the
-pure-Python oracles of the tests are checked against these. add and neg
-work digitwise in base p; mul and power run off the field's exp/log
-tables. Each refuses a code outside range(q) with FieldError, as
-GF.inv does.
+pure-Python oracles of the tests are checked against the field
+arithmetic here. add and neg work digitwise in base p; mul and power
+run off the field's exp/log tables. Each refuses a code outside
+range(q) with FieldError, as GF.inv does.
+
+The lattice references are the scan and grouping the package used
+before they moved onto arrays: a product over the bounding box filtered
+by contains, tight_facets for every point, dict grouping of congruence
+classes and min(key=...) for representatives, with the sort keys
+spelled out per order kind. scalar_rows is the evaluation the matrix
+builders used before they were vectorised: one mul/power chain per
+entry.
 """
+
+from collections import defaultdict
+from itertools import product
+
+import numpy as np
 
 from projtoric.gf import FieldError, _digits, _undigits
 
@@ -31,7 +44,7 @@ def mul(F, a, b):
     F._check(b)
     if a == 0 or b == 0:
         return 0
-    return F._exp[(F._log[a] + F._log[b]) % (F.q - 1)]
+    return int(F.exp_table[(int(F.log_table[a]) + int(F.log_table[b])) % (F.q - 1)])
 
 
 def power(F, a, e):
@@ -41,4 +54,78 @@ def power(F, a, e):
         if e < 0:
             raise FieldError("0 cannot be raised to a negative power")
         return 1 if e == 0 else 0
-    return F._exp[(F._log[a] * e) % (F.q - 1)]
+    return int(F.exp_table[int(F.log_table[a]) * e % (F.q - 1)])
+
+
+def scalar_rows(exponents, field, on=None):
+    """Row i holds prod_j x_j^e_j for e exponent row i and every x in
+    units^k in product order, the units listed as g^0, ..., g^(q-2) and
+    k the row length, one mul and power per factor. Row i is zero where
+    on[i] is false."""
+    exponents = np.asarray(exponents).tolist()
+    cols = list(product(field.exp_table[:field.q - 1].tolist(), repeat=len(exponents[0])))
+    rows = []
+    for i, e in enumerate(exponents):
+        if on is not None and not on[i]:
+            rows.append((0,) * len(cols))
+            continue
+        row = []
+        for x in cols:
+            val = 1
+            for base, exp in zip(x, e):
+                val = mul(field, val, power(field, base, exp))
+            row.append(val)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def ref_key(order, point):
+    if order.kind == "lex":
+        return tuple(point)
+    if order.kind == "grlex":
+        return (sum(point), tuple(point))
+    if order.kind == "permlex":
+        return tuple(point[i] for i in order.perm)
+    return (sum(w * x for w, x in zip(order.weights, point)), tuple(point))
+
+
+def ref_lattice_points(P):
+    lo = [min(v[i] for v in P.vertices) for i in range(P.dim)]
+    hi = [max(v[i] for v in P.vertices) for i in range(P.dim)]
+    return tuple(p for p in product(*(range(a, b + 1) for a, b in zip(lo, hi))) if P.contains(p))
+
+
+def ref_buckets(P):
+    """The lattice points of each face's relative interior, in face order."""
+    index = {f.facet_indices: i for i, f in enumerate(P.faces)}
+    buckets = [[] for _ in P.faces]
+    for m in ref_lattice_points(P):
+        buckets[index[P.tight_facets(m)]].append(m)
+    return buckets
+
+
+def ref_row_points(P):
+    """The lattice points in the row order of the generator matrix."""
+    return [m for bucket in ref_buckets(P) for m in bucket]
+
+
+def ref_classes(points, q):
+    per = defaultdict(list)
+    for m in points:
+        per[tuple(x % (q - 1) for x in m)].append(m)
+    return list(per.values())
+
+
+def ref_projective_reduction(P, q, order):
+    """The order-minimal point of each class, listed by face, then in the order."""
+    key = lambda m: ref_key(order, m)  # noqa: E731
+    return tuple(
+        rep
+        for bucket in ref_buckets(P)
+        for rep in sorted((min(g, key=key) for g in ref_classes(bucket, q)), key=key)
+    )
+
+
+def ref_toric_reduction(points, q, order):
+    key = lambda m: ref_key(order, m)  # noqa: E731
+    return tuple(sorted((min(g, key=key) for g in ref_classes(points, q)), key=key))

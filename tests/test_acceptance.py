@@ -9,6 +9,7 @@ import time
 from contextlib import contextmanager
 
 from projtoric.code import (
+    OrderSpec,
     best_bound_over_orders,
     dimension,
     distance_lower_bound,
@@ -19,7 +20,6 @@ from projtoric.code import (
     projective_reduction,
     stock_orders,
     subcode_matrix,
-    toric_reduction,
 )
 from projtoric.gf import GF
 from projtoric.oracle import (
@@ -37,6 +37,7 @@ from projtoric.variety import (
 )
 
 from conftest import anchored
+from reference import ref_toric_reduction
 
 
 @contextmanager
@@ -200,7 +201,7 @@ def test_torus_puncture_matches_toric_reduction(polygon_corpus, toy_triangle):
             field = GF(q)
             M = generator_matrix(P, field)
             torus = subcode_matrix(M, cols=M.torus_columns())
-            classes = toric_reduction(P.lattice_points, field)
+            classes = ref_toric_reduction(P.lattice_points, q, OrderSpec.lex())
             assert rank_gf(torus, field) == len(classes)
 
 

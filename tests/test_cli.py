@@ -471,7 +471,28 @@ def test_empty_vertex_list_exits_two(capsys, tmp_path, command, doc):
     assert "invalid input" in err
 
 
-FUZZ_JUNK = st.sampled_from([0, -1, 6, 1 << 17, 2.5, True, "4", None, [1]])
+@pytest.mark.parametrize("command", ["info", "matrix", "dim", "bound", "verify", "subcode"])
+def test_coordinates_past_int64_exit_two(capsys, tmp_path, command):
+    path = write_doc(tmp_path, "far.json", vertices=[[0, 0], [1, 0], [0, 10**20]], q=3)
+    code, _, err = run(capsys, command, "--polytope", path)
+    assert code == 2
+    assert "invalid input" in err and "int64" in err
+
+
+@pytest.mark.parametrize("facets", [0, False, "", None, {}])
+def test_facets_that_are_not_a_list_exit_two(capsys, tmp_path, facets):
+    path = write_doc(tmp_path, "facets.json", vertices=[[0, 0], [1, 0], [0, 1]], q=3, facets=facets)
+    code, out, err = run(capsys, "dim", "--polytope", path)
+    assert (code, out) == (2, "")
+    assert "facets must be a list" in err
+
+
+def test_empty_facet_list_means_the_hull(capsys, tmp_path):
+    path = write_doc(tmp_path, "facets.json", vertices=[[0, 0], [1, 0], [0, 1]], q=3, facets=[])
+    assert run(capsys, "dim", "--polytope", path) == (0, "3\n", "")
+
+
+FUZZ_JUNK = st.sampled_from([0, -1, 6, 1 << 17, 1 << 70, 2.5, True, "4", None, [1]])
 FUZZ_BROKEN = {
     "vertices": st.one_of(
         st.just([]),

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import build_polygon_corpus
-from reference import mul
+from reference import mul, ref_projective_reduction, ref_toric_reduction, scalar_rows
 from projtoric.cli import load_document
 from projtoric.code import (
     OrderSpec,
@@ -23,12 +23,9 @@ from projtoric.code import (
     find_surjective_dilate,
     generator_matrix,
     is_surjective,
-    ordered_lattice_points,
     projective_reduction,
     stock_orders,
     subcode_matrix,
-    toric_generator_matrix,
-    toric_reduction,
 )
 from projtoric.gf import GF, FieldError
 from projtoric.oracle import rank_gf, reduction_class_count_unionfind
@@ -79,7 +76,7 @@ def test_stock_orders():
 
 
 def test_ordered_lattice_points_follow_faces(toy_triangle):
-    pts = ordered_lattice_points(toy_triangle)
+    pts = generator_matrix(toy_triangle, GF(4)).row_points
     assert sorted(pts) == sorted(toy_triangle.lattice_points)
     assert pts == ((-1, 2), (0, 1), (-2, 3), (0, 0), (1, 0))
 
@@ -217,27 +214,27 @@ def test_generator_matrix_sha256_pinned(name, q, digest):
 def test_matrix_requires_hypotheses(quadrilateral):
     with pytest.raises(HypothesisError):
         generator_matrix(quadrilateral, GF(7))
-    with pytest.raises(HypothesisError):
-        toric_generator_matrix(quadrilateral, GF(7))
 
 
+# the classical toric code evaluates each monomial t^m at every t in
+# units^dim: scalar_rows of the lattice points as exponents
 def test_toric_matrix_segment(segment01):
-    assert toric_generator_matrix(segment01, GF(3)).tolist() == [[1, 1], [1, 2]]
+    assert scalar_rows(segment01.lattice_points, GF(3)) == ((1, 1), (1, 2))
 
 
 def test_toric_matrix_reed_solomon():
     # [0,3] over F5 evaluates 1, x, x^2, x^3 at the four units
     P = Polytope.from_vertices([(0,), (3,)])
     field = GF(5)
-    T = toric_generator_matrix(P, field)
-    assert T.shape == (4, 4)
+    T = scalar_rows(P.lattice_points, field)
+    assert np.shape(T) == (4, 4)
     assert rank_gf(T, field) == 4
 
 
 def test_toric_matrix_square_invertible(unit_square):
     field = GF(3)
-    T = toric_generator_matrix(unit_square, field)
-    assert T.shape == (4, 4)
+    T = scalar_rows(unit_square.lattice_points, field)
+    assert np.shape(T) == (4, 4)
     assert rank_gf(T, field) == 4
 
 
@@ -260,9 +257,9 @@ def test_torus_block_matches_toric_matrix(toy_triangle, unit_square, hirzebruch)
         field = GF(q)
         M = generator_matrix(P, field)
         torus = M.codes[:, M.torus_columns()]
-        T = toric_generator_matrix(P, field)
+        T = scalar_rows(M.row_points, field)
         assert _lead_normalized_columns(torus.tolist(), field) == \
-            _lead_normalized_columns(T.tolist(), field)
+            _lead_normalized_columns(T, field)
         assert rank_gf(torus, field) == rank_gf(T, field)
 
 
@@ -279,19 +276,14 @@ def test_face_blocks_match_toric_reduction(toy_triangle, hirzebruch):
             flag = assign[Q]
             B = M.codes[:, ends[fi] - M.block_widths[fi]:ends[fi]]
             on = _subface_table(P.faces)[P.lattice_point_faces, P.faces.index(Q)]
-            on_face = [
-                flag.exponents(m)[: Q.dim]
-                for m, yes in zip(P.lattice_points, on)
-                if yes
-            ]
-            assert rank_gf(B, field) == len(toric_reduction(on_face, field))
+            on_face = flag.straighten(P.lattice_scan[0][on])[:, :Q.dim]
+            classes = ref_toric_reduction(on_face.tolist(), q, OrderSpec.lex())
+            assert rank_gf(B, field) == len(classes)
 
 
 def test_projective_reduction_toy(toy_triangle):
     red = projective_reduction(toy_triangle, GF(4))
     assert red.representatives == ((-1, 2), (0, 1), (-2, 3), (0, 0), (1, 0))
-    assert set(red.mapping) == set(toy_triangle.lattice_points)
-    assert all(red.mapping[m] == m for m in toy_triangle.lattice_points)
 
 
 def test_projective_reduction_dilated_toy_interior(toy_triangle):
@@ -306,8 +298,6 @@ def test_projective_reduction_segment():
     P = Polytope.from_vertices([(0,), (3,)])
     red = projective_reduction(P, GF(3))
     assert red.representatives == ((1,), (2,), (0,), (3,))
-    assert red.mapping[(1,)] == (1,)
-    assert red.mapping[(2,)] == (2,)
 
 
 def test_reduction_respects_order_choice(toy_triangle):
@@ -317,17 +307,8 @@ def test_reduction_respects_order_choice(toy_triangle):
     for order in stock_orders(2):
         red = projective_reduction(P5, field, order=order)
         sizes.add(len(red.representatives))
-        for rep in red.representatives:
-            cls = [m for m, r in red.mapping.items() if r == rep]
-            assert min(cls, key=order.key) == rep
+        assert red.representatives == ref_projective_reduction(P5, 4, order)
     assert len(sizes) == 1
-
-
-def test_toric_reduction():
-    field = GF(4)
-    assert toric_reduction([(i,) for i in range(10)], field) == ((0,), (1,), (2,))
-    assert toric_reduction([(0, 0)], field) == ((0, 0),)
-    assert toric_reduction([], field) == ()
 
 
 def test_dimension(toy_triangle, unit_square, segment01, hirzebruch):
@@ -460,7 +441,6 @@ def test_int_field_sizes_build_no_tables(toy_triangle, monkeypatch):
     monkeypatch.setattr(GF, "_build_tables", refuse)
     q = 1 << 16
     assert len(projective_reduction(toy_triangle, q).representatives) == 5
-    assert len(toric_reduction(toy_triangle.lattice_points, q)) == 5
     assert dimension(toy_triangle, 4096) == 5
     assert not is_surjective(toy_triangle.dilate(2), toy_triangle, q)
     assert find_surjective_dilate(toy_triangle, 4096, 3) is None

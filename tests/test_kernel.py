@@ -1,58 +1,33 @@
 """The vectorised evaluation kernel against the per-entry scalar loop.
 
-scalar_rows is the evaluation the matrix builders used before they were
-vectorised: one field.mul/field.pow chain per entry. Every builder must
-agree with it exactly, over every flag cover, on every field size.
+scalar_rows (reference.py) is the evaluation the matrix builders used
+before they were vectorised: one field.mul/field.pow chain per entry.
+The generator matrix must agree with it exactly, over every flag cover,
+on every field size, and so must the kernel on unstraightened points,
+the classical toric code.
 """
 
-from itertools import product
-
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from projtoric.code import (
-    generator_matrix,
-    ordered_lattice_points,
-    toric_generator_matrix,
-)
+from projtoric.code import _evaluate, generator_matrix
 from projtoric.gf import GF
 from projtoric.polytope import Polytope, PolytopeError
 from projtoric.variety import build_flags, check_hypotheses, flag_assignment
 
 from conftest import anchored
-from reference import mul, power
+from reference import ref_row_points, scalar_rows
 
 
 def on_face(P, Q, m):
     return set(P.tight_facets(m)) >= set(Q.facet_indices)
 
 
-def scalar_rows(points, exponents, k, field, on=lambda m: True):
-    cols = list(product(field.units, repeat=k))
-    rows = []
-    for m in points:
-        if not on(m):
-            rows.append((0,) * len(cols))
-            continue
-        e = exponents(m)[:k]
-        row = []
-        for x in cols:
-            val = 1
-            for base, exp in zip(x, e):
-                val = mul(field, val, power(field, base, exp))
-            row.append(val)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 def scalar_block(P, Q, flag, field):
-    return scalar_rows(
-        ordered_lattice_points(P),
-        flag.exponents,
-        Q.dim,
-        field,
-        lambda m: on_face(P, Q, m),
-    )
+    points = ref_row_points(P)
+    on = [on_face(P, Q, m) for m in points]
+    return scalar_rows(flag.straighten(points)[:, :Q.dim], field, on)
 
 
 def assert_matches_scalar(P, field):
@@ -65,9 +40,9 @@ def assert_matches_scalar(P, field):
             for i in range(len(blocks[0]))
         )
         assert generator_matrix(P, field, flags=flags).entries == joined
-    points = ordered_lattice_points(P)
-    expected = scalar_rows(points, lambda m: m, P.dim, field)
-    assert toric_generator_matrix(P, field).tolist() == [list(r) for r in expected]
+    points = ref_row_points(P)
+    expected = scalar_rows(points, field)
+    assert _evaluate(np.array(points), field).tolist() == [list(r) for r in expected]
 
 
 @st.composite
@@ -122,7 +97,7 @@ def test_kernel_matches_scalar_loop_on_negative_exponents(vertices, q):
     P = Polytope.from_vertices(vertices)
     assign = flag_assignment(P, build_flags(P, reverse=True))
     assert any(
-        min(assign[Q].exponents(m)[: Q.dim]) < 0
+        min(assign[Q].straighten([m])[0, :Q.dim]) < 0
         for Q in P.faces
         if Q.dim
         for m in P.lattice_points

@@ -1,17 +1,13 @@
 """The numpy lattice-point kernel against the per-point scalar scan.
 
-The reference functions below are the scan and grouping the package
-used before they moved onto arrays: a product over the bounding box
-filtered by contains, tight_facets for every point, dict grouping of
-congruence classes and min(key=...) for representatives, with the sort
-keys spelled out per order kind. Lattice points, face buckets, class
-counts, reduction mappings, representatives, surjectivity, the dilate
-factor and the bounds must all come out identical.
+The lattice references of reference.py are the scan and grouping the
+package used before they moved onto arrays. Lattice points, face
+buckets, class counts, representatives, surjectivity, the dilate factor
+and the bounds must all come out identical.
 """
 
 import subprocess
 import sys
-from collections import defaultdict
 from itertools import product
 from pathlib import Path
 
@@ -28,66 +24,24 @@ from projtoric.code import (
     distance_lower_bound_details,
     find_surjective_dilate,
     is_surjective,
-    ordered_lattice_points,
     projective_reduction,
-    toric_reduction,
 )
 from projtoric.polytope import Polytope, PolytopeError, offset_difference, same_normal_fan
 from projtoric.variety import count_rational_points
 
 from conftest import anchored
-
-
-def ref_key(order, point):
-    if order.kind == "lex":
-        return tuple(point)
-    if order.kind == "grlex":
-        return (sum(point), tuple(point))
-    if order.kind == "permlex":
-        return tuple(point[i] for i in order.perm)
-    return (sum(w * x for w, x in zip(order.weights, point)), tuple(point))
-
-
-def ref_lattice_points(P):
-    lo = [min(v[i] for v in P.vertices) for i in range(P.dim)]
-    hi = [max(v[i] for v in P.vertices) for i in range(P.dim)]
-    return tuple(p for p in product(*(range(a, b + 1) for a, b in zip(lo, hi))) if P.contains(p))
-
-
-def ref_buckets(P):
-    index = {f.facet_indices: i for i, f in enumerate(P.faces)}
-    buckets = [[] for _ in P.faces]
-    for m in ref_lattice_points(P):
-        buckets[index[P.tight_facets(m)]].append(m)
-    return buckets
-
-
-def ref_classes(points, q):
-    per = defaultdict(list)
-    for m in points:
-        per[tuple(x % (q - 1) for x in m)].append(m)
-    return list(per.values())
+from reference import (
+    ref_buckets,
+    ref_classes,
+    ref_key,
+    ref_lattice_points,
+    ref_projective_reduction,
+    ref_row_points,
+)
 
 
 def ref_groups(P, q):
     return [g for bucket in ref_buckets(P) for g in ref_classes(bucket, q)]
-
-
-def ref_projective_reduction(P, q, order):
-    mapping, reps = {}, []
-    for bucket in ref_buckets(P):
-        face_reps = []
-        for group in ref_classes(bucket, q):
-            rep = min(group, key=lambda m: ref_key(order, m))
-            face_reps.append(rep)
-            mapping.update((m, rep) for m in group)
-        reps.extend(sorted(face_reps, key=lambda m: ref_key(order, m)))
-    return mapping, tuple(reps)
-
-
-def ref_toric_reduction(points, q, order):
-    key = lambda m: ref_key(order, m)  # noqa: E731
-    return tuple(sorted((min(g, key=key) for g in ref_classes(points, q)), key=key))
 
 
 def ref_is_surjective(Pbig, P, q):
@@ -101,7 +55,7 @@ def ref_is_surjective(Pbig, P, q):
 
 def ref_counts(P, Pbig, q, order):
     region = offset_difference(Pbig, P)
-    small = ref_projective_reduction(P, q, order)[1]
+    small = ref_projective_reduction(P, q, order)
     large = [min(g, key=lambda m: ref_key(order, m)) for g in ref_groups(Pbig, q)]
     return small, tuple(
         sum(region.contains(tuple(x - y for x, y in zip(r, m))) for r in large)
@@ -146,21 +100,16 @@ def assert_scan_matches(P):
         P.tight_facets(m) for m in P.lattice_points
     ]
     buckets = ref_buckets(P)
-    assert ordered_lattice_points(P) == tuple(m for b in buckets for m in b)
-    face = _rows(P)[1].tolist()
-    assert face == [i for i, b in enumerate(buckets) for _ in b]
+    points, face = _rows(P)
+    assert points.tolist() == [list(m) for m in ref_row_points(P)]
+    assert face.tolist() == [i for i, b in enumerate(buckets) for _ in b]
 
 
 def assert_reductions_match(P, q, orders):
     assert len(_reduced_points(P, q)) == len(ref_groups(P, q))
     for order in orders:
         red = projective_reduction(P, q, order)
-        mapping, reps = ref_projective_reduction(P, q, order)
-        assert red.mapping == mapping
-        assert red.representatives == reps
-        assert toric_reduction(P.lattice_points, q, order) == ref_toric_reduction(
-            P.lattice_points, q, order
-        )
+        assert red.representatives == ref_projective_reduction(P, q, order)
 
 
 QS = (2, 3, 4, 5, 7, 8, 9)

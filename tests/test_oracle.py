@@ -212,6 +212,12 @@ def recursion_cases(rng, field):
     # them, which become nonzero there only through the trailing update
     top = [1 + rng.randrange(q - 1)] + rnd(n - 1)
     yield [top, top[:LEAF] + [0] * (n - LEAF), top[:3] + [0] * (n - 3), rnd(n)]
+    # twelve rows of rank six on the left half: its recursion runs down
+    # to LEAF columns, and the right half keeps at most six pending rows,
+    # which the row loop takes at its full width
+    h = n // 2
+    base = [rnd(h) for _ in range(6)]
+    yield [combination(field, rnd(6), base) + rnd(n - h) for _ in range(12)]
     # the largest entries everywhere: near p - 1 for the int64 leaf
     yield [[q - 1 - rng.randrange(2) for _ in range(n)] for _ in range(LEAF + 6)]
 

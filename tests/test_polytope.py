@@ -61,7 +61,7 @@ def test_face_counts(toy_triangle, quadrilateral, cube):
 def test_faces_sorted_by_decreasing_dimension(quadrilateral):
     dims = [f.dim for f in quadrilateral.faces]
     assert dims == sorted(dims, reverse=True)
-    lattice = quadrilateral.face_lattice()
+    lattice = [quadrilateral.faces_of_dim(d) for d in range(quadrilateral.dim + 1)]
     assert len(lattice) == quadrilateral.dim + 1
     for d, group in enumerate(lattice):
         assert all(f.dim == d for f in group)
@@ -183,6 +183,15 @@ def test_empty_vertex_lists_are_rejected():
         Polytope.from_vertices([])
     with pytest.raises(PolytopeError, match="no vertices"):
         Polytope.from_vrep_hrep([], [(1,), (-1,)], [0, 1])
+
+
+def test_far_translates_scan_like_the_original():
+    # (dim + 1) v^2 passes 2^63 here, so the exact slack bound decides
+    shift = 1 << 40
+    P = Polytope.from_vertices([(0, 0), (2, 0), (0, 2)])
+    F = Polytope.from_vertices([(x + shift, y) for x, y in P.vertices])
+    assert F.slack_bound() == P.slack_bound() == 2
+    assert F.lattice_points == tuple((x + shift, y) for x, y in P.lattice_points)
 
 
 def test_toy_lattice_points(toy_triangle):

@@ -13,7 +13,6 @@ from projtoric.variety import (
     flag_for_chain,
     picard_invariants,
     require_hypotheses,
-    straighten,
     vertex_determinants,
 )
 
@@ -149,9 +148,7 @@ def test_toy_flag_straightening(toy_triangle):
     flag = flag_for_chain(toy_triangle, chain)
     assert flag.base_vertex == (1, 0)
     assert flag.hnf_diagonal == (1, 1)
-    assert straighten(flag, (1, 0)) == (0, 0)
-    assert straighten(flag, (0, 1)) == (1, 0)
-    assert straighten(flag, (-1, 2)) == (2, 0)
+    assert flag.straighten([(1, 0), (0, 1), (-1, 2)]).tolist() == [[0, 0], [1, 0], [2, 0]]
 
 
 def test_quadrilateral_flag_straightening(quadrilateral):
@@ -161,13 +158,7 @@ def test_quadrilateral_flag_straightening(quadrilateral):
     flag = flag_for_chain(quadrilateral, chain)
     assert flag.base_vertex == (3, 2)
     assert flag.hnf_diagonal == (1, 7)
-    assert straighten(flag, (0, 0)) == (-2, 9)
-
-
-def test_straighten_outside_polytope(toy_triangle):
-    flag = build_flags(toy_triangle)[0]
-    with pytest.raises(ValueError, match="outside"):
-        straighten(flag, (10, 10))
+    assert flag.straighten([(0, 0)]).tolist() == [[-2, 9]]
 
 
 def test_trailing_zeros_on_chain_faces(toy_triangle, quadrilateral, cube):
@@ -176,11 +167,8 @@ def test_trailing_zeros_on_chain_faces(toy_triangle, quadrilateral, cube):
             for j, face in enumerate(flag.chain):
                 assert face.dim == j
                 on = _subface_table(P.faces)[P.lattice_point_faces, P.faces.index(face)]
-                for m, yes in zip(P.lattice_points, on):
-                    if not yes:
-                        continue
-                    e = flag.exponents(m)
-                    assert all(x == 0 for x in e[j:])
+                assert on.any()
+                assert not flag.straighten(P.lattice_scan[0][on])[:, j:].any()
 
 
 def test_exponents_are_affine(toy_triangle):
@@ -188,18 +176,17 @@ def test_exponents_are_affine(toy_triangle):
     flag = build_flags(toy_triangle)[0]
     pts = toy_triangle.lattice_points
     for a, b in itertools.combinations(pts, 2):
-        ea, eb = flag.exponents(a), flag.exponents(b)
+        ea, eb = flag.straighten([a, b])
         diff = tuple(x - y for x, y in zip(a, b))
         shifted = tuple(x + d for x, d in zip(flag.base_vertex, diff))
-        expect = tuple(x - y for x, y in zip(ea, eb))
-        assert flag.exponents(shifted) == expect
+        assert flag.straighten([shifted]).tolist() == [(ea - eb).tolist()]
 
 
 def test_exponents_injective(toy_triangle, quadrilateral, hirzebruch):
     for P in (toy_triangle, quadrilateral, hirzebruch):
         flag = build_flags(P)[0]
-        images = [flag.exponents(m) for m in P.lattice_points]
-        assert len(set(images)) == len(images)
+        images = flag.straighten(P.lattice_scan[0])
+        assert len(set(map(tuple, images.tolist()))) == len(images)
 
 
 def test_flag_for_chain_rejects_bad_chains(toy_triangle):
