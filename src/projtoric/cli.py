@@ -148,12 +148,15 @@ def cmd_info(args):
     field = _field_from(args, doc)
     report = check_hypotheses(P, field.q)
     by_dim = Counter(f.dim for f in P.faces)
+    rank, torsion = picard_invariants(P)
+    # all that can refuse runs before the first print: exit 2 leaves stdout empty
+    n = count_rational_points(P, field.q)
+    k = dimension(P, field) if report.ok else "unavailable (hypotheses fail)"
     print(f"polytope: dimension {P.dim}, {len(P.vertices)} vertices, {len(P.faces)} faces")
     print("facets:")
     for u, a in zip(P.normals, P.offsets):
         print(f"  u={u} a={a}")
     print("faces by dimension: " + " ".join(f"{d}:{by_dim[d]}" for d in sorted(by_dim)))
-    rank, torsion = picard_invariants(P)
     print(f"picard rank {rank}, torsion " + (",".join(map(str, torsion)) if torsion else "none"))
     print(f"q = {field.q} (characteristic {report.characteristic})")
     print("H1 (simple): " + ("pass" if report.simple else "FAIL"))
@@ -172,11 +175,8 @@ def cmd_info(args):
     else:
         off = ", ".join(str(v) for v in report.offenders)
         print(f"offending vertices: {off}")
-    print(f"n = {count_rational_points(P, field.q)}")
-    if report.ok:
-        print(f"k = {dimension(P, field)}")
-    else:
-        print("k = unavailable (hypotheses fail)")
+    print(f"n = {n}")
+    print(f"k = {k}")
     return 0
 
 

@@ -301,8 +301,10 @@ def find_surjective_dilate(P, field, lambda_max=16):
     over facets j with a_j(v) = a_j + <v, u_j> > 0 of floor((q-1) *
     -<x, u_j> / a_j(v)), as relint(k(F - v)) lies in relint(k'(F - v)) for
     k <= k' and relint(c(F - v)) holds a lattice point for c = dim F + 1:
-    the sum of c affinely independent vertices of F, minus cv."""
-    for lam in range(_dilate_lower_bound(P, field_size(field)), lambda_max + 1):
+    the sum of c affinely independent vertices of F, minus cv. Past lam = 1
+    a negative facet offset a fails is_surjective, as lam*a < a."""
+    top = lambda_max if min(P.offsets) >= 0 else min(lambda_max, 1)
+    for lam in range(_dilate_lower_bound(P, field_size(field)), top + 1):
         if is_surjective(P.dilate(lam), P, field):
             return lam
     return None

@@ -9,6 +9,10 @@ from the code module.
 A matrix is any array-like of element codes, one row per generator: a
 uint16 array such as EvaluationMatrix.codes, or nested sequences of
 ints. It is read, never written. row_basis returns a uint16 array.
+Zero rows and copies of earlier rows are dropped first, which is exact:
+a copy takes its original's updates while both are pending, the
+original is pivoted first and zeroes it, and a row that never becomes a
+pivot is never subtracted from another. rank_gf builds no basis.
 
 Both distance oracles form every codeword as a row of one GF matrix
 product, GF.vaddmatmul(c, C, B), of coefficient rows C and an echelon
@@ -76,27 +80,29 @@ def _loop(W, field, record):
     return np.array(pivots, np.intp), X[:, width:width + len(pivots)]
 
 
-def _eliminate(W, field, record, leaf=LEAF):
+def _eliminate(W, field, record, basis, leaf=LEAF):
     """Eliminates W's columns in place, all rows pending, by the rule of
     row_basis. Returns the pivot rows in column order and, if record, H:
     on any columns further right W's rows end as they began plus H @ (the
     pivot rows as they began). Past leaf columns and LEAF rows the left
     half goes first, the right half takes rows += H_L @ (left pivot rows)
     and goes next, and H = [H_L + H_R H_L[right pivots], H_R]
-    (FFLAS-FFPACK)."""
+    (FFLAS-FFPACK). Unless basis, the left pivot rows skip that update."""
     width = W.shape[1]
     if width <= leaf or len(W) <= LEAF:
         return _loop(W, field, record)
     h = width // 2
     left = np.flatnonzero(W[:, :h].any(axis=1))
     L = W[left, :h]
-    pl, HL = _eliminate(L, field, True)
+    pl, HL = _eliminate(L, field, True, basis)
     W[left, :h] = L
-    pl, moved = left[pl], HL.any(axis=1)
+    moved = HL.any(axis=1)
+    moved[pl] &= basis  # a pivot row's right half is read only as the basis
+    pl = left[pl]
     W[left[moved], h:] = field.vaddmatmul(W[left[moved], h:], HL[moved], W[pl, h:])
     right = np.setdiff1d(np.flatnonzero(W[:, h:].any(axis=1)), pl)  # pending, nonzero
     R = W[right, h:]
-    pr, HR = _eliminate(R, field, record)
+    pr, HR = _eliminate(R, field, record, basis)
     W[right, h:] = R
     pivots = np.concatenate([pl, right[pr]])
     if not record:
@@ -108,6 +114,15 @@ def _eliminate(W, field, record, leaf=LEAF):
     return pivots, H
 
 
+def _reduce(entries, field, basis):
+    """The first copies of the distinct nonzero rows, eliminated, and the pivots."""
+    field = as_field(field)
+    A = np.atleast_2d(np.asarray(entries, dtype=np.uint16))
+    first, nonzero = {}, A.any(axis=1)
+    A = A[[i for i, row in enumerate(A) if nonzero[i] and first.setdefault(row.tobytes(), i) == i]]
+    return A, _eliminate(A, field, False, basis, 16 * LEAF)[0] if A.size else []
+
+
 def row_basis(entries, field):
     """Row echelon basis over GF(q): at each column the first pending row
     (in input order) nonzero there becomes a basis row and is subtracted
@@ -116,17 +131,13 @@ def row_basis(entries, field):
     update between halves being one GF.vaddmatmul. entries is any 2D
     array-like of element codes and is not written; the basis is a new
     uint16 array, in pivot order."""
-    field = as_field(field)
-    A = np.array(entries, dtype=np.uint16, ndmin=2)
-    if not A.size:
-        return A[:0]
-    pivots, _ = _eliminate(A, field, False, 16 * LEAF)
+    A, pivots = _reduce(entries, field, True)
     return A[pivots]
 
 
 def rank_gf(entries, field):
-    """Rank of a matrix of element codes over GF(q)."""
-    return len(row_basis(entries, field))
+    """Rank over GF(q): the pivot count of row_basis, with no basis built."""
+    return len(_reduce(entries, field, False)[1])
 
 
 def _combinations(q, s):

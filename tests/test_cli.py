@@ -447,6 +447,17 @@ def test_document_lambda_cap_is_used(capsys, tmp_path):
     assert "lambda = 5" in out
 
 
+def test_negative_offset_caps_the_search_at_one(capsys, tmp_path):
+    # the origin lies outside P, so only lam = 1 is tried, however large the cap
+    cap = 1 << 60
+    path = write_doc(
+        tmp_path, "far.json", vertices=[[1, 1], [2, 1], [1, 2]], q=3, lambda_max=cap
+    )
+    assert run(capsys, "bound", "--polytope", path) == (3, "", f"no surjective dilate up to {cap}\n")
+    argv = ("bound", "--polytope", path, "--lambda-max", str(cap))
+    assert run(capsys, *argv) == (3, "", f"no surjective dilate up to {cap}\n")
+
+
 def test_info_non_simple_lists_offending_vertices(capsys, tmp_path):
     # the apexes sit over an edge of the base, so (0,0,0) lies on four
     # facets and every other vertex on three
@@ -473,9 +484,10 @@ def test_empty_vertex_list_exits_two(capsys, tmp_path, command, doc):
 
 @pytest.mark.parametrize("command", ["info", "matrix", "dim", "bound", "verify", "subcode"])
 def test_coordinates_past_int64_exit_two(capsys, tmp_path, command):
+    # info computes n and k before its first line, so no half report shows
     path = write_doc(tmp_path, "far.json", vertices=[[0, 0], [1, 0], [0, 10**20]], q=3)
-    code, _, err = run(capsys, command, "--polytope", path)
-    assert code == 2
+    code, out, err = run(capsys, command, "--polytope", path)
+    assert (code, out) == (2, "")
     assert "invalid input" in err and "int64" in err
 
 

@@ -2,12 +2,14 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import projtoric.code
 from conftest import build_polygon_corpus
 from reference import mul, ref_projective_reduction, ref_toric_reduction, scalar_rows
 from projtoric.cli import load_document
@@ -345,6 +347,25 @@ def test_find_surjective_dilate(toy_triangle, segment01, unit_square):
     assert find_surjective_dilate(segment01, GF(3)) == 3
     assert find_surjective_dilate(unit_square, GF(2)) == 2
     assert find_surjective_dilate(toy_triangle, GF(4), lambda_max=2) is None
+
+
+def test_negative_offset_ends_the_dilate_search(monkeypatch):
+    # the origin lies outside P, so a facet offset a is negative and
+    # lam*a < a for every lam > 1: no dilate past lam = 1 can be surjective
+    P = Polytope.from_vertices([(1, 1), (2, 1), (1, 2)])
+    assert min(P.offsets) < 0
+    assert not any(is_surjective(P.dilate(lam), P, GF(3)) for lam in range(1, 30))
+    tried = []
+
+    def once(Pbig, *args):
+        tried.append(Pbig)
+        assert len(tried) == 1, "searched past lam = 1"
+        return is_surjective(Pbig, *args)
+
+    monkeypatch.setattr(projtoric.code, "is_surjective", once)
+    start = time.perf_counter()
+    assert find_surjective_dilate(P, GF(3), 1 << 60) is None
+    assert time.perf_counter() - start < 1
 
 
 def test_distance_bound_toy(toy_triangle):
