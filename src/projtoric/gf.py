@@ -12,6 +12,8 @@ table for addition, back the array operations vadd, vmul and vneg.
 from __future__ import annotations
 
 from functools import cached_property, reduce
+from itertools import accumulate
+from math import isqrt
 
 import numpy as np
 
@@ -161,17 +163,24 @@ class GF:
         # g has order q-1 iff g^((q-1)/r) != 1 for every prime r | q-1
         primes = _factorize(q - 1)
         gen = next(g for g in range(1, q) if all(power(g, (q - 1) // r) != 1 for r in primes))
-        exp, acc = [1] * (q - 1), 1
-        for i in range(q - 1):
-            exp[i] = acc
-            acc = mul(acc, gen)
+        # g^0 .. g^(b-1) one by one; past q = 65, further blocks of b
+        # are the last one times g^b, a k x k matrix over F_p on digits
+        b = min(q - 1, max(isqrt(q - 1), 64))
+        exp = list(accumulate([gen] * (b - 1), mul, initial=1))
+        if b < q - 1:
+            gb = mul(exp[-1], gen)
+            step = np.array([_digits(mul(p ** j, gb), p, k) for j in range(k)], np.int64).T
+            digits = [np.array([_digits(a, p, k) for a in exp], np.int64).T]
+            while len(digits) * b < q - 1:
+                digits.append(step @ digits[-1] % p)
+            exp = (p ** np.arange(k) @ np.concatenate(digits, axis=1))[:q - 1]
         self.generator = gen
 
         S = 2 * q
         self.log_table = np.full(q, S, dtype=np.int32)
         self.log_table[exp] = np.arange(q - 1)
         self.exp_table = np.zeros(4 * q + 1, dtype=np.uint16)
-        self.exp_table[:2 * (q - 1)] = exp * 2  # two periods of g^i
+        self.exp_table[:2 * (q - 1)] = np.tile(exp, 2)  # two periods of g^i
         d = np.arange(-(q - 2), q - 1)
         a = self.exp_table[d % (q - 1)].astype(np.intp)
         # adding 1 only changes the lowest base-p digit of a code

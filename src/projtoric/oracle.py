@@ -18,7 +18,13 @@ Both distance oracles form every codeword as a row of one GF matrix
 product, GF.vaddmatmul(c, C, B), of coefficient rows C and an echelon
 basis B. The exhaustive search takes only normalised messages (first
 nonzero coefficient 1), as a unit multiple of a word has its weight;
-its budget still caps q^k, the number of all messages.
+its budget still caps q^k, the number of all messages. Tail words meet
+the head block a few columns at a time, their weights summed in the
+narrowest unsigned dtype that holds n, and the search stops at weight 1.
+The random bound draws what random.Random(seed).randrange would, draw
+for draw: CPython's randrange(n) keeps the top n.bit_length() bits of
+the next 32-bit output, drawing again while they are >= n, and
+getrandbits(32 m) is the next m outputs, the first in the lowest word.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from math import gcd
 
 import numpy as np
 
-from .gf import as_field, field_size
+from .gf import CAP, as_field, field_size
 
 
 class BudgetExceededError(Exception):
@@ -159,16 +165,23 @@ def _exhaustive(basis, field):
     t = r - s
     coeffs = _combinations(q, s)
     neg = np.empty((len(coeffs), n), dtype=np.uint16)
-    # chunks keep each product's digit sums, and each comparison with
-    # the head block, within 2^14 entries
+    # chunks keep each product's digit sums within 2^14 entries
     for part in _chunks(len(neg), 4 * field.k * n):
         neg[part] = field.vneg(field.vaddmatmul(0, coeffs[part], B[t:]))
     best = int(np.count_nonzero(neg[1:], axis=1).min(initial=n))
+    # m tail words against the H heads, c columns at a time: each c x m
+    # x H comparison within CAP entries, summed into m x H weights
+    negT, H, dt = np.ascontiguousarray(neg.T), len(neg), np.min_scalar_type(n)
     for i in range(t):  # the tails that lead with row i
         coeffs = _combinations(q, t - 1 - i)
-        for part in _chunks(len(coeffs), 4 * field.k * len(neg) * n):
-            words = field.vaddmatmul(B[i], coeffs[part], B[i + 1:t])
-            best = min(best, int(np.count_nonzero(words[:, None] != neg, axis=2).min()))
+        for part in _chunks(len(coeffs), max(4 * H, n)):
+            if best == 1:  # no nonzero word weighs less
+                return 1
+            words = field.vaddmatmul(B[i], coeffs[part], B[i + 1:t]).T
+            weights, c = np.zeros((words.shape[1], H), dt), max(1, CAP // (words.shape[1] * H))
+            for a in range(0, n, c):
+                weights += (words[a:a + c, :, None] != negT[a:a + c, None, :]).sum(axis=0, dtype=dt)
+            best = min(best, int(weights.min()))
     return best
 
 
@@ -195,18 +208,43 @@ def min_distance_exhaustive(entries, field, budget=1 << 24):
     return _exhaustive(B, field)
 
 
+def _random_coefficients(rng, q, k, iterations):
+    """iterations rows c = [rng.randrange(q) for _ in range(k)], a zero
+    row then set c[rng.randrange(k)] = 1 + rng.randrange(q - 1) (value
+    drawn first), each draw read off a batch of rng's next words."""
+    words, at, rows = np.zeros(0, np.uint32), 0, [np.zeros((0, k), np.uint16)]
+
+    def draw(n):  # one randrange(n): from words[at:], then from rng itself
+        nonlocal at
+        while at < len(words):
+            at += 1
+            if (w := int(words[at - 1]) >> 32 - n.bit_length()) < n:
+                return w
+        return rng.randrange(n)
+
+    shift = 32 - q.bit_length()
+    while (need := iterations - sum(map(len, rows))) > 0:
+        hits = at + np.flatnonzero(words[at:] >> shift < q)
+        if len(hits) < need * k:
+            m = 2 * (need * k - len(hits))
+            more = rng.getrandbits(32 * m).to_bytes(4 * m, "little")  # the next m words
+            words = np.append(words, np.frombuffer(more, "<u4"))
+            continue
+        C = (words[hits[:need * k]] >> shift).astype(np.uint16).reshape(need, k)
+        zero = np.flatnonzero(~C.any(axis=1))
+        if len(zero):  # its fix-up draws come next, and the later rows after them
+            j = zero[0]
+            C, at = C[:j + 1], hits[(j + 1) * k - 1] + 1
+            C[j, draw(k)] = 1 + draw(q - 1)  # the value is drawn first, as in any assignment
+        rows.append(C)
+    return np.concatenate(rows)
+
+
 def min_weight_random_upper(entries, field, iterations=200, seed=0):
     """Upper bound on the minimum distance from random codewords."""
     field, B = _basis(entries, field)
     (k, n), q = B.shape, field.q
-    rng = random.Random(seed)
-    coeffs = []
-    for _ in range(iterations):
-        c = [rng.randrange(q) for _ in range(k)]
-        if not any(c):
-            c[rng.randrange(len(c))] = 1 + rng.randrange(q - 1)
-        coeffs.append(c)
-    C = np.array(coeffs, dtype=np.uint16).reshape(-1, k)
+    C = _random_coefficients(random.Random(seed), q, k, iterations)
     return int(np.count_nonzero(field.vaddmatmul(0, C, B), axis=1).min(initial=n))
 
 

@@ -12,7 +12,8 @@ by contains, tight_facets for every point, dict grouping of congruence
 classes and min(key=...) for representatives, with the sort keys
 spelled out per order kind. scalar_rows is the evaluation the matrix
 builders used before they were vectorised: one mul/power chain per
-entry.
+entry. ref_random_coefficients is the per-draw loop of the random upper
+bound before it read its draws off batches of 32-bit words.
 """
 
 from collections import defaultdict
@@ -77,6 +78,18 @@ def scalar_rows(exponents, field, on=None):
             row.append(val)
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def ref_random_coefficients(rng, q, k, iterations):
+    """iterations rows of k codes from rng.randrange, each zero row then
+    given one nonzero entry at a random place."""
+    coeffs = []
+    for _ in range(iterations):
+        c = [rng.randrange(q) for _ in range(k)]
+        if not any(c):
+            c[rng.randrange(len(c))] = 1 + rng.randrange(q - 1)
+        coeffs.append(c)
+    return np.array(coeffs, dtype=np.uint16).reshape(-1, k)
 
 
 def ref_key(order, point):

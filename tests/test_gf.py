@@ -271,6 +271,22 @@ def test_large_tables_pinned(gf65536):
     )
 
 
+def test_exp_table_is_built_in_blocks(monkeypatch):
+    # only g^1 .. g^64 (b = max(sqrt(q - 1), 64)), the k = 12 columns
+    # of the block step and the generator search take a scalar product,
+    # where a unit-by-unit table takes one for each of the 4095 units
+    calls, poly_mulmod = [0], gf._poly_mulmod
+
+    def counted(*args):
+        calls[0] += 1
+        return poly_mulmod(*args)
+
+    monkeypatch.setattr(gf, "_poly_mulmod", counted)
+    F = GF(4096)
+    assert table_digest(F) == "6bf24a0c64a3173a6ad183654e7ecd8c53ddb41fe0f726d2e19f7c384ecc4304"
+    assert calls[0] < 300
+
+
 def vaddmatmul_reference(F, c, a, b):
     out = np.broadcast_to(np.asarray(c, dtype=np.uint16), (a.shape[0], b.shape[1]))
     for j in range(a.shape[1]):

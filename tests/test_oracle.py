@@ -6,7 +6,9 @@ array kernel: one scalar field operation per entry. The array oracles
 must return the same basis, row for row, and the same distance.
 unionfind_reference is the double loop over point pairs that the
 union-find oracle ran before it compared each point with all later
-points at once; the class counts must agree.
+points at once; the class counts must agree. The random bound's
+coefficient rows must equal those of ref_random_coefficients, the
+scalar draw loop in reference.py.
 """
 
 import ast
@@ -26,6 +28,7 @@ from projtoric.oracle import (
     LEAF,
     BudgetExceededError,
     _exhaustive,
+    _random_coefficients,
     min_distance_exhaustive,
     min_weight_random_upper,
     pick_check,
@@ -35,7 +38,7 @@ from projtoric.oracle import (
 )
 from projtoric.polytope import Polytope, PolytopeError
 
-from reference import add, mul, sub
+from reference import add, mul, ref_random_coefficients, sub
 from test_code import DATA, PINNED_MATRICES
 
 
@@ -329,6 +332,68 @@ def test_exhaustive_backends_agree(gf65536):
     assert _exhaustive(rs, gf65536) == 4
 
 
+def test_exhaustive_weights_do_not_wrap(gf65536):
+    # full-weight words: the Reed-Solomon [256, 2] code over F257 has d =
+    # n - k + 1 = 255 and words of weight 256, which a uint8 count reads
+    # as 0; a repetition code of length 70000 is read by a uint16 count
+    # as 4464
+    rs = [[1] * 256, list(range(1, 257))]
+    assert _exhaustive(rs, GF(257)) == 255
+    assert _exhaustive([[1] * 70000], gf65536) == 70000
+
+
+def tail_products(monkeypatch):
+    """The row count of every product that forms tail words (the head
+    block's products add to 0, the tails' to a basis row)."""
+    rows, vaddmatmul = [], GF.vaddmatmul
+
+    def counted(self, c, a, b):
+        if np.ndim(c):
+            rows.append(len(a))
+        return vaddmatmul(self, c, a, b)
+
+    monkeypatch.setattr(GF, "vaddmatmul", counted)
+    return rows
+
+
+def test_exhaustive_stops_at_weight_one(monkeypatch):
+    rows = tail_products(monkeypatch)
+    # the identity over F4 puts unit vectors in its head block (the last
+    # six rows), so no tail word is formed
+    assert _exhaustive(np.array(identity_entries(10), np.uint16), GF(4)) == 1
+    assert rows == []
+    # over F2 the twelve head rows have disjoint supports of weight 2,
+    # and the first of the two tail rows has weight 1: the tails that
+    # lead with it find weight 1, and those that lead with row 1 are
+    # skipped
+    basis = np.zeros((14, 28), np.uint16)
+    basis[0, 0] = 1
+    basis[1, 1:4] = 1
+    for j in range(12):
+        basis[2 + j, 4 + 2 * j:6 + 2 * j] = 1
+    assert _exhaustive(basis, GF(2)) == 1
+    assert rows == [2]
+    rows.clear()
+    basis[0, 1] = 1  # now weight 2 everywhere, and both tails run
+    assert _exhaustive(basis, GF(2)) == 2
+    assert rows == [2, 1]
+
+
+def test_random_coefficients_match_scalar_draws():
+    # the batch draw reads randrange's own stream: over q = 2 with k = 1
+    # about half the rows are zero and take the fix-up draws, some of
+    # which run past the batch and come from rng itself, and over q =
+    # 65536 every draw is 17 bits, about half of them rejected
+    for q in (2, 3, 4, 7, 16, 257, 65536):
+        for k in (1, 2, 3, 8, 46):
+            for seed in range(3):
+                for iterations in (0, 1, 7, 200):
+                    expected = ref_random_coefficients(random.Random(seed), q, k, iterations)
+                    got = _random_coefficients(random.Random(seed), q, k, iterations)
+                    assert got.dtype == np.uint16, (q, k)
+                    assert np.array_equal(got, expected), (q, k, seed, iterations)
+
+
 def test_random_upper_bounds_exhaustive(toy_triangle):
     field = GF(4)
     M = generator_matrix(toy_triangle, field)
@@ -336,6 +401,8 @@ def test_random_upper_bounds_exhaustive(toy_triangle):
     assert upper >= min_distance_exhaustive(M.codes, field)
     again = min_weight_random_upper(M.codes, field, iterations=300, seed=5)
     assert upper == again
+    # no random word leaves the trivial bound n
+    assert min_weight_random_upper(M.codes, field, iterations=0) == M.codes.shape[1]
     with pytest.raises(ValueError):
         min_weight_random_upper([[0, 0]], field)
 
