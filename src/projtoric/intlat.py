@@ -1,13 +1,15 @@
 """Exact integer linear algebra on small dense matrices.
 
 Matrices are nested sequences of Python ints and results are plain
-lists of lists. Nothing here touches floating point, so every value
-stays exact no matter how large intermediate entries grow.
+lists of lists. Every value is an integer, exact no matter how large
+intermediate entries grow, and nothing touches floating point. Rank,
+determinant and the Hermite and Smith forms serve the face lattice,
+the vertex determinants, the flags' straightening and the Picard
+invariants; the hull's minors are the int64 kernel of polytope.py.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 
@@ -34,13 +36,6 @@ def _egcd(a, b):
     return old_r, old_s, old_t
 
 
-def _check_square(A):
-    n = len(A)
-    if n == 0 or any(len(row) != n for row in A):
-        raise ValueError("square matrix required")
-    return n
-
-
 def hnf_lower(A):
     """Lower-triangular Hermite normal form by unimodular column operations.
 
@@ -50,7 +45,9 @@ def hnf_lower(A):
 
     Raises SingularMatrixError when A is singular.
     """
-    n = _check_square(A)
+    n = len(A)
+    if n == 0 or any(len(row) != n for row in A):
+        raise ValueError("square matrix required")
     H = [list(map(int, row)) for row in A]
     T = identity(n)
     for i in range(n):
@@ -191,45 +188,12 @@ def snf_invariant_factors(A):
     return diag[:n]
 
 
-def kernel_vector(rows, n):
-    """Primitive integer kernel generator for n-1 independent rows in Z^n.
-
-    Component j is the signed maximal minor omitting column j, reduced to
-    primitive form. Raises ValueError when the rows have rank < n-1.
-    """
-    if len(rows) != n - 1:
-        raise ValueError("exactly n-1 rows required")
-    d = []
-    for j in range(n):
-        minor = [[row[t] for t in range(n) if t != j] for row in rows]
-        d.append((-1) ** j * determinant(minor))
-    g = gcd(*d)
-    if g == 0:
-        raise ValueError("rows do not have rank n-1")
-    return [x // g for x in d]
-
-
-def solve_exact(A, B):
-    """X with A X = B for a square A, as rows of Fractions, by exact
-    Gauss-Jordan elimination; None when A is singular."""
-    n = len(A)
-    M = [[Fraction(x) for x in row] + [Fraction(b) for b in rhs] for row, rhs in zip(A, B)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if M[i][c]), None)
-        if piv is None:
-            return None
-        M[c], M[piv] = M[piv], M[c]
-        M[c] = [x / M[c][c] for x in M[c]]
-        for i in range(n):
-            if i != c and M[i][c]:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[c])]
-    return [row[n:] for row in M]
-
-
 def unimodular_inverse(T):
-    """Exact inverse of a unimodular integer matrix, as integer rows."""
-    n = _check_square(T)
-    if determinant(T) not in (1, -1):
+    """Exact inverse of a unimodular integer matrix, as integer rows.
+
+    The Hermite form H = T X is the identity exactly when T is
+    unimodular, and X = T^-1 then."""
+    H, X = hnf_lower(T)
+    if H != identity(len(T)):
         raise ValueError("matrix is not unimodular")
-    return [[int(x) for x in row] for row in solve_exact(T, identity(n))]
+    return X

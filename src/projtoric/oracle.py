@@ -213,6 +213,7 @@ def _random_coefficients(rng, q, k, iterations):
     row then set c[rng.randrange(k)] = 1 + rng.randrange(q - 1) (value
     drawn first), each draw read off a batch of rng's next words."""
     words, at, rows = np.zeros(0, np.uint32), 0, [np.zeros((0, k), np.uint16)]
+    hits = np.zeros(0, np.intp)  # the positions of the words randrange(q) accepts
 
     def draw(n):  # one randrange(n): from words[at:], then from rng itself
         nonlocal at
@@ -224,17 +225,18 @@ def _random_coefficients(rng, q, k, iterations):
 
     shift = 32 - q.bit_length()
     while (need := iterations - sum(map(len, rows))) > 0:
-        hits = at + np.flatnonzero(words[at:] >> shift < q)
-        if len(hits) < need * k:
-            m = 2 * (need * k - len(hits))
-            more = rng.getrandbits(32 * m).to_bytes(4 * m, "little")  # the next m words
-            words = np.append(words, np.frombuffer(more, "<u4"))
+        i = np.searchsorted(hits, at)  # the first of them from at on
+        if len(hits) - i < need * k:
+            m = 2 * need * k  # read the next m words
+            more = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), "<u4")
+            hits = np.append(hits, len(words) + np.flatnonzero(more >> shift < q))
+            words = np.append(words, more)
             continue
-        C = (words[hits[:need * k]] >> shift).astype(np.uint16).reshape(need, k)
+        C = (words[hits[i:i + need * k]] >> shift).astype(np.uint16).reshape(need, k)
         zero = np.flatnonzero(~C.any(axis=1))
         if len(zero):  # its fix-up draws come next, and the later rows after them
             j = zero[0]
-            C, at = C[:j + 1], hits[(j + 1) * k - 1] + 1
+            C, at = C[:j + 1], hits[i + (j + 1) * k - 1] + 1
             C[j, draw(k)] = 1 + draw(q - 1)  # the value is drawn first, as in any assignment
         rows.append(C)
     return np.concatenate(rows)

@@ -11,14 +11,15 @@ be mutually consistent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations
-from math import gcd
+from itertools import chain, combinations, islice
+from math import factorial, gcd
 
 import numpy as np
 
-from .intlat import kernel_vector, rank, solve_exact
+from .intlat import rank
+
+_CHUNK = 1 << 14  # entries of one product of the hull kernel
 
 
 class PolytopeError(ValueError):
@@ -33,6 +34,55 @@ def _affine_rank(points):
     base = points[0]
     diffs = [[x - b for x, b in zip(p, base)] for p in points[1:]]
     return rank(diffs)
+
+
+def _rows(head, tail):
+    """The int64 rows [h | t] of the hull kernel, h in Z^n from head and t
+    from tail, for stacks of n rows or of n - 1 heads.
+
+    With |h_j| <= B and |t| <= S, S >= 1, a maximal minor of n rows, and
+    each partial sum of its cofactor expansion, is at most n! products
+    of n entries, one at most from the last column: n! B^(n-1) max(B, S).
+    The one product it feeds, with a row [h | t], is at most
+    n B n! B^(n-1) S + S n! B^n = (n+1)! B^n S, and that of a kernel of
+    n - 1 heads at most n! B^n. Raises PolytopeError unless
+    (n+1)! B^n S < 2^63, so int64 holds every value."""
+    n = len(head[0])
+    B = max(map(abs, chain.from_iterable(head)))
+    S = max(1, *map(abs, tail))
+    if factorial(n + 1) * B**n * S >> 63:
+        raise PolytopeError("coordinates or offsets past the int64 bound of the hull kernel")
+    return np.array([[*h, t] for h, t in zip(head, tail)], dtype=np.int64)
+
+
+def _kernels(stacks):
+    """The primitive kernel vector of each stack of k int64 rows in
+    Z^(k+1): component j is (-1)^j times the maximal minor without
+    column j, over the gcd of the components. The minors come from
+    cofactor expansion along the rows, last row first, over every column
+    subset; a stack of rank below k gives 0."""
+    m, k, w = stacks.shape
+    minors = {(): np.ones(m, np.int64)}
+    for r in range(k - 1, -1, -1):
+        minors = {
+            cols: sum(
+                (-1) ** i * stacks[:, r, c] * minors[cols[:i] + cols[i + 1:]]
+                for i, c in enumerate(cols)
+            )
+            for cols in combinations(range(w), k - r)
+        }
+    K = np.column_stack([(-1) ** j * minors[(*range(j), *range(j + 1, w))] for j in range(w)])
+    return K // np.maximum(np.gcd.reduce(K, axis=1), 1)[:, None]
+
+
+def _subset_kernels(rows, k):
+    """(kernels, products), chunk by chunk, over the k-subsets of the
+    rows: the kernel of each subset and its product with every row."""
+    subsets = combinations(range(len(rows)), k)
+    step = max(1, _CHUNK // len(rows))
+    while chunk := list(islice(subsets, step)):
+        K = _kernels(rows[np.array(chunk, dtype=np.intp).reshape(len(chunk), k)])
+        yield K, K @ rows.T
 
 
 def _as_lattice_point(p, n=None):
@@ -88,47 +138,46 @@ class Polytope:
         Points that are not vertices of the hull are dropped. The hull
         must be full-dimensional in the ambient space; in dimension 4
         and up, supply facets explicitly through from_vrep_hrep.
+
+        The points move to the first one as rows [p - first | 1]. The
+        kernel (u, c) of n of these rows is a primitive normal u with
+        <p - first, u> + c = 0 on the n points, and it gives the facet
+        u or -u when every point lies on one side. A point is a vertex
+        when it lies on n facets: in dimension <= 3 a face of dimension
+        >= 1 is the hull, a facet or an edge, which two facets meet in.
         """
         pts = sorted({_as_lattice_point(p) for p in points})
         if len({len(p) for p in pts}) != 1:
             raise PolytopeError("no points, or points of mixed dimensions")
         n = len(pts[0])
         if n > 3:
-            raise PolytopeError(
-                "facet enumeration from vertices is supported up to dimension 3"
-            )
+            raise PolytopeError("facet enumeration from vertices is supported up to dimension 3")
         if _affine_rank(pts) != n:
             raise PolytopeError("hull is not full-dimensional")
-        facets = {}
-        for combo in combinations(pts, n):
-            diffs = [[x - b for x, b in zip(p, combo[0])] for p in combo[1:]]
-            if rank(diffs) != n - 1:
-                continue
-            u = kernel_vector(diffs, n)
-            vals = [_dot(p, u) for p in pts]
-            c = _dot(combo[0], u)
-            if c == min(vals):
-                facets[tuple(u)] = -c
-            if c == max(vals):
-                facets[tuple(-x for x in u)] = c
-        normals = sorted(facets)
-        offsets = [facets[u] for u in normals]
-        verts = []
-        for p in pts:
-            tight = [u for u, a in zip(normals, offsets) if _dot(p, u) == -a]
-            if rank(tight) == n:
-                verts.append(p)
-        return cls(n, tuple(verts), tuple(normals), tuple(offsets))
+        first = pts[0]
+        rows = _rows([[x - y for x, y in zip(p, first)] for p in pts], [1] * len(pts))
+        found = set()
+        for K, slack in _subset_kernels(rows, n):
+            found.update(map(tuple, K[(slack >= 0).all(axis=1)].tolist()))
+            found.update(map(tuple, (-K[(slack <= 0).all(axis=1)]).tolist()))
+        found.discard((0,) * (n + 1))  # from n points that span no hyperplane
+        facets = sorted(found)
+        normals = tuple(f[:n] for f in facets)
+        offsets = tuple(f[n] - _dot(f[:n], first) for f in facets)
+        vertex = (rows @ np.array(facets, dtype=np.int64).T == 0).sum(axis=1) >= n
+        return cls(n, tuple(p for p, v in zip(pts, vertex) if v), normals, offsets)
 
     @classmethod
     def from_vrep_hrep(cls, vertices, normals, offsets):
         """Build from an explicit vertex list and facet inequalities.
 
         normals[i]/offsets[i] describe the inequality <m, u> >= -a of
-        facet i. The two descriptions are cross-validated: every
-        inequality must define a genuine facet, every listed point must
-        be a vertex, the polyhedron must be bounded, and no vertex of
-        the inequality system may be missing from the list.
+        facet i. The system moves to the first listed vertex v as rows
+        [u | a + <v, u>]. It must be bounded: no kernel of n - 1 normals
+        lies on one side of every normal. Its vertices, y/t + v for the
+        kernels (y, t), t > 0, of n rows inside every inequality, must be
+        lattice points and exactly the listed ones, and every inequality
+        must be tight on an (n-1)-dimensional set.
         """
         verts = [_as_lattice_point(v) for v in vertices]
         if len(set(verts)) != len(verts):
@@ -140,66 +189,40 @@ class Polytope:
             raise PolytopeError("vertices do not span the ambient space")
         if len(normals) != len(offsets):
             raise PolytopeError("normals and offsets differ in length")
-        clean_normals = []
-        clean_offsets = []
-        for normal, offset in zip(normals, offsets):
-            u = _as_lattice_point(normal, n)
+        normals = [_as_lattice_point(u, n) for u in normals]
+        for u, a in zip(normals, offsets):
             if gcd(*u) != 1:
                 raise PolytopeError(f"facet normal {u} is not primitive")
-            if not isinstance(offset, int):
-                raise PolytopeError(f"facet offset {offset!r} is not an int")
-            clean_normals.append(u)
-            clean_offsets.append(offset)
-        normals, offsets = clean_normals, clean_offsets
+            if not isinstance(a, int):
+                raise PolytopeError(f"facet offset {a!r} is not an int")
         if len(set(normals)) != len(normals):
             raise PolytopeError("duplicate facet normals")
         if rank(normals) != n:
             raise PolytopeError("facet normals do not span the ambient space")
-        for v in verts:
-            for u, a in zip(normals, offsets):
-                if _dot(v, u) < -a:
-                    raise PolytopeError(f"vertex {v} violates facet {u}")
+        first = verts[0]
+        rows = _rows(normals, [a + _dot(first, u) for u, a in zip(normals, offsets)])
+        for K, product in _subset_kernels(rows[:, :n], n - 1):
+            if (K.any(axis=1) & ((product >= 0).all(axis=1) | (product <= 0).all(axis=1))).any():
+                raise PolytopeError("inequalities describe an unbounded set")
+        found = set()
+        for K, product in _subset_kernels(rows, n):
+            sign = np.sign(K[:, n:])  # t >= 0 from here on
+            K, product = K * sign, product * sign
+            for *y, t in K[(K[:, n] > 0) & (product >= 0).all(axis=1)].tolist():
+                if t > 1:
+                    point = tuple(t * v + x for v, x in zip(first, y))
+                    raise PolytopeError(f"inequality system has non-lattice vertex {point}/{t}")
+                found.add(tuple(v + x for v, x in zip(first, y)))
+        if extra := set(verts) - found:
+            raise PolytopeError(f"listed point {min(extra)} is not a vertex")
+        if missing := found - set(verts):
+            raise PolytopeError(f"vertex {min(missing)} missing from the vertex list")
         for u, a in zip(normals, offsets):
             tight = [v for v in verts if _dot(v, u) == -a]
             if not tight or _affine_rank(tight) != n - 1:
                 raise PolytopeError(f"inequality {u} >= {-a} is not a facet")
-        for v in verts:
-            tight = [u for u, a in zip(normals, offsets) if _dot(v, u) == -a]
-            if rank(tight) != n:
-                raise PolytopeError(f"listed point {v} is not a vertex")
-        r = len(normals)
-        for combo in combinations(range(r), n - 1):
-            rows = [normals[i] for i in combo]
-            try:
-                d = kernel_vector(rows, n)
-            except ValueError:
-                continue
-            for s in (d, [-x for x in d]):
-                if all(_dot(s, u) >= 0 for u in normals):
-                    raise PolytopeError("inequalities describe an unbounded set")
-        vert_set = set(verts)
-        for combo in combinations(range(r), n):
-            rows = [normals[i] for i in combo]
-            sol = solve_exact(rows, [[-offsets[i]] for i in combo])
-            if sol is None:
-                continue
-            sol = [s for s, in sol]
-            if any(
-                sum(Fraction(x) * s for x, s in zip(u, sol)) < -a
-                for u, a in zip(normals, offsets)
-            ):
-                continue
-            if any(s.denominator != 1 for s in sol):
-                raise PolytopeError(f"inequality system has non-lattice vertex {sol}")
-            if tuple(int(s) for s in sol) not in vert_set:
-                raise PolytopeError(f"vertex {sol} missing from the vertex list")
-        order = sorted(range(r), key=lambda i: normals[i])
-        return cls(
-            n,
-            tuple(sorted(verts)),
-            tuple(normals[i] for i in order),
-            tuple(offsets[i] for i in order),
-        )
+        normals, offsets = zip(*sorted(zip(normals, offsets)))  # the normals are distinct
+        return cls(n, tuple(sorted(verts)), normals, offsets)
 
     contains = HalfspaceRegion.contains
 
@@ -307,9 +330,7 @@ class Polytope:
 
     def is_simple(self):
         """Whether every vertex lies on exactly dim facets."""
-        return all(
-            len(self.tight_facets(v)) == self.dim for v in self.vertices
-        )
+        return all(len(f.facet_indices) == self.dim for f in self.faces_of_dim(0))
 
     def dilate(self, factor):
         """The scaled polytope factor * P, for a positive integer factor.

@@ -27,16 +27,17 @@ class HypothesisError(Exception):
 def vertex_determinants(P):
     """|det| of the facet normals meeting at each vertex, in vertex order.
 
-    Defined for simple polytopes only; raises HypothesisError otherwise.
+    Each vertex's facets are read from its face; the face lattice lists
+    the vertices' faces in vertex order. Defined for simple polytopes
+    only; raises HypothesisError otherwise.
     """
     out = []
-    for v in P.vertices:
-        tight = P.tight_facets(v)
-        if len(tight) != P.dim:
+    for v, f in zip(P.vertices, P.faces_of_dim(0)):
+        if len(f.facet_indices) != P.dim:
             raise HypothesisError(
-                f"vertex {v} lies on {len(tight)} facets; polytope is not simple"
+                f"vertex {v} lies on {len(f.facet_indices)} facets; polytope is not simple"
             )
-        out.append(abs(determinant([list(P.normals[i]) for i in tight])))
+        out.append(abs(determinant([list(P.normals[i]) for i in f.facet_indices])))
     return tuple(out)
 
 
@@ -72,12 +73,12 @@ def check_hypotheses(P, q):
     """
     p, _ = prime_power(q)
     if not P.is_simple():
-        crowded = tuple(v for v in P.vertices if len(P.tight_facets(v)) > P.dim)
+        crowded = tuple(
+            v for v, f in zip(P.vertices, P.faces_of_dim(0)) if len(f.facet_indices) > P.dim
+        )
         return HypothesisReport(q, p, False, None, crowded)
     dets = vertex_determinants(P)
-    offenders = tuple(
-        v for v, d in zip(P.vertices, dets) if d % p == 0
-    )
+    offenders = tuple(v for v, d in zip(P.vertices, dets) if d % p == 0)
     return HypothesisReport(q, p, True, dets, offenders)
 
 

@@ -14,14 +14,21 @@ spelled out per order kind. scalar_rows is the evaluation the matrix
 builders used before they were vectorised: one mul/power chain per
 entry. ref_random_coefficients is the per-draw loop of the random upper
 bound before it read its draws off batches of 32-bit words.
+
+ref_hull is the convex hull as Polytope.from_vertices built it before
+its int64 kernel: one Python-int kernel_vector and rank per n-subset of
+the points, and one rank per point for the vertex test.
 """
 
 from collections import defaultdict
-from itertools import product
+from itertools import combinations, product
+from math import gcd
 
 import numpy as np
 
 from projtoric.gf import FieldError, _digits, _undigits
+from projtoric.intlat import determinant, rank
+from projtoric.polytope import PolytopeError
 
 
 def add(F, a, b):
@@ -142,3 +149,48 @@ def ref_projective_reduction(P, q, order):
 def ref_toric_reduction(points, q, order):
     key = lambda m: ref_key(order, m)  # noqa: E731
     return tuple(sorted((min(g, key=key) for g in ref_classes(points, q)), key=key))
+
+
+def kernel_vector(rows, n):
+    """Primitive integer kernel generator for n-1 independent rows in Z^n.
+
+    Component j is the signed maximal minor omitting column j, reduced to
+    primitive form. Raises ValueError when the rows have rank < n-1.
+    """
+    if len(rows) != n - 1:
+        raise ValueError("exactly n-1 rows required")
+    d = []
+    for j in range(n):
+        minor = [[row[t] for t in range(n) if t != j] for row in rows]
+        d.append((-1) ** j * determinant(minor))
+    g = gcd(*d)
+    if g == 0:
+        raise ValueError("rows do not have rank n-1")
+    return [x // g for x in d]
+
+
+def ref_hull(points):
+    """(vertices, normals, offsets) of the convex hull of lattice points
+    in dimension <= 3, sorted as Polytope keeps them. Raises
+    PolytopeError when the hull is not full-dimensional."""
+    pts = sorted(set(map(tuple, points)))
+    n = len(pts[0])
+    dot = lambda u, v: sum(a * b for a, b in zip(u, v))  # noqa: E731
+    if rank([[x - b for x, b in zip(p, pts[0])] for p in pts[1:]]) != n:
+        raise PolytopeError("hull is not full-dimensional")
+    facets = {}
+    for combo in combinations(pts, n):
+        diffs = [[x - b for x, b in zip(p, combo[0])] for p in combo[1:]]
+        if rank(diffs) != n - 1:
+            continue
+        u = kernel_vector(diffs, n)
+        vals = [dot(p, u) for p in pts]
+        c = dot(combo[0], u)
+        if c == min(vals):
+            facets[tuple(u)] = -c
+        if c == max(vals):
+            facets[tuple(-x for x in u)] = c
+    normals = sorted(facets)
+    offsets = [facets[u] for u in normals]
+    verts = [p for p in pts if rank([u for u, a in zip(normals, offsets) if dot(p, u) == -a]) == n]
+    return tuple(verts), tuple(normals), tuple(offsets)

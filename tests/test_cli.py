@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from projtoric.gf import GF
 from projtoric.polytope import Polytope
 
 from test_code import DATA
+from test_polytope import VREP_REJECTIONS
 
 
 def write_doc(tmp_path, name, **doc):
@@ -489,6 +491,28 @@ def test_coordinates_past_int64_exit_two(capsys, tmp_path, command):
     code, out, err = run(capsys, command, "--polytope", path)
     assert (code, out) == (2, "")
     assert "invalid input" in err and "int64" in err
+
+
+def test_hull_int64_bound_is_sharp(capsys, tmp_path):
+    # the points move to the first one as rows [p - first | 1], so 2D
+    # asks 3! B^2 < 2^63 of the largest coordinate difference B
+    b = isqrt((2**63 - 1) // 6)
+    below = Polytope.from_vertices([(0, 0), (b, 0), (0, b)])
+    assert (below.normals, below.offsets) == (((-1, -1), (0, 1), (1, 0)), (b, 0, 0))
+    path = write_doc(tmp_path, "at.json", vertices=[[0, 0], [b + 1, 0], [0, b + 1]], q=3)
+    code, out, err = run(capsys, "info", "--polytope", path)
+    assert (code, out) == (2, "")
+    assert "invalid input" in err and "int64" in err
+
+
+@pytest.mark.parametrize("case", VREP_REJECTIONS)
+def test_refused_facet_documents_exit_two(capsys, tmp_path, case):
+    vertices, normals, offsets, message = VREP_REJECTIONS[case]
+    facets = [{"normal": list(u), "offset": a} for u, a in zip(normals, offsets)]
+    path = write_doc(tmp_path, "facets.json", vertices=vertices, facets=facets, q=3)
+    code, out, err = run(capsys, "info", "--polytope", path)
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid input: ") and message in err
 
 
 @pytest.mark.parametrize("facets", [0, False, "", None, {}])

@@ -10,7 +10,6 @@ from projtoric.intlat import (
     determinant,
     hnf_lower,
     identity,
-    kernel_vector,
     rank,
     snf_invariant_factors,
     unimodular_inverse,
@@ -176,23 +175,6 @@ def test_snf_rejects_rank_deficient():
         snf_invariant_factors([[1, 2], [2, 4]])
     with pytest.raises(ValueError):
         snf_invariant_factors([[1, 2, 3]])
-
-
-def test_kernel_vector_is_primitive_and_orthogonal():
-    v = kernel_vector([(3, 2)], 2)
-    assert 3 * v[0] + 2 * v[1] == 0
-    assert gcd(abs(v[0]), abs(v[1])) == 1
-    w = kernel_vector([(1, 2, 3), (0, 1, 1)], 3)
-    assert (np.array([[1, 2, 3], [0, 1, 1]]) @ w).tolist() == [0, 0]
-    assert gcd(gcd(abs(w[0]), abs(w[1])), abs(w[2])) == 1
-
-
-def test_kernel_vector_degenerate_cases():
-    assert kernel_vector([], 1) == [1]
-    with pytest.raises(ValueError):
-        kernel_vector([(1, 2, 3), (2, 4, 6)], 3)
-    with pytest.raises(ValueError):
-        kernel_vector([(1, 2, 3)], 3)
 
 
 def test_unimodular_inverse_self_inverse_transform():

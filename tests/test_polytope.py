@@ -1,5 +1,9 @@
+import json
 import random
+import re
+from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,9 +11,13 @@ from projtoric.polytope import (
     HalfspaceRegion,
     Polytope,
     PolytopeError,
+    _kernels,
     offset_difference,
     same_normal_fan,
 )
+from reference import kernel_vector, ref_hull
+from test_code import DATA
+from test_lattice import box4
 
 
 def facet_dict(P):
@@ -343,4 +351,145 @@ def test_random_hulls_are_consistent(pts):
     for u, a in zip(P.normals, P.offsets):
         assert any(
             sum(x * y for x, y in zip(u, v)) == -a for v in P.vertices
+        )
+
+
+def test_kernel_vector_is_primitive_and_orthogonal():
+    v = kernel_vector([(3, 2)], 2)
+    assert 3 * v[0] + 2 * v[1] == 0
+    assert gcd(abs(v[0]), abs(v[1])) == 1
+    w = kernel_vector([(1, 2, 3), (0, 1, 1)], 3)
+    assert (np.array([[1, 2, 3], [0, 1, 1]]) @ w).tolist() == [0, 0]
+    assert gcd(gcd(abs(w[0]), abs(w[1])), abs(w[2])) == 1
+
+
+def test_kernel_vector_degenerate_cases():
+    assert kernel_vector([], 1) == [1]
+    with pytest.raises(ValueError):
+        kernel_vector([(1, 2, 3), (2, 4, 6)], 3)
+    with pytest.raises(ValueError):
+        kernel_vector([(1, 2, 3)], 3)
+
+
+def test_kernels_match_kernel_vector():
+    # stacks of k rows in Z^(k+1) for k = 0..4; from k = 2 on a fifth of
+    # them repeat their first row, and rank-deficient stacks give 0
+    rng = random.Random(0)
+    for k in range(5):
+        stacks = [[[rng.randint(-3, 3) for _ in range(k + 1)] for _ in range(k)] for _ in range(200)]
+        for rows in stacks[::5]:
+            rows[-1:] = rows[:1]
+        got = _kernels(np.array(stacks, dtype=np.int64).reshape(200, k, k + 1)).tolist()
+        for rows, v in zip(stacks, got):
+            try:
+                assert v == kernel_vector(rows, k + 1)
+            except ValueError:
+                assert v == [0] * (k + 1)
+
+
+FIXTURES = ("segment01", "toy_triangle", "quadrilateral", "unit_square", "hirzebruch", "cube")
+
+
+def hull_inputs(request):
+    """The point lists of every fixture and data document."""
+    yield from (request.getfixturevalue(name).vertices for name in FIXTURES)
+    for path in sorted(DATA.glob("*.json")):
+        yield [tuple(v) for v in json.loads(path.read_text())["vertices"]]
+
+
+def hull_draws(seed=0, count=600):
+    """Seeded point lists in dimensions 1 to 3, about a third of them
+    translated by +-2^40, degenerate ones included."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 3)
+        c = rng.choice((1, 3, 9))
+        pts = [tuple(rng.randint(-c, c) for _ in range(n)) for _ in range(rng.randint(1, 9))]
+        if rng.random() < 1 / 3:
+            shift = rng.choice((1, -1)) << 40
+            pts = [tuple(x + shift for x in p) for p in pts]
+        yield pts
+
+
+def test_from_vertices_matches_reference_hull(request):
+    for pts in hull_inputs(request):
+        P = Polytope.from_vertices(pts)
+        assert (P.vertices, P.normals, P.offsets) == ref_hull(pts)
+
+
+def test_from_vertices_matches_reference_hull_on_draws():
+    built = 0
+    for pts in hull_draws():
+        try:
+            expected = ref_hull(pts)
+        except PolytopeError:
+            with pytest.raises(PolytopeError, match="not full-dimensional"):
+                Polytope.from_vertices(pts)
+            continue
+        P = Polytope.from_vertices(pts)
+        assert (P.vertices, P.normals, P.offsets) == expected
+        built += 1
+    assert built > 300
+
+
+def test_vrep_hrep_rebuilds_every_hull(request):
+    hulls = [Polytope.from_vertices(pts) for pts in hull_inputs(request)]
+    for pts in hull_draws(count=300):
+        try:
+            hulls.append(Polytope.from_vertices(pts))
+        except PolytopeError:
+            pass
+    hulls.append(box4((-1, 0, -2, 0), (1, 2, 0, 1)))
+    for P in hulls:
+        assert Polytope.from_vrep_hrep(P.vertices, P.normals, P.offsets) == P
+        assert Polytope.from_vrep_hrep(P.vertices[::-1], P.normals[::-1], P.offsets[::-1]) == P
+
+
+UNIT_SQUARE_FACETS = ([(1, 0), (0, 1), (-1, 0), (0, -1)], [0, 0, 1, 1])
+
+# (vertices, normals, offsets, part of the message) that from_vrep_hrep refuses
+VREP_REJECTIONS = {
+    "non-lattice vertex": (
+        [(0, 0), (1, 0), (0, 1)], [(1, 0), (0, 1), (-1, -2)], [0, 0, 1],
+        "non-lattice vertex (0, 1)/2",
+    ),
+    "listed point not a vertex": (
+        [(0, 0), (2, 0), (0, 2), (2, 2), (1, 0)], UNIT_SQUARE_FACETS[0], [0, 0, 2, 2],
+        "listed point (1, 0) is not a vertex",
+    ),
+    "duplicate normals": (
+        [(0, 0), (1, 0), (0, 1), (1, 1)], UNIT_SQUARE_FACETS[0] + [(1, 0)], UNIT_SQUARE_FACETS[1] + [0],
+        "duplicate facet normals",
+    ),
+    "normals do not span": (
+        [(0, 0), (1, 0), (0, 1)], [(1, 0), (-1, 0)], [0, 1],
+        "facet normals do not span",
+    ),
+    "vertex missing from the list": (
+        [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)][:-1],
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)], [0, 0, 0, 1, 1, 1],
+        "vertex (1, 1, 1) missing from the vertex list",
+    ),
+    "vertex violates a facet": (
+        [(0, 0), (1, 0), (0, 1), (2, 2)], *UNIT_SQUARE_FACETS,
+        "listed point (2, 2) is not a vertex",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", VREP_REJECTIONS)
+def test_vrep_hrep_rejections(case):
+    vertices, normals, offsets, message = VREP_REJECTIONS[case]
+    with pytest.raises(PolytopeError, match=re.escape(message)):
+        Polytope.from_vrep_hrep(vertices, normals, offsets)
+
+
+def test_vrep_hrep_int64_bound_is_sharp():
+    # rows [u | a] with |u| <= 1 and |a| <= b ask 3! b < 2^63 in 2D
+    b = (2**63 - 1) // 6
+    P = Polytope.from_vrep_hrep([(0, 0), (b, 0), (0, b)], [(1, 0), (0, 1), (-1, -1)], [0, 0, b])
+    assert (P.normals, P.offsets) == (((-1, -1), (0, 1), (1, 0)), (b, 0, 0))
+    with pytest.raises(PolytopeError, match="int64"):
+        Polytope.from_vrep_hrep(
+            [(0, 0), (b + 1, 0), (0, b + 1)], [(1, 0), (0, 1), (-1, -1)], [0, 0, b + 1]
         )
