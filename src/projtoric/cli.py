@@ -117,7 +117,7 @@ def _order_from(args, doc, P):
     else:
         return None
     order = parse_order(text)
-    order.key((0,) * P.dim)
+    order.columns([(0,) * P.dim])
     return order
 
 

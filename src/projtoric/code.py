@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import GF, as_field, field_size
+from .gf import CAP, GF, as_field, field_size
 from .polytope import PolytopeError, offset_difference, same_normal_fan
 from .variety import build_flags, flag_assignment, require_hypotheses, count_rational_points
 
@@ -84,10 +84,6 @@ class OrderSpec:
         if self.kind == "permlex":
             return x[:, list(self.perm)]
         return np.column_stack((x @ np.array(self.weights, dtype=np.int64), x))
-
-    def key(self, point):
-        """Sort key of one point, from its columns."""
-        return tuple(self.columns([point])[0].tolist())
 
 
 def stock_orders(dim):
@@ -214,22 +210,33 @@ class ReductionSet:
     representatives: tuple
 
 
-def _representatives(P, q, order=None):
-    """Indices of one lattice point of P per class, (face, coordinates
-    mod q-1), in class order: the order-minimal one when an order is
-    given. Rows sort by class, then by the order's columns, and the
-    lexsort is stable, so rows that tie keep their order."""
-    points = P.lattice_scan[0]
-    key = np.column_stack((P.lattice_point_faces, points % (q - 1)))
-    cols = () if order is None else tuple(order.columns(points).T[::-1])
-    perm = np.lexsort(cols + tuple(key.T[::-1]))
-    key = key[perm]
-    return perm[np.concatenate(([True], (key[1:] != key[:-1]).any(axis=1)))]
+def _class_table(P, q):
+    """(perm, starts): the lattice points of P grouped by class, (face,
+    coordinates mod q-1), built once per q and cached on P as its
+    lattice_scan is; a dilate builds its own. perm lists the classes in
+    (face, residues) order, the points of each in lex order, and class c
+    begins at perm[starts[c]]. Both arrays are read-only."""
+    tables = P.__dict__.setdefault("class_tables", {})
+    if q not in tables:
+        key = np.column_stack((P.lattice_point_faces, P.lattice_scan[0] % (q - 1)))
+        perm = np.lexsort(key.T[::-1])  # stable: lex order within a class
+        starts = np.flatnonzero(np.diff(key[perm], axis=0, prepend=-1).any(axis=1))  # key >= 0
+        perm.flags.writeable = starts.flags.writeable = False
+        tables[q] = perm, starts
+    return tables[q]
 
 
-def _reduced_points(P, q, order=None):
-    """The points of _representatives."""
-    return P.lattice_scan[0][_representatives(P, q, order)]
+def _representatives(P, q, order):
+    """(indices, ranks) of the order-minimal lattice point of P in each
+    class, in class order, and of its place in the order: the least rank
+    over the class's run of perm. Every order is total on Z^N, so no two
+    points tie; the points are in lex order, so lex ranks are indices."""
+    perm, starts = _class_table(P, q)
+    if order.kind == "lex":
+        return perm[starts], perm[starts]
+    by_rank = np.lexsort(order.columns(P.lattice_scan[0]).T[::-1])
+    least = np.minimum.reduceat(np.argsort(by_rank)[perm], starts)
+    return by_rank[least], least
 
 
 def projective_reduction(P, field, order=None):
@@ -241,17 +248,16 @@ def projective_reduction(P, field, order=None):
     by face, then in the order.
     """
     order = OrderSpec.lex() if order is None else order
-    reps = _representatives(P, field_size(field), order)
-    points = P.lattice_scan[0][reps]
-    listed = np.lexsort(tuple(order.columns(points).T[::-1]) + (P.lattice_point_faces[reps],))
-    return ReductionSet(order, _tuples(points[listed]))
+    reps, ranks = _representatives(P, field_size(field), order)
+    listed = reps[np.lexsort((ranks, P.lattice_point_faces[reps]))]
+    return ReductionSet(order, _tuples(P.lattice_scan[0][listed]))
 
 
 def dimension(P, field):
     """Dimension of the code: the number of reduced points of P."""
     q = field_size(field)
     require_hypotheses(P, q)
-    return len(_reduced_points(P, q))
+    return len(_class_table(P, q)[1])
 
 
 def is_surjective(Pbig, P, field):
@@ -267,7 +273,7 @@ def is_surjective(Pbig, P, field):
     base = dict(zip(P.normals, P.offsets))
     if any(a < base[u] for u, a in zip(Pbig.normals, Pbig.offsets)):
         return False
-    return len(_reduced_points(Pbig, q)) == count_rational_points(P, q)
+    return len(_class_table(Pbig, q)[1]) == count_rational_points(P, q)
 
 
 def _dilate_lower_bound(P, q):
@@ -327,14 +333,16 @@ class BoundDetails:
 
 def _survivor_counts(region, small, large):
     """For each row m of small, the number of rows of large whose
-    difference from m satisfies every inequality of region."""
+    difference from m satisfies every inequality of region: one
+    broadcast comparison per chunk of small's rows, each boolean
+    temporary within CAP entries."""
     normals = np.array(region.normals, dtype=np.int64).T
-    floor = -np.array(region.offsets, dtype=np.int64)
     values = large @ normals
-    return tuple(
-        int(np.count_nonzero((values >= floor + s).all(axis=1)))
-        for s in small @ normals
-    )
+    floors = small @ normals - np.array(region.offsets, dtype=np.int64)
+    step = max(1, CAP // values.size)
+    counts = [(values >= floors[i:i + step, None]).all(axis=2).sum(axis=1)
+              for i in range(0, len(floors), step)]
+    return tuple(np.concatenate(counts).tolist())
 
 
 def bounds_over_orders(P, Pbig, field, orders=None):
@@ -356,7 +364,8 @@ def bounds_over_orders(P, Pbig, field, orders=None):
     details = []
     for order in orders:
         reduced = projective_reduction(P, q, order).representatives
-        counts = _survivor_counts(region, np.array(reduced), _reduced_points(Pbig, q, order))
+        large = Pbig.lattice_scan[0][_representatives(Pbig, q, order)[0]]
+        counts = _survivor_counts(region, np.array(reduced), large)
         details.append(BoundDetails(min(counts), order, reduced, counts))
     return tuple(details)
 

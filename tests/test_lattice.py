@@ -3,7 +3,8 @@
 The lattice references of reference.py are the scan and grouping the
 package used before they moved onto arrays. Lattice points, face
 buckets, class counts, representatives, surjectivity, the dilate factor
-and the bounds must all come out identical.
+and the bounds must all come out identical. Each polytope builds its
+class table once per q, and a dilate builds its own.
 """
 
 import subprocess
@@ -11,16 +12,19 @@ import sys
 from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from projtoric import code
 from projtoric.code import (
     OrderSpec,
+    _class_table,
     _dilate_lower_bound,
-    _reduced_points,
     _rows,
+    _survivor_counts,
     bounds_over_orders,
+    dimension,
     distance_lower_bound_details,
     find_surjective_dilate,
     is_surjective,
@@ -106,7 +110,7 @@ def assert_scan_matches(P):
 
 
 def assert_reductions_match(P, q, orders):
-    assert len(_reduced_points(P, q)) == len(ref_groups(P, q))
+    assert len(_class_table(P, q)[1]) == len(ref_groups(P, q))
     for order in orders:
         red = projective_reduction(P, q, order)
         assert red.representatives == ref_projective_reduction(P, q, order)
@@ -252,13 +256,111 @@ def test_order_keys_sort_like_the_scalar_keys():
         OrderSpec.permlex((2, 0, 1)),
         OrderSpec.wlex((-1, 3, 2)),
     ):
-        assert sorted(points, key=order.key) == sorted(points, key=lambda m: ref_key(order, m))
+        by_columns = np.lexsort(order.columns(points).T[::-1])
+        assert [points[i] for i in by_columns] == sorted(points, key=lambda m: ref_key(order, m))
 
 
 @pytest.mark.parametrize("order", [OrderSpec.permlex((1, 0)), OrderSpec.wlex((1, -2))])
 def test_order_of_the_wrong_dimension_is_rejected(cube, order):
     with pytest.raises(ValueError, match="does not fit"):
         projective_reduction(cube, 3, order)
+
+
+ORDERS_2D = [
+    OrderSpec.lex(),
+    OrderSpec.grlex(),
+    OrderSpec.permlex((1, 0)),
+    OrderSpec.wlex((2, -3)),
+]
+
+
+def test_class_tables_are_cached_per_q(hirzebruch):
+    P = hirzebruch
+    tables = {}
+    for q in (3, 4, 5, 7, 5, 3, 7, 4, 7):
+        tables.setdefault(q, _class_table(P, q))
+        assert _class_table(P, q) is tables[q]
+        order = ORDERS_2D[q % 4]
+        assert projective_reduction(P, q, order).representatives == ref_projective_reduction(
+            P, q, order
+        )
+        assert len(tables[q][1]) == len(ref_groups(P, q))
+    assert sorted(P.class_tables) == [3, 4, 5, 7]
+
+
+def test_a_dilate_builds_its_own_class_table(toy_triangle):
+    P = toy_triangle
+    perm, _ = _class_table(P, 4)
+    for lam in (1, 2, 3):
+        D = P.dilate(lam)
+        assert D.faces is P.faces and "class_tables" not in D.__dict__
+        assert _class_table(D, 4)[0] is not perm
+        assert len(_class_table(D, 4)[1]) == len(ref_groups(D, 4))
+        for order in ORDERS_2D:
+            assert projective_reduction(D, 4, order).representatives == ref_projective_reduction(
+                D, 4, order
+            )
+    assert _class_table(P, 4)[0] is perm
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_orders_interleaved_on_one_polytope(q):
+    P = Polytope.from_vertices(CERTIFY_SHAPES["prism"]).dilate(3)
+    orders = [
+        OrderSpec.lex(),
+        OrderSpec.grlex(),
+        OrderSpec.permlex((2, 0, 1)),
+        OrderSpec.wlex((1, -2, 3)),
+    ]
+    expected = {order: ref_projective_reduction(P, q, order) for order in orders}
+    for order in orders + orders[::-1] + orders[1::2] + orders:
+        assert projective_reduction(P, q, order).representatives == expected[order]
+
+
+def test_class_table_arrays_are_read_only(toy_triangle):
+    perm, starts = _class_table(toy_triangle, 4)
+    for array in (perm, starts):
+        with pytest.raises(ValueError):
+            array[0] = 1
+        with pytest.raises(ValueError):
+            array.sort()
+
+
+def test_each_polytope_builds_one_class_table_per_q(monkeypatch, toy_triangle):
+    # count the tables built, each polytope kept alive so ids stay unique
+    builds, table = [], code._class_table
+
+    def counting(P, q):
+        if q not in P.__dict__.get("class_tables", {}):
+            builds.append((P, q))
+        return table(P, q)
+
+    monkeypatch.setattr(code, "_class_table", counting)
+    P = toy_triangle
+    assert dimension(P, 4) == 5
+    lam = find_surjective_dilate(P, 4, 10)
+    B = P.dilate(lam)
+    for _ in range(2):
+        assert dimension(P, 4) == 5
+        assert [d.bound for d in bounds_over_orders(P, B, 4)] == [8, 8, 8]
+    assert len({(id(Q), q) for Q, q in builds}) == len(builds)
+    assert [q for Q, q in builds if Q is P] == [4] and [q for Q, q in builds if Q is B] == [4]
+    assert len(builds) == 3  # P, the one dilate the search checks, and B
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_survivor_counts_in_chunks_match_the_row_loop(monkeypatch, toy_triangle, rows):
+    P, q = toy_triangle, 4
+    B = P.dilate(find_surjective_dilate(P, q, 10))
+    region = offset_difference(B, P)
+    for order in ORDERS_2D:
+        small, expected = ref_counts(P, B, q, order)
+        large = [min(g, key=lambda m: ref_key(order, m)) for g in ref_groups(B, q)]
+        # CAP sized for `rows` rows of small per chunk, fewer than it has
+        monkeypatch.setattr(code, "CAP", rows * len(large) * len(region.normals))
+        assert rows < len(small)
+        assert _survivor_counts(region, np.array(small), np.array(large)) == expected
+        assert bounds_over_orders(P, B, q, [order])[0].counts == expected
 
 
 def test_kernel_does_not_import_numpy_ma():

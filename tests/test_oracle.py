@@ -247,6 +247,19 @@ def test_row_basis_panels_match_reference(q, gf65536):
         assert np.array_equal(row_basis(basis, field), basis)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 31, 257])
+def test_copies_and_zero_rows_at_both_widths(q):
+    # up to 16 LEAF columns the copies of earlier rows reach the row
+    # loop, which zeroes them; past it they are dropped first
+    field, rng = GF(q), random.Random(q)
+    for cols in (1, 5, 16 * LEAF, 16 * LEAF + 1):
+        rows = [[rng.randrange(q) for _ in range(cols)] for _ in range(5)]
+        entries = [rows[rng.randrange(5)] if i % 4 else [0] * cols for i in range(30)]
+        basis = row_basis(entries, field)
+        assert basis.tolist() == row_basis_reference(entries, field), cols
+        assert rank_gf(entries, field) == len(basis)
+
+
 def test_rank_builds_no_basis(monkeypatch, cube):
     # rank_gf skips the products that bring finished pivot rows up to
     # date: on the cube x 4 over F16 (125 x 4913, every pivot in the
@@ -392,6 +405,32 @@ def test_random_coefficients_match_scalar_draws():
                     got = _random_coefficients(random.Random(seed), q, k, iterations)
                     assert got.dtype == np.uint16, (q, k)
                     assert np.array_equal(got, expected), (q, k, seed, iterations)
+
+
+def test_random_coefficients_over_f2_take_one_pass_per_zero_row(monkeypatch):
+    # over F2 with k = 1 about half the rows are zero, and each one's
+    # fix-up draws randrange(1) twice; the batch loop makes one pass per
+    # zero row, plus a few for reading words and for the last rows
+    class Counting(random.Random):
+        def randrange(self, *args):
+            self.fixups = getattr(self, "fixups", 0) + (args == (1,))
+            return super().randrange(*args)
+
+    passes, searchsorted = [0], np.searchsorted
+
+    def counted(*args, **kwargs):
+        passes[0] += 1
+        return searchsorted(*args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counted)
+    for seed in range(40):
+        rng = Counting(seed)
+        expected = ref_random_coefficients(rng, 2, 1, 200)
+        passes[0] = 0
+        got = _random_coefficients(random.Random(seed), 2, 1, 200)
+        assert np.array_equal(got, expected), seed
+        zero_rows = rng.fixups // 2
+        assert 80 <= zero_rows <= passes[0] <= zero_rows + 4, seed
 
 
 def test_random_upper_bounds_exhaustive(toy_triangle):
