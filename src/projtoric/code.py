@@ -28,7 +28,7 @@ class SurjectivityError(ValueError):
 
 @dataclass(frozen=True)
 class OrderSpec:
-    """An addition-compatible total order on Z^N, usable as a sort key.
+    """An addition-compatible total order on Z^N, compared by its columns.
 
     kinds: lex, grlex (total degree then lex), permlex (lex after a
     coordinate permutation), wlex (weight vector then lex).
@@ -211,11 +211,9 @@ class ReductionSet:
 
 
 def _class_table(P, q):
-    """(perm, starts): the lattice points of P grouped by class, (face,
-    coordinates mod q-1), built once per q and cached on P as its
-    lattice_scan is; a dilate builds its own. perm lists the classes in
-    (face, residues) order, the points of each in lex order, and class c
-    begins at perm[starts[c]]. Both arrays are read-only."""
+    """Read-only (perm, starts), cached on P per q: perm groups P's lattice
+    points by class, (face, coordinates mod q-1), in lex order within one,
+    and class c begins at perm[starts[c]]. A dilate builds its own."""
     tables = P.__dict__.setdefault("class_tables", {})
     if q not in tables:
         key = np.column_stack((P.lattice_point_faces, P.lattice_scan[0] % (q - 1)))
@@ -227,10 +225,9 @@ def _class_table(P, q):
 
 
 def _representatives(P, q, order):
-    """(indices, ranks) of the order-minimal lattice point of P in each
-    class, in class order, and of its place in the order: the least rank
-    over the class's run of perm. Every order is total on Z^N, so no two
-    points tie; the points are in lex order, so lex ranks are indices."""
+    """(indices, ranks) of the order-minimal lattice point of each class,
+    in class order: the least rank over the class's run of perm. Orders
+    are total, so nothing ties; the points are in lex order already."""
     perm, starts = _class_table(P, q)
     if order.kind == "lex":
         return perm[starts], perm[starts]
@@ -240,13 +237,10 @@ def _representatives(P, q, order):
 
 
 def projective_reduction(P, field, order=None):
-    """Reduce the lattice points of P face interior by face interior.
-
-    Two points merge when they lie in the same face's relative interior
-    and differ by a multiple of q-1 in every coordinate; each class is
-    represented by its order-minimal member. Representatives are listed
-    by face, then in the order.
-    """
+    """Reduce the lattice points of P face interior by face interior:
+    two points merge when they lie in one face's relative interior and
+    are congruent mod q-1, and each class is represented by its
+    order-minimal member. They are listed by face, then in the order."""
     order = OrderSpec.lex() if order is None else order
     reps, ranks = _representatives(P, field_size(field), order)
     listed = reps[np.lexsort((ranks, P.lattice_point_faces[reps]))]
@@ -332,17 +326,14 @@ class BoundDetails:
 
 
 def _survivor_counts(region, small, large):
-    """For each row m of small, the number of rows of large whose
-    difference from m satisfies every inequality of region: one
-    broadcast comparison per chunk of small's rows, each boolean
-    temporary within CAP entries."""
+    """For each row m of small, the number of rows of large whose difference
+    from m satisfies every inequality of region: one broadcast per chunk of
+    small, its boolean temporary at most CAP entries or one row of small."""
     normals = np.array(region.normals, dtype=np.int64).T
-    values = large @ normals
-    floors = small @ normals - np.array(region.offsets, dtype=np.int64)
+    values, floors = large @ normals, small @ normals - np.array(region.offsets, dtype=np.int64)
     step = max(1, CAP // values.size)
-    counts = [(values >= floors[i:i + step, None]).all(axis=2).sum(axis=1)
-              for i in range(0, len(floors), step)]
-    return tuple(np.concatenate(counts).tolist())
+    return tuple(np.concatenate([(values >= floors[i:i + step, None]).all(axis=2).sum(axis=1)
+                                 for i in range(0, len(floors), step)]).tolist())
 
 
 def bounds_over_orders(P, Pbig, field, orders=None):

@@ -8,12 +8,11 @@ from the code module.
 
 A matrix is any array-like of element codes, one row per generator: a
 uint16 array such as EvaluationMatrix.codes, or nested sequences of
-ints. It is read, never written. row_basis returns a uint16 array. Zero
-rows are dropped first, and copies of earlier rows past 16 LEAF columns,
-which is exact: a copy takes its original's updates while both are
-pending, the original is pivoted first and zeroes it, and a row that
-never becomes a pivot is never subtracted from another. rank_gf builds
-no basis.
+ints. It is read, never written. row_basis returns a uint16 array.
+Zero rows and copies of earlier rows are dropped first, which is exact:
+a copy takes its original's updates while both are pending, the
+original is pivoted first and zeroes it, and a row that never becomes a
+pivot is never subtracted from another. rank_gf builds no basis.
 
 Both distance oracles form every codeword as a row of one GF matrix
 product, GF.vaddmatmul(c, C, B), of coefficient rows C and an echelon
@@ -122,12 +121,11 @@ def _eliminate(W, field, record, basis, leaf=LEAF):
 
 
 def _reduce(entries, field, basis):
-    """The nonzero rows (past 16 LEAF columns, first copies only), eliminated, and the pivots."""
+    """The first copies of the distinct nonzero rows, eliminated, and the pivots."""
     field = as_field(field)
     A = np.atleast_2d(np.asarray(entries, dtype=np.uint16))
-    A, first = A[A.any(axis=1)], {}
-    if A.shape[1] > 16 * LEAF:  # narrower ones go to _loop, whose cost is per pivot, not row
-        A = A[[i for i, row in enumerate(A) if first.setdefault(row.tobytes(), i) == i]]
+    first, nonzero = {}, A.any(axis=1)
+    A = A[[i for i, row in enumerate(A) if nonzero[i] and first.setdefault(row.tobytes(), i) == i]]
     return A, _eliminate(A, field, False, basis, 16 * LEAF)[0] if A.size else []
 
 
@@ -213,8 +211,7 @@ def min_distance_exhaustive(entries, field, budget=1 << 24):
 def _random_coefficients(rng, q, k, iterations):
     """iterations rows c = [rng.randrange(q) for _ in range(k)], a zero
     row then set c[rng.randrange(k)] = 1 + rng.randrange(q - 1) (value
-    drawn first), each draw read off a batch of rng's next words. A pass
-    reads at most 8 q^k rows: a zero row costs O(1) numpy calls on O(k q^k) codes."""
+    drawn first), each draw read off a batch of rng's next words."""
     words, at, rows = np.zeros(0, np.uint32), 0, [np.zeros((0, k), np.uint16)]
     hits = np.zeros(0, np.intp)  # the positions of the words randrange(q) accepts
 
@@ -226,24 +223,22 @@ def _random_coefficients(rng, q, k, iterations):
                 return w
         return rng.randrange(n)
 
-    shift, need, ahead = 32 - q.bit_length(), iterations, 8 * q ** k
-    while need > 0:
+    shift = 32 - q.bit_length()
+    while (need := iterations - sum(map(len, rows))) > 0:
         i = np.searchsorted(hits, at)  # the first of them from at on
         if len(hits) - i < need * k:
-            m = 2 * need * (k + 1)  # read the next m words, fix-up draws included
+            m = 2 * need * k  # read the next m words
             more = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), "<u4")
             hits = np.append(hits, len(words) + np.flatnonzero(more >> shift < q))
             words = np.append(words, more)
-            codes = (words[hits] >> shift).astype(np.uint16)
             continue
-        C = codes[i:i + min(need, ahead) * k].reshape(-1, k)  # the rows this pass reads
+        C = (words[hits[i:i + need * k]] >> shift).astype(np.uint16).reshape(need, k)
         zero = np.flatnonzero(~C.any(axis=1))
-        j = zero[0] if len(zero) else len(C) - 1
-        C, at = C[:j + 1], hits[i + (j + 1) * k - 1] + 1
         if len(zero):  # its fix-up draws come next, and the later rows after them
+            j = zero[0]
+            C, at = C[:j + 1], hits[i + (j + 1) * k - 1] + 1
             C[j, draw(k)] = 1 + draw(q - 1)  # the value is drawn first, as in any assignment
         rows.append(C)
-        need -= j + 1
     return np.concatenate(rows)
 
 
