@@ -213,7 +213,7 @@ class ReductionSet:
 def _class_table(P, q):
     """Read-only (perm, starts), cached on P per q: perm groups P's lattice
     points by class, (face, coordinates mod q-1), in lex order within one,
-    and class c begins at perm[starts[c]]. A dilate builds its own."""
+    and class c begins at perm[starts[c]]. A dilate builds and keeps its own."""
     tables = P.__dict__.setdefault("class_tables", {})
     if q not in tables:
         key = np.column_stack((P.lattice_point_faces, P.lattice_scan[0] % (q - 1)))
@@ -271,12 +271,13 @@ def is_surjective(Pbig, P, field):
 
 
 def _dilate_lower_bound(P, q):
-    """L of find_surjective_dilate, read from the points of one dilate cP.
-    Raises PolytopeError unless (q-1) times cP's slack_bound lies below
-    2^63, so that int64 holds each (q-1)-fold slack."""
+    """L of find_surjective_dilate, read from the points of one dilate cP,
+    each cP read kept on P. Raises PolytopeError unless (q-1) times cP's
+    slack_bound lies below 2^63, so that int64 holds each (q-1)-fold slack."""
     lifted = np.array([f.dim > 0 for f in P.faces])
+    kept = P.__dict__.setdefault("dilates", {})
     for c in range(1, P.dim + 2):
-        C = P if c == 1 else P.dilate(c)
+        C = P if c == 1 else kept.setdefault(c, P.dilate(c))
         if np.bincount(C.lattice_point_faces, minlength=lifted.size)[lifted].all():
             break
     if (q - 1) * C.slack_bound() >> 63:
@@ -302,10 +303,13 @@ def find_surjective_dilate(P, field, lambda_max=16):
     -<x, u_j> / a_j(v)), as relint(k(F - v)) lies in relint(k'(F - v)) for
     k <= k' and relint(c(F - v)) holds a lattice point for c = dim F + 1:
     the sum of c affinely independent vertices of F, minus cv. Past lam = 1
-    a negative facet offset a fails is_surjective, as lam*a < a."""
+    a negative facet offset a fails is_surjective, as lam*a < a. P keeps
+    the surjective lam*P, so P.dilate(lam) returns it; failures are dropped."""
     top = lambda_max if min(P.offsets) >= 0 else min(lambda_max, 1)
     for lam in range(_dilate_lower_bound(P, field_size(field)), top + 1):
-        if is_surjective(P.dilate(lam), P, field):
+        if is_surjective(B := P.dilate(lam), P, field):
+            if B is not P:
+                P.__dict__.setdefault("dilates", {})[lam] = B
             return lam
     return None
 

@@ -106,7 +106,9 @@ def _eliminate(W, field, record, basis, leaf=LEAF):
     moved[pl] &= basis  # a pivot row's right half is read only as the basis
     pl = left[pl]
     W[left[moved], h:] = field.vaddmatmul(W[left[moved], h:], HL[moved], W[pl, h:])
-    right = np.setdiff1d(np.flatnonzero(W[:, h:].any(axis=1)), pl)  # pending, nonzero
+    pending = W[:, h:].any(axis=1)
+    pending[pl] = False
+    right = np.flatnonzero(pending)  # pending, nonzero
     R = W[right, h:]
     pr, HR = _eliminate(R, field, record, basis)
     W[right, h:] = R

@@ -333,12 +333,16 @@ class Polytope:
         return all(len(f.facet_indices) == self.dim for f in self.faces_of_dim(0))
 
     def dilate(self, factor):
-        """The scaled polytope factor * P, for a positive integer factor.
+        """The scaled polytope factor * P, for a positive int factor, not a
+        bool: P itself for 1, or the one kept in P.__dict__["dilates"].
 
         Scaling keeps the vertex order and the normals, so the dilate
         shares the face list of P."""
-        if not isinstance(factor, int) or factor < 1:
+        if isinstance(factor, bool) or not isinstance(factor, int) or factor < 1:
             raise PolytopeError(f"dilation factor must be a positive int, got {factor!r}")
+        kept = self.__dict__.get("dilates", {})
+        if factor == 1 or factor in kept:
+            return kept.get(factor, self)
         scaled = Polytope(
             self.dim,
             tuple(tuple(factor * x for x in v) for v in self.vertices),

@@ -4,11 +4,15 @@ The lattice references of reference.py are the scan and grouping the
 package used before they moved onto arrays. Lattice points, face
 buckets, class counts, representatives, surjectivity, the dilate factor
 and the bounds must all come out identical. Each polytope builds its
-class table once per q, and a dilate builds its own.
+class table once per q, and a dilate builds its own. The dilate search
+keeps the dilates it reads and the one it proves surjective on P, so
+each factor is scanned once and a reused polytope certifies as a fresh
+one does.
 """
 
 import subprocess
 import sys
+from functools import cached_property
 from itertools import product
 from pathlib import Path
 
@@ -34,6 +38,7 @@ from projtoric.polytope import Polytope, PolytopeError, offset_difference, same_
 from projtoric.variety import count_rational_points
 
 from conftest import anchored
+from test_acceptance import random_3d_corpus
 from reference import (
     ref_buckets,
     ref_classes,
@@ -291,7 +296,8 @@ def test_class_tables_are_cached_per_q(hirzebruch):
 def test_a_dilate_builds_its_own_class_table(toy_triangle):
     P = toy_triangle
     perm, _ = _class_table(P, 4)
-    for lam in (1, 2, 3):
+    assert P.dilate(1) is P
+    for lam in (2, 3):
         D = P.dilate(lam)
         assert D.faces is P.faces and "class_tables" not in D.__dict__
         assert _class_table(D, 4)[0] is not perm
@@ -343,9 +349,8 @@ def test_each_polytope_builds_one_class_table_per_q(monkeypatch, toy_triangle):
     for _ in range(2):
         assert dimension(P, 4) == 5
         assert [d.bound for d in bounds_over_orders(P, B, 4)] == [8, 8, 8]
-    assert len({(id(Q), q) for Q, q in builds}) == len(builds)
-    assert [q for Q, q in builds if Q is P] == [4] and [q for Q, q in builds if Q is B] == [4]
-    assert len(builds) == 3  # P, the one dilate the search checks, and B
+    # P, and B, which is the one dilate the search checks: P keeps it
+    assert [(Q is P, Q is B, q) for Q, q in builds] == [(True, False, 4), (False, True, 4)]
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3])
@@ -381,3 +386,113 @@ def test_kernel_does_not_import_numpy_ma():
         capture_output=True, text=True, check=True, cwd=src,
     )
     assert done.stdout.strip() == "False"
+
+
+def counting_scans(monkeypatch):
+    """The polytopes Polytope.lattice_scan scans from here on, in order,
+    each kept alive."""
+    scanned, scan = [], Polytope.__dict__["lattice_scan"].func
+
+    def counting(P):
+        scanned.append(P)
+        return scan(P)
+
+    prop = cached_property(counting)
+    prop.__set_name__(Polytope, "lattice_scan")
+    monkeypatch.setattr(Polytope, "lattice_scan", prop)
+    return scanned
+
+
+def recording_surjectivity(monkeypatch):
+    """(proven, rejected): the dilates code.is_surjective accepts and refuses."""
+    proven, rejected, surjective = [], [], code.is_surjective
+
+    def recording(Pbig, P, field):
+        ok = surjective(Pbig, P, field)
+        (proven if ok else rejected).append(Pbig)
+        return ok
+
+    monkeypatch.setattr(code, "is_surjective", recording)
+    return proven, rejected
+
+
+def test_the_searched_dilate_is_kept_and_each_factor_scanned_once(monkeypatch):
+    # two certify passes per case, P scanned beforehand as the benchmark's are
+    scanned = counting_scans(monkeypatch)
+    proven, _ = recording_surjectivity(monkeypatch)
+    scans = points = 0
+    for shape, q in CERTIFY_CASES:
+        P = Polytope.from_vertices(CERTIFY_SHAPES[shape])
+        P.lattice_scan
+        scanned.clear()
+        for run in range(2):
+            proven.clear()
+            dimension(P, q)
+            lam = find_surjective_dilate(P, q, 4 * q)
+            B = P.dilate(lam)
+            assert len(proven) == 1 and proven[0] is B, (shape, q)
+            bounds_over_orders(P, B, q)
+            if run == 0:
+                first = len(scanned)
+        assert len(scanned) == first, (shape, q)  # the second pass scans nothing
+        assert len({Q.offsets for Q in scanned}) == len(scanned), (shape, q)
+        scans += len(scanned)
+        points += sum(len(Q.lattice_scan[0]) for Q in scanned)
+    # 83 scans and 61,365 points when every caller built its own dilate
+    assert scans <= 57 and points <= 31051
+
+
+RM = [(0, 0, 0), (0, 4, 0), (2, 0, 4), (2, 4, 0)]  # a simplex with L < lambda
+SIMPLEX = CERTIFY_SHAPES["simplex"]
+
+
+@pytest.mark.parametrize(
+    "vertices,q,cap,rejections",
+    [
+        (CERTIFY_SHAPES["quad"], 7, 6, 0),  # lambda = L = 7
+        (RM, 3, 2, 1),  # L = 2 < lambda = 3
+        (RM, 53, 40, 1),  # L = 40 < lambda
+        (SIMPLEX, 16, 40, 0),  # L = lambda = 46; 2P, 3P and 4P are read
+    ],
+    ids=["quad-F7", "rm-F3", "rm-F53", "simplex-F16"],
+)
+def test_a_failed_search_keeps_only_the_dilates_its_lower_bound_reads(
+    monkeypatch, vertices, q, cap, rejections
+):
+    _, rejected = recording_surjectivity(monkeypatch)
+    P, Q = Polytope.from_vertices(vertices), Polytope.from_vertices(vertices)
+    _dilate_lower_bound(Q, q)
+    for _ in range(2):
+        assert find_surjective_dilate(P, q, cap) is None
+        kept = P.__dict__["dilates"]
+        assert sorted(kept) == sorted(Q.__dict__["dilates"])
+        assert len(kept) <= P.dim + 1 and all(2 <= c <= P.dim + 1 for c in kept)
+        assert not any(R is D for R in rejected for D in kept.values())
+    assert len(rejected) == 2 * rejections
+
+
+def scaled(P, lam):
+    """lam * P built afresh, sharing nothing with P."""
+    return Polytope(
+        P.dim,
+        tuple(tuple(lam * x for x in v) for v in P.vertices),
+        P.normals,
+        tuple(lam * a for a in P.offsets),
+    )
+
+
+def certificate(P, q, dilate):
+    lam = find_surjective_dilate(P, q, 4 * q)
+    if lam is None:
+        return None
+    bounds = bounds_over_orders(P, dilate(P, lam), q)
+    return lam, [(d.order, d.bound, d.attained_at()) for d in bounds]
+
+
+def test_a_reused_polytope_certifies_as_a_fresh_one(polygon_corpus):
+    cases = [(anchored(P), q) for P, q in polygon_corpus + random_3d_corpus(24, seed=3)]
+    for P, q in cases:
+        fresh = certificate(Polytope(P.dim, P.vertices, P.normals, P.offsets), q, scaled)
+        first = certificate(P, q, Polytope.dilate)
+        certificate(P, 5 if q == 3 else 3, Polytope.dilate)  # another field's dilates
+        assert fresh is not None and first == certificate(P, q, Polytope.dilate) == fresh

@@ -251,6 +251,14 @@ def test_dilate_scales_vertices_and_offsets(toy_triangle):
         toy_triangle.dilate(-2)
 
 
+@pytest.mark.parametrize("factor", [True, False, 2.0, "2", np.int64(2)])
+def test_dilate_refuses_a_factor_that_is_not_an_int(toy_triangle, factor):
+    # bool is an int subclass: True would pass as factor 1, the polytope itself
+    with pytest.raises(PolytopeError, match="positive int"):
+        toy_triangle.dilate(factor)
+    assert toy_triangle.dilate(1) is toy_triangle
+
+
 def _shoelace2(P):
     from projtoric.oracle import _ccw_vertices
 
