@@ -163,7 +163,7 @@ def cmd_info(args):
     if report.simple:
         dets = ",".join(str(d) for d in report.determinants)
         print(f"vertex |det|: {dets}")
-        if report.h2_ok:
+        if report.ok:
             print("H2 (determinants prime to q): pass")
         else:
             bad = ", ".join(

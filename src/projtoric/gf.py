@@ -6,7 +6,8 @@ For prime q this collapses to ordinary arithmetic mod p. Extension
 fields pick a canonical irreducible modulus so codes mean the same
 thing across runs, then precompute exp/log tables for a fixed
 generator of the unit group. The same tables, with a Zech-logarithm
-table for addition, back the array operations vadd, vmul and vneg.
+table for addition, back the array operations vadd and vmul;
+vaddmatmul works on base-p digits instead.
 """
 
 from __future__ import annotations
@@ -129,9 +130,9 @@ class GF:
 
     Arithmetic runs off numpy exp/log tables for the canonical
     generator g; exp_table[:q-1] lists the units g^0, g^1, ..., g^{q-2}.
-    inv takes and returns one int code; vadd, vmul and vneg act
-    elementwise on numpy code arrays, with broadcasting, and return
-    uint16 arrays. With S = 2q as the log of 0:
+    inv takes and returns one int code; vadd and vmul act elementwise
+    on numpy code arrays, with broadcasting, and return uint16 arrays.
+    With S = 2q as the log of 0:
     log_table[a] = i for a = g^i; exp_table[i] = g^(i mod q-1) below
     2(q-1) and 0 up to 4q, so x*y = exp_table[log x + log y]; and
     zech_table[d + S] = log(1 + g^d) for |d| <= q-2 (S when that is 0),
@@ -260,10 +261,6 @@ class GF:
         powers = [[_poly_mulmod([1], [0] * (i + j) + [1], self.modulus, p, k) for j in range(k)]
                   for i in range(k)]
         return np.array(powers, np.float32).T.reshape(k * k, k)
-
-    def vneg(self, a):
-        """Elementwise -a of a code array."""
-        return self.vmul(a, self.p - 1)  # p - 1 is the code of -1
 
     def __repr__(self):
         return f"GF({self.q})"

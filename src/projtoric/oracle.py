@@ -2,9 +2,9 @@
 
 Everything here recomputes a quantity by brute force or by a different
 route than the main pipeline: matrix rank by Gaussian elimination,
-minimum distance by enumerating codewords, class counts by union-find
-on raw congruences, polygon areas by Pick's theorem. Nothing imports
-from the code module.
+minimum distance by enumerating codewords, class counts as the distinct
+keys of raw tight facet sets and congruences, polygon areas by Pick's
+theorem. Nothing imports from the code module.
 
 A matrix is any array-like of element codes, one row per generator: a
 uint16 array such as EvaluationMatrix.codes, or nested sequences of
@@ -21,6 +21,8 @@ nonzero coefficient 1), as a unit multiple of a word has its weight;
 its budget still caps q^k, the number of all messages. Tail words meet
 the head block a few columns at a time, their weights summed in the
 narrowest unsigned dtype that holds n, and the search stops at weight 1.
+No word is negated: the head block is a subspace, so -h runs over it as
+h does.
 The random bound draws what random.Random(seed).randrange would, draw
 for draw: CPython's randrange(n) keeps the top n.bit_length() bits of
 the next 32-bit output, drawing again while they are >= n, and
@@ -30,7 +32,6 @@ getrandbits(32 m) is the next m outputs, the first in the lowest word.
 from __future__ import annotations
 
 import random
-from functools import cmp_to_key
 from math import gcd
 
 import numpy as np
@@ -77,7 +78,7 @@ def _loop(W, field, record):
             rows += X[update, col:]
             rows -= rows // p * p
         else:
-            scale = field.vneg(field.vmul(X[update, col, None], inv))
+            scale = field.vmul(X[update, col, None], int(field.vmul(inv, p - 1)))  # p - 1 is -1
             rows = field.vadd(X[update, col:], field.vmul(scale, prow))
         X[update, col:] = rows
         lead[update] = _leads(rows[:, :width - col], col, width)
@@ -157,8 +158,9 @@ def _exhaustive(basis, field):
     # meet in the middle: the head block holds all q^s combinations of
     # the last s rows. A word with a nonzero tail is a unit times a
     # normalised tail word (first nonzero coefficient 1) plus a head
-    # word, and a unit multiple has the same weight. Only the head's
-    # negation is kept, as a + b != 0 exactly where a != -b.
+    # word, and a unit multiple has the same weight. The heads are a
+    # subspace, so the weights of w + h over all heads h are those of
+    # w - h, and w - h is nonzero exactly where w != h.
     q = field.q
     B = np.asarray(basis, dtype=np.uint16)
     (r, n), s = B.shape, 0
@@ -166,14 +168,13 @@ def _exhaustive(basis, field):
         s += 1
     t = r - s
     coeffs = _combinations(q, s)
-    neg = np.empty((len(coeffs), n), dtype=np.uint16)
     # chunks keep each product's digit sums within 2^14 entries
-    for part in _chunks(len(neg), 4 * field.k * n):
-        neg[part] = field.vneg(field.vaddmatmul(0, coeffs[part], B[t:]))
-    best = int(np.count_nonzero(neg[1:], axis=1).min(initial=n))
+    head = np.concatenate([field.vaddmatmul(0, coeffs[part], B[t:])
+                           for part in _chunks(len(coeffs), 4 * field.k * n)])
+    best = int(np.count_nonzero(head[1:], axis=1).min(initial=n))
     # m tail words against the H heads, c columns at a time: each c x m
     # x H comparison within CAP entries, summed into m x H weights
-    negT, H, dt = np.ascontiguousarray(neg.T), len(neg), np.min_scalar_type(n)
+    headT, H, dt = np.ascontiguousarray(head.T), len(head), np.min_scalar_type(n)
     for i in range(t):  # the tails that lead with row i
         coeffs = _combinations(q, t - 1 - i)
         for part in _chunks(len(coeffs), max(4 * H, n)):
@@ -182,7 +183,7 @@ def _exhaustive(basis, field):
             words = field.vaddmatmul(B[i], coeffs[part], B[i + 1:t]).T
             weights, c = np.zeros((words.shape[1], H), dt), max(1, CAP // (words.shape[1] * H))
             for a in range(0, n, c):
-                weights += (words[a:a + c, :, None] != negT[a:a + c, None, :]).sum(axis=0, dtype=dt)
+                weights += (words[a:a + c, :, None] != headT[a:a + c, None, :]).sum(axis=0, dtype=dt)
             best = min(best, int(weights.min()))
     return best
 
@@ -253,61 +254,35 @@ def min_weight_random_upper(entries, field, iterations=200, seed=0):
 
 
 def reduction_class_count_unionfind(P, field):
-    """Number of reduction classes by raw pairwise merging.
-
-    Uses only tight facet sets and coordinate congruences mod q-1,
-    bypassing the face lattice entirely: each point is compared with
-    every later point at once, and the matching pairs are merged.
+    """Number of reduction classes from raw tight facet sets and
+    coordinate congruences mod q-1, bypassing the face lattice. Union-find
+    merges two lattice points exactly when their keys (tight facets,
+    coordinates mod q-1) are equal, so its components are the distinct
+    keys, and they are counted directly.
     """
     q = field_size(field)
-    pts, ids = P.lattice_points, {}
-    tight = [ids.setdefault(P.tight_facets(m), len(ids)) for m in pts]  # one id per set
-    keys = np.column_stack([tight, np.reshape(pts, (len(pts), -1)) % (q - 1)])
-    parent = list(range(len(pts)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(pts)):
-        for j in (i + 1 + np.flatnonzero((keys[i + 1:] == keys[i]).all(axis=1))).tolist():
-            parent[find(i)] = find(j)
-    return sum(1 for i in range(len(pts)) if find(i) == i)
+    return len({(P.tight_facets(m), tuple(x % (q - 1) for x in m)) for m in P.lattice_points})
 
 
-def _ccw_vertices(vertices):
-    # exact angular sort around the centroid, scaled by the vertex
-    # count to stay in integers
-    r = len(vertices)
-    sx = sum(v[0] for v in vertices)
-    sy = sum(v[1] for v in vertices)
-
-    def half(w):
-        return 0 if w[1] > 0 or (w[1] == 0 and w[0] > 0) else 1
-
-    def compare(a, b):
-        wa = (r * a[0] - sx, r * a[1] - sy)
-        wb = (r * b[0] - sx, r * b[1] - sy)
-        if half(wa) != half(wb):
-            return half(wa) - half(wb)
-        cross = wa[0] * wb[1] - wa[1] * wb[0]
-        return -1 if cross > 0 else (1 if cross < 0 else 0)
-
-    return sorted(vertices, key=cmp_to_key(compare))
+def _monotone_chains(vertices):
+    """A polygon's lex-sorted vertices in counterclockwise order: those on
+    or below the line from the first vertex to the last, then those above
+    it, reversed (monotone chains; A. M. Andrew, 1979)."""
+    (x0, y0), (x1, y1) = vertices[0], vertices[-1]
+    above = {v for v in vertices if (x1 - x0) * (v[1] - y0) > (y1 - y0) * (v[0] - x0)}
+    return [v for v in vertices if v not in above] + [v for v in reversed(vertices) if v in above]
 
 
 def pick_check(P):
     """Pick's theorem audit for a polygon: 2A = 2I + B - 2.
 
-    Area comes from the shoelace formula over the cyclically sorted
-    vertices, boundary count from edge gcds, interior count from a box
-    scan. Only defined in dimension 2.
+    Area comes from the shoelace formula over the vertices in monotone
+    chain order, boundary count from edge gcds, interior count from a
+    box scan. Only defined in dimension 2.
     """
     if P.dim != 2:
         raise ValueError("Pick's theorem applies to polygons only")
-    cyc = _ccw_vertices(P.vertices)
+    cyc = _monotone_chains(P.vertices)
     r = len(cyc)
     area2 = sum(
         cyc[i][0] * cyc[(i + 1) % r][1] - cyc[(i + 1) % r][0] * cyc[i][1]

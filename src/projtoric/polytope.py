@@ -87,7 +87,7 @@ def _subset_kernels(rows, k):
 
 def _as_lattice_point(p, n=None):
     t = tuple(p)
-    if not t or any(not isinstance(x, int) for x in t):
+    if not t or any(isinstance(x, bool) or not isinstance(x, int) for x in t):
         raise PolytopeError(f"{p!r} is not a nonempty tuple of ints")
     if n is not None and len(t) != n:
         raise PolytopeError(f"point {p!r} does not have {n} coordinates")
@@ -193,7 +193,7 @@ class Polytope:
         for u, a in zip(normals, offsets):
             if gcd(*u) != 1:
                 raise PolytopeError(f"facet normal {u} is not primitive")
-            if not isinstance(a, int):
+            if isinstance(a, bool) or not isinstance(a, int):
                 raise PolytopeError(f"facet offset {a!r} is not an int")
         if len(set(normals)) != len(normals):
             raise PolytopeError("duplicate facet normals")
@@ -224,8 +224,6 @@ class Polytope:
         normals, offsets = zip(*sorted(zip(normals, offsets)))  # the normals are distinct
         return cls(n, tuple(sorted(verts)), normals, offsets)
 
-    contains = HalfspaceRegion.contains
-
     def tight_facets(self, point):
         """Indices of facets whose inequality is tight at the point."""
         return tuple(
@@ -247,8 +245,9 @@ class Polytope:
 
     @cached_property
     def lattice_scan(self):
-        """(points, tight): the lattice points as an int64 array in
-        lexicographic order and the mask of the facets tight at each. The
+        """(points, tight): the lattice points as a read-only int64 array
+        in lexicographic order and the read-only mask of the facets tight
+        at each, so a kept dilate hands every caller the same scan. The
         bounding box is scanned in slabs along the first coordinate of at
         most 2^12 grid points (or one unit wide), so temporaries stay small.
 
@@ -274,7 +273,9 @@ class Polytope:
             inside = (slack >= 0).all(axis=1)
             points.append(grid[inside])
             tight.append(slack[inside] == 0)
-        return np.concatenate(points), np.concatenate(tight)
+        points, tight = np.concatenate(points), np.concatenate(tight)
+        points.flags.writeable = tight.flags.writeable = False
+        return points, tight
 
     @cached_property
     def lattice_points(self):
@@ -285,12 +286,15 @@ class Polytope:
     def lattice_point_faces(self):
         """Index into faces of each lattice point's minimal face, whose
         relative interior holds it: the face whose facets are the point's
-        tight facets, found by looking packed masks up among the faces'."""
+        tight facets, found by looking packed masks up among the faces'.
+        The array is read-only."""
         masks = [[i in f.facet_indices for i in range(len(self.normals))] for f in self.faces]
         keys = np.packbits(np.concatenate((masks, self.lattice_scan[1])), axis=1)
         keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
         by_key = np.argsort(keys[: len(masks)])
-        return by_key[np.searchsorted(keys[by_key], keys[len(masks):])]
+        faces = by_key[np.searchsorted(keys[by_key], keys[len(masks):])]
+        faces.flags.writeable = False
+        return faces
 
     @cached_property
     def faces(self):

@@ -58,12 +58,8 @@ class HypothesisReport:
     offenders: tuple
 
     @property
-    def h2_ok(self):
-        return self.simple and not self.offenders
-
-    @property
     def ok(self):
-        return self.simple and self.h2_ok
+        return self.simple and not self.offenders
 
 
 def check_hypotheses(P, q):
@@ -87,7 +83,7 @@ def require_hypotheses(P, q):
     report = check_hypotheses(P, q)
     if not report.simple:
         raise HypothesisError("polytope is not simple")
-    if not report.h2_ok:
+    if not report.ok:
         raise HypothesisError(
             f"characteristic {report.characteristic} divides the vertex "
             f"determinant at {report.offenders[0]}"

@@ -1,14 +1,15 @@
 """Scalar references, one element code or one lattice point at a time.
 
-The array kernels of projtoric.gf (vadd, vmul, vneg, vaddmatmul) and the
+The array kernels of projtoric.gf (vadd, vmul, vaddmatmul) and the
 pure-Python oracles of the tests are checked against the field
-arithmetic here. add and neg work digitwise in base p; mul and power
-run off the field's exp/log tables. Each refuses a code outside
-range(q) with FieldError, as GF.inv does.
+arithmetic here. add and neg work digitwise in base p (GF has no
+negation of its own); mul and power run off the field's exp/log
+tables. Each refuses a code outside range(q) with FieldError, as
+GF.inv does.
 
 The lattice references are the scan and grouping the package used
 before they moved onto arrays: a product over the bounding box filtered
-by contains, tight_facets for every point, dict grouping of congruence
+by HalfspaceRegion.contains on P's facets, tight_facets for every point, dict grouping of congruence
 classes and min(key=...) for representatives, with the sort keys
 spelled out per order kind. scalar_rows is the evaluation the matrix
 builders used before they were vectorised: one mul/power chain per
@@ -28,7 +29,7 @@ import numpy as np
 
 from projtoric.gf import FieldError, _digits, _undigits
 from projtoric.intlat import determinant, rank
-from projtoric.polytope import PolytopeError
+from projtoric.polytope import HalfspaceRegion, PolytopeError
 
 
 def add(F, a, b):
@@ -112,7 +113,7 @@ def ref_key(order, point):
 def ref_lattice_points(P):
     lo = [min(v[i] for v in P.vertices) for i in range(P.dim)]
     hi = [max(v[i] for v in P.vertices) for i in range(P.dim)]
-    return tuple(p for p in product(*(range(a, b + 1) for a, b in zip(lo, hi))) if P.contains(p))
+    return tuple(p for p in product(*(range(a, b + 1) for a, b in zip(lo, hi))) if HalfspaceRegion(P.normals, P.offsets).contains(p))
 
 
 def ref_buckets(P):

@@ -88,7 +88,7 @@ def test_quadrilateral_determinant_obstruction(quadrilateral):
         }
         assert sorted(vertex_determinants(quadrilateral)) == [1, 2, 3, 7]
         for q in (2, 3, 4, 7, 8, 9, 49):
-            assert not check_hypotheses(quadrilateral, q).h2_ok
+            assert not check_hypotheses(quadrilateral, q).ok
         for q in (5, 11, 13):
             assert check_hypotheses(quadrilateral, q).ok
 

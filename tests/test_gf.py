@@ -165,13 +165,11 @@ ARRAY_EXHAUSTIVE_QS = (
 
 
 def assert_array_ops_match(F, a, b):
-    sums, prods, negs = F.vadd(a, b), F.vmul(a, b), F.vneg(a)
-    for arr in (sums, prods, negs):
+    sums, prods = F.vadd(a, b), F.vmul(a, b)
+    for arr in (sums, prods):
         assert arr.dtype == np.uint16
-    for x, y, s, m, n in zip(
-        a.tolist(), b.tolist(), sums.tolist(), prods.tolist(), negs.tolist()
-    ):
-        assert (s, m, n) == (add(F, x, y), mul(F, x, y), neg(F, x)), (F, x, y)
+    for x, y, s, m in zip(a.tolist(), b.tolist(), sums.tolist(), prods.tolist()):
+        assert (s, m) == (add(F, x, y), mul(F, x, y)), (F, x, y)
 
 
 def test_array_ops_match_scalar_exhaustively():

@@ -55,7 +55,7 @@ def anchored_polytopes(draw, dim, q, side):
         P = anchored(Polytope.from_vertices(points))
     except PolytopeError:
         assume(False)
-    assume(P.is_simple() and check_hypotheses(P, q).h2_ok)
+    assume(check_hypotheses(P, q).ok)
     return P
 
 

@@ -496,3 +496,15 @@ def test_a_reused_polytope_certifies_as_a_fresh_one(polygon_corpus):
         first = certificate(P, q, Polytope.dilate)
         certificate(P, 5 if q == 3 else 3, Polytope.dilate)  # another field's dilates
         assert fresh is not None and first == certificate(P, q, Polytope.dilate) == fresh
+
+
+def test_a_kept_dilate_scan_is_read_only(toy_triangle):
+    # every caller of P.dilate(lam) gets the same arrays, so none may write them
+    lam = find_surjective_dilate(toy_triangle, 4, 16)
+    B = toy_triangle.dilate(lam)
+    with pytest.raises(ValueError, match="read-only"):
+        B.lattice_scan[0][0] = (99, 99)
+    for array in (B.lattice_scan[1], B.lattice_point_faces):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    assert toy_triangle.dilate(lam) is B and (99, 99) not in B.lattice_points

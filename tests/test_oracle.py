@@ -5,20 +5,21 @@ oracles that ran for q > 256 before every field size moved to the GF
 array kernel: one scalar field operation per entry. The array oracles
 must return the same basis, row for row, and the same distance.
 unionfind_reference is the double loop over point pairs that the
-union-find oracle ran before it compared each point with all later
-points at once; the class counts must agree. The random bound's
-coefficient rows must equal those of ref_random_coefficients, the
-scalar draw loop in reference.py.
+union-find oracle ran before it counted distinct keys; the class
+counts must agree, on drawn polytopes and on the 3D suite. The random
+bound's coefficient rows must equal those of ref_random_coefficients,
+the scalar draw loop in reference.py.
 """
 
 import ast
 import random
+from functools import reduce
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import projtoric.oracle
 from projtoric.cli import load_document
@@ -39,6 +40,7 @@ from projtoric.oracle import (
 from projtoric.polytope import Polytope, PolytopeError
 
 from reference import add, mul, ref_random_coefficients, sub
+from test_acceptance import random_3d_corpus
 from test_code import DATA, PINNED_MATRICES
 
 
@@ -487,8 +489,14 @@ def polytopes(draw):
         assume(False)
 
 
+def examples(cases):
+    """One hypothesis explicit example per (P, q) case, run every time."""
+    return lambda test: reduce(lambda t, case: example(*case)(t), cases, test)
+
+
 @settings(deadline=None, max_examples=40, suppress_health_check=[HealthCheck.filter_too_much])
 @given(polytopes(), st.sampled_from((2, 3, 4, 5, 7, 16, 31)))
+@examples(random_3d_corpus(24, seed=3))  # the 3D suite
 def test_unionfind_matches_pairwise_reference(P, q):
     assert reduction_class_count_unionfind(P, q) == unionfind_reference(P, q)
 

@@ -15,6 +15,7 @@ from projtoric.polytope import (
     offset_difference,
     same_normal_fan,
 )
+from projtoric.oracle import _monotone_chains
 from reference import kernel_vector, ref_hull
 from test_code import DATA
 from test_lattice import box4
@@ -186,6 +187,19 @@ def test_from_vertices_rejects_degenerate_input():
         Polytope.from_vertices([(0, 0), (1,)])
 
 
+def test_from_vertices_refuses_a_bool_coordinate():
+    # True == 1 would build the triangle with a vertex (True, 0)
+    with pytest.raises(PolytopeError, match="tuple of ints"):
+        Polytope.from_vertices([(0, 0), (True, 0), (0, 1)])
+
+
+def test_vrep_hrep_refuses_a_bool_offset():
+    triangle = [(0, 0), (1, 0), (0, 1)], [(1, 0), (0, 1), (-1, -1)]
+    assert Polytope.from_vrep_hrep(*triangle, [0, 0, 1]).offsets == (1, 0, 0)
+    with pytest.raises(PolytopeError, match="not an int"):
+        Polytope.from_vrep_hrep(*triangle, [0, 0, True])
+
+
 def test_empty_vertex_lists_are_rejected():
     with pytest.raises(PolytopeError, match="no points"):
         Polytope.from_vertices([])
@@ -231,10 +245,11 @@ def test_every_lattice_point_in_exactly_one_face_interior(toy_triangle, quadrila
 
 
 def test_contains_and_tight_facets(toy_triangle):
+    region = HalfspaceRegion(toy_triangle.normals, toy_triangle.offsets)
     for v in toy_triangle.vertices:
-        assert toy_triangle.contains(v)
+        assert region.contains(v)
         assert len(toy_triangle.tight_facets(v)) == 2
-    assert not toy_triangle.contains((5, 5))
+    assert not region.contains((5, 5))
     tight = toy_triangle.tight_facets((0, 1))
     assert len(tight) == 1
     assert toy_triangle.normals[tight[0]] == (-1, -1)
@@ -260,14 +275,23 @@ def test_dilate_refuses_a_factor_that_is_not_an_int(toy_triangle, factor):
 
 
 def _shoelace2(P):
-    from projtoric.oracle import _ccw_vertices
-
-    cyc = _ccw_vertices(P.vertices)
+    cyc = _monotone_chains(P.vertices)
     r = len(cyc)
-    return abs(sum(
+    return sum(
         cyc[i][0] * cyc[(i + 1) % r][1] - cyc[(i + 1) % r][0] * cyc[i][1]
         for i in range(r)
-    ))
+    )
+
+
+def test_monotone_chains_walk_the_boundary_counterclockwise(polygon_corpus):
+    # each step of the order is an edge, both ends tight on one facet,
+    # and the shoelace sum of a counterclockwise walk is positive
+    for P, _ in polygon_corpus:
+        cyc = _monotone_chains(P.vertices)
+        assert sorted(cyc) == list(P.vertices)
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            assert set(P.tight_facets(a)) & set(P.tight_facets(b))
+        assert _shoelace2(P) > 0
 
 
 def test_dilate_area_scaling():
@@ -349,11 +373,12 @@ def test_random_hulls_are_consistent(pts):
         P = Polytope.from_vertices(pts)
     except PolytopeError:
         return
+    region = HalfspaceRegion(P.normals, P.offsets)
     for v in P.vertices:
-        assert P.contains(v)
+        assert region.contains(v)
         assert v in pts
     for p in pts:
-        assert P.contains(p)
+        assert region.contains(p)
     # facet data certifies the hull: every input point satisfies all
     # inequalities, every facet is tight somewhere
     for u, a in zip(P.normals, P.offsets):

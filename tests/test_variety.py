@@ -42,7 +42,7 @@ def test_quadrilateral_report(quadrilateral):
     assert report.q == 7 and report.characteristic == 7
     # vertex order is the sorted one: (0,0), (0,3), (2,0), (3,2)
     assert report.determinants == (1, 3, 2, 7)
-    assert not report.h2_ok
+    assert not report.ok
     assert report.offenders == ((3, 2),)
     assert check_hypotheses(quadrilateral, 5).ok
 
@@ -51,7 +51,7 @@ def test_quadrilateral_field_sweep(quadrilateral):
     failing = {2, 3, 4, 7, 8, 9, 49}
     passing = {5, 11, 13}
     for q in sorted(failing | passing):
-        assert check_hypotheses(quadrilateral, q).h2_ok == (q in passing)
+        assert check_hypotheses(quadrilateral, q).ok == (q in passing)
 
 
 def test_toy_triangle_report(toy_triangle):
