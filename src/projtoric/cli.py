@@ -222,6 +222,8 @@ def cmd_bound(args):
 
 
 def cmd_verify(args):
+    if args.budget < 0 or args.seed < 0:  # before the first ledger line
+        raise ValueError(f"--budget and --seed must be nonnegative, got {args.budget}, {args.seed}")
     P, doc = load_document(args.polytope)
     field = _field_from(args, doc)
     order = _order_from(args, doc, P)

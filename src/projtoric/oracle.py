@@ -2,9 +2,9 @@
 
 Everything here recomputes a quantity by brute force or by a different
 route than the main pipeline: matrix rank by Gaussian elimination,
-minimum distance by enumerating codewords, class counts as the distinct
-keys of raw tight facet sets and congruences, polygon areas by Pick's
-theorem. Nothing imports from the code module.
+minimum distance by enumerating codewords, class counts as distinct
+(tight facets, coordinates mod q-1) keys, tight facets by the oracle's
+own product, polygon areas by Pick's theorem. Nothing imports code.py.
 
 A matrix is any array-like of element codes, one row per generator: a
 uint16 array such as EvaluationMatrix.codes, or nested sequences of
@@ -12,7 +12,9 @@ ints. It is read, never written. row_basis returns a uint16 array.
 Zero rows and copies of earlier rows are dropped first, which is exact:
 a copy takes its original's updates while both are pending, the
 original is pivoted first and zeroes it, and a row that never becomes a
-pivot is never subtracted from another. rank_gf builds no basis.
+pivot is never subtracted from another. rank_gf builds no basis. The
+row loop keeps no per-row state: a pivot row is set aside as it stood
+until the end, so the rows nonzero at a column are those to update.
 
 Both distance oracles form every codeword as a row of one GF matrix
 product, GF.vaddmatmul(c, C, B), of coefficient rows C and an echelon
@@ -52,39 +54,39 @@ def _chunks(count, width):
     return [slice(i, i + step) for i in range(0, count, step)]
 
 
-def _leads(rows, col, n):
-    """First nonzero column of rows that start at column col; n if none."""
-    nonzero = rows != 0
-    return np.where(nonzero.any(axis=1), col + nonzero.argmax(axis=1), n)
-
-
 def _loop(W, field, record):
     """The row loop of _eliminate, rows updated on W's columns and on H's.
-    For prime q an update is one int64 multiply-add reduced by floor
-    division: (p-1)^2 + (p-1) is past int32 at p = 65521."""
+    A pivot row leaves the block as it stood until the end, so the rows
+    nonzero at a column are the rows to update there. For prime q an update
+    is one int64 multiply-add reduced by floor division: (p-1)^3 + (p-1),
+    the multiplier unreduced, is past int32 at p = 65521 and far below 2^63."""
     p, width = field.p, W.shape[1]
     X = np.concatenate([W, np.zeros((len(W), min(W.shape) if record else 0), np.uint16)], axis=1)
-    lead, pivots = _leads(W, 0, width), []
-    while (col := int(lead.min(initial=width))) < width:
-        hits = np.flatnonzero(lead == col)
-        piv, update = hits[0], hits[1:]
-        slot = width + len(pivots)
-        pivots.append(piv)
-        lead[piv] = width
-        X[piv, slot:slot + 1] = 1  # the pivot row as it stood joins its update
-        prow, inv = X[piv, col:], field.inv(int(X[piv, col]))
+    kept, col = {}, 0  # each pivot's row as it stood, H columns included, in pivot order
+    while col < width:
+        if not len(hits := X[:, col].nonzero()[0]):  # on to the first nonzero column
+            col += int(X[:, col:width].any(axis=0).argmax())
+            if not len(hits := X[:, col].nonzero()[0]):  # none is left
+                break
+        piv, update, slot = hits[0], hits[1:], width + len(kept)
+        prow, inv = X[piv].copy(), field.inv(int(X[piv, col]))
+        X[piv] = 0
+        prow[slot:slot + 1] = 1  # the pivot row as it stood joins its update
+        rows = X[update, col:]
         if field.k == 1:
-            rows = X[update, col, None].astype(np.int64) * (p - inv) % p * prow
-            rows += X[update, col:]
+            rows = rows[:, :1].astype(np.int64) * (p - inv) * prow[col:] + rows
             rows -= rows // p * p
         else:
-            scale = field.vmul(X[update, col, None], int(field.vmul(inv, p - 1)))  # p - 1 is -1
-            rows = field.vadd(X[update, col:], field.vmul(scale, prow))
+            scale = field.vmul(rows[:, :1], int(field.vmul(inv, p - 1)))  # p - 1 is -1
+            rows = field.vadd(rows, field.vmul(scale, prow[col:]))
         X[update, col:] = rows
-        lead[update] = _leads(rows[:, :width - col], col, width)
-        X[piv, slot:slot + 1] = 0
+        prow[slot:slot + 1] = 0
+        kept[piv] = prow
+        col += 1
+    for piv, prow in kept.items():
+        X[piv] = prow
     W[...] = X[:, :width]
-    return np.array(pivots, np.intp), X[:, width:width + len(pivots)]
+    return np.array(list(kept), np.intp), X[:, width:width + len(kept)]
 
 
 def _eliminate(W, field, record, basis, leaf=LEAF):
@@ -201,8 +203,10 @@ def min_distance_exhaustive(entries, field, budget=1 << 24):
     """True minimum distance by enumerating every nonzero codeword.
 
     Refuses with BudgetExceededError when q^rank exceeds the budget;
-    raises ValueError on a rank-zero matrix (no nonzero words exist).
+    raises ValueError on a negative budget or a rank-zero matrix.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     field, B = _basis(entries, field)
     if field.q ** len(B) > budget:
         raise BudgetExceededError(
@@ -246,11 +250,19 @@ def _random_coefficients(rng, q, k, iterations):
 
 
 def min_weight_random_upper(entries, field, iterations=200, seed=0):
-    """Upper bound on the minimum distance from random codewords."""
+    """Upper bound on the minimum distance from random codewords; seed >= 0."""
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     field, B = _basis(entries, field)
     (k, n), q = B.shape, field.q
     C = _random_coefficients(random.Random(seed), q, k, iterations)
     return int(np.count_nonzero(field.vaddmatmul(0, C, B), axis=1).min(initial=n))
+
+
+def _tight(P):
+    """P's lattice points and the mask of the facets tight at each, by one int64 product."""
+    points = np.array(P.lattice_points, np.int64)
+    return points, points @ np.array(P.normals, np.int64).T == -np.array(P.offsets, np.int64)
 
 
 def reduction_class_count_unionfind(P, field):
@@ -258,10 +270,11 @@ def reduction_class_count_unionfind(P, field):
     coordinate congruences mod q-1, bypassing the face lattice. Union-find
     merges two lattice points exactly when their keys (tight facets,
     coordinates mod q-1) are equal, so its components are the distinct
-    keys, and they are counted directly.
-    """
-    q = field_size(field)
-    return len({(P.tight_facets(m), tuple(x % (q - 1) for x in m)) for m in P.lattice_points})
+    keys: the first lex-sorted key and each that differs from the one above."""
+    points, tight = _tight(P)
+    keys = np.concatenate([tight, points % (field_size(field) - 1)], axis=1)
+    keys = keys[np.lexsort(keys.T)]
+    return 1 + int(np.count_nonzero((keys[1:] != keys[:-1]).any(axis=1)))
 
 
 def _monotone_chains(vertices):
@@ -277,21 +290,16 @@ def pick_check(P):
     """Pick's theorem audit for a polygon: 2A = 2I + B - 2.
 
     Area comes from the shoelace formula over the vertices in monotone
-    chain order, boundary count from edge gcds, interior count from a
-    box scan. Only defined in dimension 2.
+    chain order, boundary count from edge gcds, interior count from the
+    lattice points at which no facet is tight. Only defined in dimension 2.
     """
     if P.dim != 2:
         raise ValueError("Pick's theorem applies to polygons only")
     cyc = _monotone_chains(P.vertices)
-    r = len(cyc)
-    area2 = sum(
-        cyc[i][0] * cyc[(i + 1) % r][1] - cyc[(i + 1) % r][0] * cyc[i][1]
-        for i in range(r)
-    )
-    boundary = sum(
-        gcd(abs(cyc[(i + 1) % r][0] - cyc[i][0]), abs(cyc[(i + 1) % r][1] - cyc[i][1]))
-        for i in range(r)
-    )
-    interior = sum(1 for m in P.lattice_points if not P.tight_facets(m))
-    total_ok = len(P.lattice_points) == interior + boundary
+    edges = list(zip(cyc, cyc[1:] + cyc[:1]))
+    area2 = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in edges)
+    boundary = sum(gcd(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in edges)
+    points, tight = _tight(P)
+    interior = int(np.count_nonzero(~tight.any(axis=1)))
+    total_ok = len(points) == interior + boundary
     return total_ok and area2 == 2 * interior + boundary - 2

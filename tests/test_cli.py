@@ -237,6 +237,21 @@ def test_verify_budget_refusal(capsys, toy_doc):
     assert "budget refusal" in err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--budget", "-5"],
+    ["--budget", "-1", "--require-distance"],
+    ["--seed", "-1"],
+    ["--seed", "-3", "--budget", "100"],
+])
+def test_verify_refuses_a_negative_budget_or_seed(capsys, toy_doc, flags):
+    # -5 once skipped the exhaustive distance as over budget, and seed -1
+    # drew what seed 1 draws; both are refused before the first ledger line
+    code, out, err = run(capsys, "verify", "--polytope", toy_doc, *flags)
+    assert code == 2
+    assert out == ""
+    assert "must be nonnegative" in err
+
+
 def test_subcode_torus(capsys, segment_doc):
     code, out, _ = run(
         capsys, "subcode", "--polytope", segment_doc, "--cols", "torus"

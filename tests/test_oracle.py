@@ -8,10 +8,14 @@ unionfind_reference is the double loop over point pairs that the
 union-find oracle ran before it counted distinct keys; the class
 counts must agree, on drawn polytopes and on the 3D suite. The random
 bound's coefficient rows must equal those of ref_random_coefficients,
-the scalar draw loop in reference.py.
+the scalar draw loop in reference.py. loop_reference is the row loop
+in scalar arithmetic: _loop, the leaf of row_basis's recursion, must
+choose its pivots, leave its rows as it does and record an H that
+rebuilds every row from the pivot rows as they began.
 """
 
 import ast
+import hashlib
 import random
 from functools import reduce
 from itertools import product
@@ -29,6 +33,7 @@ from projtoric.oracle import (
     LEAF,
     BudgetExceededError,
     _exhaustive,
+    _loop,
     _random_coefficients,
     min_distance_exhaustive,
     min_weight_random_upper,
@@ -262,6 +267,91 @@ def test_copies_and_zero_rows_match_reference(q):
         assert rank_gf(entries, field) == len(basis)
 
 
+def loop_reference(rows, field):
+    """The row loop in scalar arithmetic, every row kept in place: at
+    each column the first pending row nonzero there becomes the pivot and
+    is subtracted from the other pending rows nonzero there. Returns the
+    pivots, the final rows and each pivot row as it stood when chosen."""
+    rows, pivots, stood = [list(r) for r in rows], [], {}
+    for col in range(len(rows[0])):
+        hits = [i for i, r in enumerate(rows) if i not in stood and r[col]]
+        if not hits:
+            continue
+        piv = hits[0]
+        pivots.append(piv)
+        stood[piv] = list(rows[piv])
+        inv = field.inv(rows[piv][col])
+        for i in hits[1:]:
+            c = mul(field, rows[i][col], inv)
+            rows[i] = [sub(field, x, mul(field, c, y)) for x, y in zip(rows[i], rows[piv])]
+    return pivots, rows, stood
+
+
+def leaf_cases(rng, field):
+    q = field.q
+
+    def rnd(rows, cols):
+        return [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)]
+
+    yield rnd(200, 8)  # tall: every column a pivot, most rows updated at each
+    yield rnd(5, 3000)  # wide and short: five pivots, then nothing is left
+    # zero columns before, between and after the pivots, and zero rows
+    gaps = [[0, 0, a, 0, b, 0, 0, c, d, 0] for a, b, c, d in rnd(30, 4)]
+    yield gaps[:10] + [[0] * 10] * 3 + gaps[10:]
+    # rank deficient, tall and wide: combinations of three rows
+    base = rnd(3, 8)
+    yield [combination(field, c, base) for c in rnd(40, 3)]
+    base = rnd(3, 300)
+    yield [combination(field, c, base) for c in rnd(6, 3)]
+    # pending rows that vanish at a column only through an update, so
+    # that a later column is the first nonzero one
+    top = [1 + rng.randrange(q - 1)] + rnd(1, 7)[0]
+    yield [top, top[:3] + [0] * 5, rnd(1, 8)[0], top[:1] + [0] * 7]
+    # the largest codes everywhere: near p - 1 for the int64 update
+    yield [[q - 1 - rng.randrange(2) for _ in range(8)] for _ in range(12)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 16, 31, 257, 65521])
+def test_loop_keeps_the_leaf_contract(q):
+    # _loop is the leaf of the recursion: its pivots, its rows and its
+    # record H are checked against scalar arithmetic on blocks it meets
+    field, rng = GF(q), random.Random(q)
+    for entries in leaf_cases(rng, field):
+        W = np.array(entries, np.uint16)
+        pivots, H = _loop(W, field, record=True)
+        expected, rows, stood = loop_reference(entries, field)
+        # the pivots follow the first-pending-row rule, and every row ends
+        # as the scalar loop leaves it
+        assert pivots.tolist() == expected
+        assert W.tolist() == rows
+        # pivot rows end as they stood when chosen
+        assert [W[i].tolist() for i in expected] == [stood[i] for i in expected]
+        # every row ends as it began plus H @ (the pivot rows as they began)
+        assert H.shape == (len(W), len(expected))
+        began = [entries[i] for i in expected]
+        for row, h, end in zip(entries, H.tolist(), W.tolist()):
+            assert combination(field, [1] + h, [row] + began) == end
+
+
+# sha256 over each basis's shape and little-endian uint16 bytes, frozen
+# while the row loop still kept a lead vector per row
+ROW_BASES_SHA256 = "bdd88fc2489a3f7ba0f6ed9e3fab40427d3c2b320624ea153fa36fc322fe1f8a"
+
+
+def test_row_bases_sha256_pinned(polygon_corpus, cube, hirzebruch, toy_triangle, unit_square):
+    # the 200-polygon corpus, then the scale matrices: cube x 4 over F16
+    # (125 x 4913), Hirzebruch x 10 over F31 (1071 x 1024) and the toy
+    # triangle and unit square over F257, 5 and 4 rows of 66307 and 66564
+    h = hashlib.sha256()
+    for P, q in polygon_corpus + [
+        (cube.dilate(4), 16), (hirzebruch.dilate(10), 31), (toy_triangle, 257), (unit_square, 257),
+    ]:
+        basis = row_basis(generator_matrix(P, GF(q)).codes, q)
+        h.update(repr(basis.shape).encode())
+        h.update(basis.astype("<u2").tobytes())
+    assert h.hexdigest() == ROW_BASES_SHA256
+
+
 def test_rank_builds_no_basis(monkeypatch, cube):
     # rank_gf skips the products that bring finished pivot rows up to
     # date: on the cube x 4 over F16 (125 x 4913, every pivot in the
@@ -308,6 +398,19 @@ def test_exhaustive_budget():
     with pytest.raises(BudgetExceededError, match="exceeds the budget"):
         min_distance_exhaustive(entries, field, budget=1 << 19)
     assert min_distance_exhaustive(entries, field, budget=1 << 20) == 1
+
+
+def test_oracles_refuse_a_negative_budget_or_seed(toy_triangle):
+    # random.Random(-1) draws what Random(1) draws, so a negative seed
+    # would silently repeat another seed's bound
+    field = GF(4)
+    codes = generator_matrix(toy_triangle, field).codes
+    with pytest.raises(ValueError, match="budget must be nonnegative"):
+        min_distance_exhaustive(codes, field, budget=-5)
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        min_weight_random_upper(codes, field, seed=-1)
+    assert min_distance_exhaustive(codes, field, budget=4 ** 5) == 8
+    assert min_weight_random_upper(codes, field, seed=0) >= 8
 
 
 def test_exhaustive_rejects_zero_matrix():
