@@ -3,7 +3,8 @@
 Reads polytope documents (JSON), runs the constructions, and emits
 matrices and parameter reports. Exit codes: 0 success, 1 verification
 failure, 2 validation error, 3 hypothesis failure or no surjective
-dilate up to the cap, 4 budget refusal.
+dilate up to the cap, 4 budget refusal: an exhaustive search over its
+budget, or an array too large to allocate.
 """
 
 from __future__ import annotations
@@ -166,11 +167,8 @@ def cmd_info(args):
         if report.ok:
             print("H2 (determinants prime to q): pass")
         else:
-            bad = ", ".join(
-                f"|det|={d} at vertex {v}"
-                for v, d in zip(P.vertices, report.determinants)
-                if d % report.characteristic == 0
-            )
+            det = dict(zip(P.vertices, report.determinants))
+            bad = ", ".join(f"|det|={det[v]} at vertex {v}" for v in report.offenders)
             print(f"H2 (determinants prime to q): FAIL {bad}")
     else:
         off = ", ".join(str(v) for v in report.offenders)
@@ -344,7 +342,7 @@ def entry(argv=None):
     except HypothesisError as exc:
         print(f"hypothesis failure: {exc}", file=sys.stderr)
         return 3
-    except BudgetExceededError as exc:
+    except (BudgetExceededError, MemoryError) as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)
         return 4
     except (PolytopeError, FieldError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:

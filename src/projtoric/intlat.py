@@ -1,14 +1,14 @@
 """Exact integer linear algebra on small dense matrices.
 
 Matrices are nested sequences of Python ints and results are plain
-lists of lists. Every value is an integer, exact no matter how large
-intermediate entries grow, and nothing touches floating point. Rank,
-determinant and the Hermite and Smith forms serve the face lattice,
-the vertex determinants, the flags' straightening and the Picard
-invariants; the hull's minors are the int64 kernel of polytope.py.
+lists of lists of exact integers; nothing touches floating point.
+Fraction-free (Bareiss) elimination over Q gives the rank, for the
+face lattice, and the determinant, for the vertex determinants.
+Unimodular column elimination over Z gives the Hermite form, for the
+flags' straightening, and, alternated on a matrix and its transpose,
+the Smith form, for the Picard invariants. The hull's minors are the
+int64 kernel of polytope.py.
 """
-
-from __future__ import annotations
 
 from math import gcd
 
@@ -36,6 +36,83 @@ def _egcd(a, b):
     return old_r, old_s, old_t
 
 
+def _bareiss(A):
+    """Fraction-free elimination over the columns in order, with row swaps.
+
+    Returns the pivot count, the last pivot (1 if none) and the swap
+    sign. Each entry left to eliminate is, up to sign, the minor of A on
+    the pivot rows and columns so far plus its own row and column
+    (Sylvester's identity), so each division by the previous pivot, a
+    minor too, is exact, also after a column without a pivot is skipped.
+    """
+    M = [list(map(int, row)) for row in A]
+    r, prev, sign = 0, 1, 1
+    for c in range(len(M[0]) if M else 0):
+        piv = next((i for i in range(r, len(M)) if M[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            M[r], M[piv] = M[piv], M[r]
+            sign = -sign
+        p = M[r][c]
+        for row in M[r + 1 :]:
+            a = row[c]
+            row[c:] = [(v * p - a * t) // prev for v, t in zip(row[c:], M[r][c:])]
+        prev = p
+        r += 1
+    return r, prev, sign
+
+
+def rank(A):
+    """Rank over the rationals."""
+    return _bareiss(A)[0]
+
+
+def determinant(A):
+    """Exact determinant: the signed last Bareiss pivot, 0 below full rank."""
+    n = len(A)
+    if any(len(row) != n for row in A):
+        raise ValueError("square matrix required")
+    r, p, sign = _bareiss(A)
+    return sign * p if r == n else 0
+
+
+def _hermite(A):
+    """Lower column-echelon Hermite form by unimodular column operations.
+
+    Returns (H, T, r): A @ T == H, |det T| == 1, r pivots. The pivot
+    column advances only on a row with a nonzero entry from it on.
+    """
+    H = [list(map(int, row)) for row in A]
+    n = len(H[0])
+    T = identity(n)
+    HT = H + T  # column operations act on both alike
+    k = 0
+    for row in H:
+        for j in range(k + 1, n):
+            if row[j] == 0:
+                continue
+            a, b = row[k], row[j]
+            g, x, y = _egcd(a, b)
+            p, q = a // g, b // g
+            # right-multiply columns k, j by [[x, -q], [y, p]], det = 1
+            for v in HT:
+                ck, cj = v[k], v[j]
+                v[k] = x * ck + y * cj
+                v[j] = p * cj - q * ck
+        if k == n or row[k] == 0:
+            continue
+        if row[k] < 0:
+            for v in HT:
+                v[k] = -v[k]
+        for j in range(k):
+            f = row[j] // row[k]
+            for v in HT:
+                v[j] -= f * v[k]
+        k += 1
+    return H, T, k
+
+
 def hnf_lower(A):
     """Lower-triangular Hermite normal form by unimodular column operations.
 
@@ -48,102 +125,10 @@ def hnf_lower(A):
     n = len(A)
     if n == 0 or any(len(row) != n for row in A):
         raise ValueError("square matrix required")
-    H = [list(map(int, row)) for row in A]
-    T = identity(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if H[i][j] == 0:
-                continue
-            a, b = H[i][i], H[i][j]
-            g, x, y = _egcd(a, b)
-            p, q = a // g, b // g
-            # right-multiply columns i, j by [[x, -q], [y, p]], det = 1
-            for M in (H, T):
-                for r in range(n):
-                    ci, cj = M[r][i], M[r][j]
-                    M[r][i] = x * ci + y * cj
-                    M[r][j] = p * cj - q * ci
-        if H[i][i] == 0:
-            raise SingularMatrixError("matrix is singular")
-        if H[i][i] < 0:
-            for M in (H, T):
-                for r in range(n):
-                    M[r][i] = -M[r][i]
-        for j in range(i):
-            f = H[i][j] // H[i][i]
-            if f:
-                for M in (H, T):
-                    for r in range(n):
-                        M[r][j] -= f * M[r][i]
+    H, T, r = _hermite(A)
+    if r < n:
+        raise SingularMatrixError("matrix is singular")
     return H, T
-
-
-def determinant(A):
-    """Exact determinant via fraction-free (Bareiss) elimination."""
-    n = len(A)
-    if any(len(row) != n for row in A):
-        raise ValueError("square matrix required")
-    if n == 0:
-        return 1
-    M = [list(map(int, row)) for row in A]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if M[i][k]), None)
-            if piv is None:
-                return 0
-            M[k], M[piv] = M[piv], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[-1][-1]
-
-
-def rank(A):
-    """Rank over the rationals, by integer cross-multiplication echelon."""
-    M = [list(map(int, row)) for row in A]
-    if not M:
-        return 0
-    rows, cols = len(M), len(M[0])
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if M[i][c]), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        for i in range(r + 1, rows):
-            if M[i][c]:
-                f1, f2 = M[r][c], M[i][c]
-                M[i] = [f1 * M[i][j] - f2 * M[r][j] for j in range(cols)]
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
-def _clear_below(M, t):
-    """Row operations clearing column t below the pivot M[t][t]; False
-    when a Bezout step rewrote the pivot row."""
-    clean = True
-    for i in range(t + 1, len(M)):
-        a, b = M[t][t], M[i][t]
-        if b % a == 0:
-            # plain elimination keeps the pivot row fixed, so it
-            # cannot reintroduce cleared entries
-            M[i] = [vi - b // a * vt for vt, vi in zip(M[t], M[i])]
-            continue
-        g, x, y = _egcd(a, b)
-        p, q = a // g, b // g
-        M[t], M[i] = (
-            [x * vt + y * vi for vt, vi in zip(M[t], M[i])],
-            [p * vi - q * vt for vt, vi in zip(M[t], M[i])],
-        )
-        clean = False
-    return clean
 
 
 def snf_invariant_factors(A):
@@ -151,41 +136,26 @@ def snf_invariant_factors(A):
 
     The input must have full column rank; raises ValueError otherwise.
     Returns one positive factor per column, in divisibility order.
+
+    Hermite forms of M and its transpose alternate until M is diagonal
+    (Kannan and Bachem 1979): the top-left entry falls in divisibility
+    until it divides its row, which a Bezout step then clears for good.
     """
     M = [list(map(int, row)) for row in A]
     m = len(M)
     n = len(M[0]) if M else 0
     if n == 0 or any(len(row) != n for row in M):
         raise ValueError("nonempty rectangular matrix required")
-    k = min(m, n)
-    for t in range(k):
-        piv = next(
-            ((i, j) for i in range(t, m) for j in range(t, n) if M[i][j]), None
-        )
-        if piv is None:
-            break
-        pi, pj = piv
-        M[t], M[pi] = M[pi], M[t]
-        for row in M:
-            row[t], row[pj] = row[pj], row[t]
-        while True:
-            clean = _clear_below(M, t)
-            T = [list(col) for col in zip(*M)]
-            clean = _clear_below(T, t) and clean  # column operations
-            M = [list(row) for row in zip(*T)]
-            if clean:
-                break
-    diag = [abs(M[i][i]) for i in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            a, b = diag[i], diag[j]
-            if a == 0 and b == 0:
-                continue
-            g = gcd(a, b)
-            diag[i], diag[j] = g, (a * b // g if g else 0)
-    if m < n or any(d == 0 for d in diag[:n]):
+    while any(v for i, row in enumerate(M) for j, v in enumerate(row) if i != j):
+        M = [list(col) for col in zip(*_hermite(M)[0])]
+    diag = [abs(M[i][i]) for i in range(min(m, n))]
+    if m < n or 0 in diag:
         raise ValueError("matrix does not have full column rank")
-    return diag[:n]
+    for i in range(n):
+        for j in range(i + 1, n):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return diag
 
 
 def unimodular_inverse(T):

@@ -250,7 +250,10 @@ def _random_coefficients(rng, q, k, iterations):
 
 
 def min_weight_random_upper(entries, field, iterations=200, seed=0):
-    """Upper bound on the minimum distance from random codewords; seed >= 0."""
+    """Upper bound on the minimum distance from random codewords;
+    iterations >= 0 and seed >= 0."""
+    if iterations < 0:
+        raise ValueError(f"iterations must be nonnegative, got {iterations}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     field, B = _basis(entries, field)

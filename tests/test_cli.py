@@ -237,6 +237,18 @@ def test_verify_budget_refusal(capsys, toy_doc):
     assert "budget refusal" in err
 
 
+def test_matrix_too_large_to_allocate_is_a_budget_refusal(capsys):
+    # the cube over F65536 has 8 x 281,487,861,809,153 entries, 4 PiB of
+    # uint16: numpy refuses that allocation at once and touches no page
+    code, out, err = run(
+        capsys, "matrix", "--polytope", str(DATA / "cube.json"), "--q", "65536"
+    )
+    assert code == 4
+    assert out == ""
+    assert err.startswith("budget refusal: ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("flags", [
     ["--budget", "-5"],
     ["--budget", "-1", "--require-distance"],

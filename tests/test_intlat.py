@@ -1,4 +1,5 @@
-from itertools import combinations, product
+import random
+from itertools import combinations, permutations, product
 from math import gcd
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from projtoric.intlat import (
     SingularMatrixError,
+    _hermite,
     determinant,
     hnf_lower,
     identity,
@@ -191,3 +193,105 @@ def test_unimodular_inverse_rejects_non_unimodular():
 def test_hnf_rejects_singular():
     with pytest.raises(SingularMatrixError):
         hnf_lower([[1, 1], [1, 1]])
+
+
+def _leibniz(S):
+    # determinant as the signed sum over permutations, sign by inversions
+    n = len(S)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= S[i][j]
+        total += term
+    return total
+
+
+def _low_rank(rng, m, n, bound):
+    # an m x n product of m x k and k x n factors, k drawn below min(m, n)
+    # half the time, with a zero row one time in four
+    k = rng.randint(0, min(m, n))
+    if rng.random() < 0.5:
+        k = rng.randint(0, max(0, min(m, n) - 1))
+    L = [[rng.randint(-bound, bound) for _ in range(k)] for _ in range(m)]
+    R = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+    A = [[sum(L[i][t] * R[t][j] for t in range(k)) for j in range(n)] for i in range(m)]
+    if rng.random() < 0.25:
+        A[rng.randrange(m)] = [0] * n
+    return A
+
+
+def test_snf_matches_minor_gcds_on_tall_matrices():
+    rng = random.Random(11)
+    trials = 0
+    while trials < 150:
+        m = rng.randint(1, 7)
+        n = rng.randint(1, min(m, 4))
+        if rng.random() < 0.3:
+            A = _low_rank(rng, m, n, 30)
+        else:
+            A = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(m)]
+            if rng.random() < 0.3:
+                A[rng.randrange(m)] = [0] * n
+        expect = _minor_gcd_factors(A, n)
+        if 0 in expect:
+            with pytest.raises(ValueError):
+                snf_invariant_factors(A)
+            continue
+        trials += 1
+        assert snf_invariant_factors(A) == expect
+
+
+def test_rank_is_the_largest_nonvanishing_minor():
+    rng = random.Random(13)
+    for _ in range(300):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        A = _low_rank(rng, m, n, rng.choice([1, 5, 1000]))
+        expect = max(
+            (
+                i
+                for i in range(1, min(m, n) + 1)
+                for rows in combinations(range(m), i)
+                for cols in combinations(range(n), i)
+                if _leibniz([[A[r][c] for c in cols] for r in rows])
+            ),
+            default=0,
+        )
+        assert rank(A) == expect
+
+
+def test_determinant_sign_matches_leibniz():
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randint(0, 5)
+        A = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        if n and rng.random() < 0.3:
+            A = _low_rank(rng, n, n, 9)
+        elif n > 1 and rng.random() < 0.3:
+            # a zero leading entry forces a row swap
+            A[0][0] = 0
+        assert determinant(A) == _leibniz(A)
+
+
+def test_hermite_column_echelon_on_rectangular_matrices():
+    # the Smith form alternates this routine on M and its transpose, so
+    # it must reach a lower column echelon on any shape and rank
+    rng = random.Random(19)
+    for _ in range(300):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        A = _low_rank(rng, m, n, rng.choice([1, 5, 30]))
+        H, T, r = _hermite(A)
+        assert (np.array(A, dtype=object) @ np.array(T, dtype=object)).tolist() == H
+        assert determinant(T) in (1, -1)
+        assert r == rank(A)
+        top = -1
+        for k in range(n):
+            column = [H[i][k] for i in range(m)]
+            if k >= r:
+                assert not any(column)
+                continue
+            i = next(i for i, v in enumerate(column) if v)
+            assert i > top and column[i] > 0
+            assert all(0 <= H[i][j] < column[i] for j in range(k))
+            top = i

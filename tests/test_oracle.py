@@ -413,6 +413,16 @@ def test_oracles_refuse_a_negative_budget_or_seed(toy_triangle):
     assert min_weight_random_upper(codes, field, seed=0) >= 8
 
 
+def test_random_upper_refuses_negative_iterations(toy_triangle):
+    # a negative count drew nothing and returned the trivial bound n,
+    # as iterations=0 does, instead of saying the request was malformed
+    field = GF(4)
+    codes = generator_matrix(toy_triangle, field).codes
+    with pytest.raises(ValueError, match="iterations must be nonnegative"):
+        min_weight_random_upper(codes, field, iterations=-5)
+    assert min_weight_random_upper(codes, field, iterations=0) == len(codes[0])
+
+
 def test_exhaustive_rejects_zero_matrix():
     with pytest.raises(ValueError):
         min_distance_exhaustive([[0, 0, 0]], GF(3))
