@@ -6,12 +6,13 @@ certified two ways: the combinatorial bound and exhaustive search.
 
 from projtoric import (
     GF,
+    OrderSpec,
     Polytope,
+    bounds_over_orders,
     build_flags,
     check_hypotheses,
     count_rational_points,
     dimension,
-    distance_lower_bound_details,
     find_surjective_dilate,
     generator_matrix,
     min_distance_exhaustive,
@@ -41,7 +42,7 @@ def main():
         print(f"flag at {flag.base_vertex}: hnf diagonal {flag.hnf_diagonal}")
 
     red = projective_reduction(P, field)
-    print(f"reduced points ({len(red.representatives)}): {red.representatives}")
+    print(f"reduced points ({len(red.representatives)}): {red.representatives.tolist()}")
     k = dimension(P, field)
 
     M = generator_matrix(P, field)
@@ -52,10 +53,10 @@ def main():
 
     lam = find_surjective_dilate(P, field, lambda_max=10)
     print(f"smallest surjective dilate: {lam}P")
-    details = distance_lower_bound_details(P, P.dilate(lam), field)
-    print(f"survivor counts per reduced point: {details.counts}")
+    (details,) = bounds_over_orders(P, P.dilate(lam), field, [OrderSpec.lex()])
+    print(f"survivor counts per reduced point: {details.counts.tolist()}")
     print(f"distance bound: {details.bound}, "
-          f"attained at {details.attained_at()}")
+          f"attained at {details.attained_at().tolist()}")
 
     d = min_distance_exhaustive(M.codes, field)
     print(f"exhaustive minimum distance: {d}")

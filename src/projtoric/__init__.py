@@ -31,9 +31,9 @@ from .code import (
     ReductionSet,
     SurjectivityError,
     best_bound_over_orders,
+    bounds_over_orders,
     dimension,
     distance_lower_bound,
-    distance_lower_bound_details,
     find_surjective_dilate,
     generator_matrix,
     is_surjective,
@@ -64,12 +64,12 @@ __all__ = [
     "SingularMatrixError",
     "SurjectivityError",
     "best_bound_over_orders",
+    "bounds_over_orders",
     "build_flags",
     "check_hypotheses",
     "count_rational_points",
     "dimension",
     "distance_lower_bound",
-    "distance_lower_bound_details",
     "find_surjective_dilate",
     "flag_assignment",
     "flag_for_chain",

@@ -106,9 +106,10 @@ def _field_from(args, doc):
     return GF(_integer(q, "q"))
 
 
-def _order_from(args, doc, P):
+def _order_from(args, doc, P, lam_max):
     """The order of --order, else of the document, else None. Raises
-    ValueError when the order does not fit the dimension of P."""
+    ValueError when the order does not fit the points of lam*P for
+    every lam <= lam_max, whose |x_i| are at most lam_max max |v_i|."""
     if args.order is not None:
         text = args.order
     elif "order" in doc:
@@ -118,7 +119,7 @@ def _order_from(args, doc, P):
     else:
         return None
     order = parse_order(text)
-    order.columns([(0,) * P.dim])
+    order.require_fit([lam_max * max(map(abs, axis)) for axis in zip(*P.vertices)])
     return order
 
 
@@ -185,7 +186,7 @@ def cmd_matrix(args):
     meta = {
         "q": field.q,
         "shape": list(M.shape),
-        "row_points": [list(m) for m in M.row_points],
+        "row_points": M.row_points.tolist(),
         "block_widths": list(M.block_widths),
     }
     _emit_matrix(M.codes.tolist(), meta, args.format)
@@ -202,8 +203,8 @@ def cmd_dim(args):
 def cmd_bound(args):
     P, doc = load_document(args.polytope)
     field = _field_from(args, doc)
-    order = _order_from(args, doc, P)
     lam_max = _lambda_max_from(args, doc)
+    order = _order_from(args, doc, P, lam_max)
     require_hypotheses(P, field.q)
     lam = find_surjective_dilate(P, field, lam_max)
     if lam is None:
@@ -224,8 +225,8 @@ def cmd_verify(args):
         raise ValueError(f"--budget and --seed must be nonnegative, got {args.budget}, {args.seed}")
     P, doc = load_document(args.polytope)
     field = _field_from(args, doc)
-    order = _order_from(args, doc, P)
     lam_max = _lambda_max_from(args, doc)
+    order = _order_from(args, doc, P, lam_max)
     M = generator_matrix(P, field)
     if args.inject_corruption:
         zeros = np.argwhere(M.codes == 0)
@@ -287,7 +288,7 @@ def cmd_subcode(args):
     meta = {
         "q": field.q,
         "shape": [len(sub), len(sub[0])],
-        "rows": [list(m) for m in (rows if rows is not None else M.row_points)],
+        "rows": M.row_points.tolist() if rows is None else [list(m) for m in rows],
     }
     _emit_matrix(sub, meta, args.format)
     return 0

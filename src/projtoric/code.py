@@ -31,7 +31,8 @@ class OrderSpec:
     """An addition-compatible total order on Z^N, compared by its columns.
 
     kinds: lex, grlex (total degree then lex), permlex (lex after a
-    coordinate permutation), wlex (weight vector then lex).
+    coordinate permutation), wlex (weight vector then lex). Entries are
+    ints, not bools.
     """
 
     kind: str
@@ -41,6 +42,8 @@ class OrderSpec:
     def __post_init__(self):
         if self.kind not in ("lex", "grlex", "permlex", "wlex"):
             raise ValueError(f"unknown order kind {self.kind!r}")
+        if any(isinstance(x, bool) or not isinstance(x, int) for x in (*self.perm, *self.weights)):
+            raise ValueError(f"order entries must be integers, got {(*self.perm, *self.weights)!r}")
         if self.kind == "permlex" and sorted(self.perm) != list(range(len(self.perm))):
             raise ValueError(f"{self.perm!r} is not a permutation")
         if self.kind == "wlex" and not self.weights:
@@ -70,13 +73,23 @@ class OrderSpec:
             return "wlex:" + ",".join(map(str, self.weights))
         return self.kind
 
-    def columns(self, points):
-        """The order as int64 columns, compared lexicographically: lex is
-        x, grlex (sum x, x), permlex x[perm] and wlex (w.x, x)."""
-        x = np.asarray(points, dtype=np.int64)
-        n = x.shape[1]
+    def require_fit(self, top):
+        """Raise ValueError unless the order fits int64 points x with |x_i| <=
+        top[i]: len(top) coordinates and, for wlex, sum |w_i| max(top[i], 1)
+        below 2^63, in Python ints, so that int64 holds each w_i and w.x."""
+        n = len(top)
         if {"permlex": len(self.perm), "wlex": len(self.weights)}.get(self.kind, n) != n:
             raise ValueError(f"order {self.name} does not fit dimension {n}")
+        if sum(abs(w) * max(t, 1) for w, t in zip(self.weights, top)) >> 63:
+            raise ValueError(f"order {self.name} overflows int64 on points up to {list(top)}")
+
+    def columns(self, points):
+        """The order as int64 columns, compared lexicographically: lex is
+        x, grlex (sum x, x), permlex x[perm] and wlex (w.x, x). Raises
+        ValueError where require_fit does."""
+        x = np.asarray(points, dtype=np.int64)
+        top = np.abs(x).max(axis=0, initial=0).tolist() if self.weights else [0] * x.shape[1]
+        self.require_fit(top)  # only w.x can leave int64
         if self.kind == "lex":
             return x
         if self.kind == "grlex":
@@ -100,11 +113,6 @@ def _rows(P):
     face = P.lattice_point_faces
     by_face = np.argsort(face, kind="stable")
     return P.lattice_scan[0][by_face], face[by_face]
-
-
-def _tuples(points):
-    """The rows of an integer array as a tuple of tuples of ints."""
-    return tuple(map(tuple, points.tolist()))
 
 
 def _subface_table(faces):
@@ -132,21 +140,22 @@ class EvaluationMatrix:
     codes is the matrix: a read-only uint16 array of element codes of
     GF(q), which every consumer takes as it is; entries is its export
     form, a tuple of tuples of ints. Row i evaluates the monomial of
-    row_points[i], which lies in the interior of
-    faces[row_face_index[i]]. The columns are the orbit blocks of the
+    row_points[i], in the interior of faces[row_face_index[i]], both
+    read-only int64 arrays. The columns are the orbit blocks of the
     faces in face order, of widths block_widths, so a face's block is a
     column slice of codes; the first is the torus of P itself.
     """
 
     field: GF
     codes: np.ndarray
-    row_points: tuple
-    row_face_index: tuple
+    row_points: np.ndarray
+    row_face_index: np.ndarray
     faces: tuple
     block_widths: tuple
 
     def __post_init__(self):
-        self.codes.flags.writeable = False
+        for array in (self.codes, self.row_points, self.row_face_index):
+            array.flags.writeable = False
 
     @property
     def q(self):
@@ -197,17 +206,17 @@ def generator_matrix(P, field, flags=None):
         on = on_face[:, fi]
         out[on, start:start + w] = _evaluate(assign[Q].straighten(points[on])[:, :Q.dim], field)
         start += w
-    return EvaluationMatrix(field, out, _tuples(points), tuple(row_face.tolist()), faces, widths)
+    return EvaluationMatrix(field, out, points, row_face, faces, widths)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReductionSet:
     """Face-by-face reduction of the lattice points of P mod q-1:
-    representatives lists one order-minimal point per class (same face
-    interior, congruent coordinates)."""
+    representatives is a read-only int64 array with one row per class
+    (same face interior, congruent coordinates), its order-minimal point."""
 
     order: OrderSpec
-    representatives: tuple
+    representatives: np.ndarray
 
 
 def _class_table(P, q):
@@ -243,8 +252,9 @@ def projective_reduction(P, field, order=None):
     order-minimal member. They are listed by face, then in the order."""
     order = OrderSpec.lex() if order is None else order
     reps, ranks = _representatives(P, field_size(field), order)
-    listed = reps[np.lexsort((ranks, P.lattice_point_faces[reps]))]
-    return ReductionSet(order, _tuples(P.lattice_scan[0][listed]))
+    listed = P.lattice_scan[0][reps[np.lexsort((ranks, P.lattice_point_faces[reps]))]]
+    listed.flags.writeable = False
+    return ReductionSet(order, listed)
 
 
 def dimension(P, field):
@@ -314,30 +324,28 @@ def find_surjective_dilate(P, field, lambda_max=16):
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundDetails:
-    """Distance bound with the per-representative survivor counts."""
+    """Distance bound, an int, with the survivor count of each reduced point."""
 
     bound: int
     order: OrderSpec
-    reduced: tuple
-    counts: tuple
+    reduced: np.ndarray
+    counts: np.ndarray
 
     def attained_at(self):
-        return tuple(
-            m for m, c in zip(self.reduced, self.counts) if c == self.bound
-        )
+        return self.reduced[self.counts == self.bound]
 
 
 def _survivor_counts(region, small, large):
     """For each row m of small, the number of rows of large whose difference
-    from m satisfies every inequality of region: one broadcast per chunk of
-    small, its boolean temporary at most CAP entries or one row of small."""
-    normals = np.array(region.normals, dtype=np.int64).T
-    values, floors = large @ normals, small @ normals - np.array(region.offsets, dtype=np.int64)
+    from m satisfies every inequality of region = (normals, offsets): one
+    broadcast per chunk of small, its boolean temporary at most CAP entries."""
+    normals, offsets = region
+    values, floors = large @ normals.T, small @ normals.T - offsets
     step = max(1, CAP // values.size)
-    return tuple(np.concatenate([(values >= floors[i:i + step, None]).all(axis=2).sum(axis=1)
-                                 for i in range(0, len(floors), step)]).tolist())
+    return np.concatenate([(values >= floors[i:i + step, None]).all(axis=2).sum(axis=1)
+                           for i in range(0, len(floors), step)])
 
 
 def bounds_over_orders(P, Pbig, field, orders=None):
@@ -360,19 +368,15 @@ def bounds_over_orders(P, Pbig, field, orders=None):
     for order in orders:
         reduced = projective_reduction(P, q, order).representatives
         large = Pbig.lattice_scan[0][_representatives(Pbig, q, order)[0]]
-        counts = _survivor_counts(region, np.array(reduced), large)
-        details.append(BoundDetails(min(counts), order, reduced, counts))
+        counts = _survivor_counts(region, reduced, large)
+        details.append(BoundDetails(int(counts.min()), order, reduced, counts))
     return tuple(details)
 
 
-def distance_lower_bound_details(P, Pbig, field, order=None):
-    """bounds_over_orders for one order, lex by default."""
-    return bounds_over_orders(P, Pbig, field, [OrderSpec.lex() if order is None else order])[0]
-
-
 def distance_lower_bound(P, Pbig, field, order=None):
-    """Lower bound on the minimum distance of the code of P."""
-    return distance_lower_bound_details(P, Pbig, field, order).bound
+    """Lower bound on the minimum distance of the code of P, lex order by default."""
+    order = OrderSpec.lex() if order is None else order
+    return bounds_over_orders(P, Pbig, field, [order])[0].bound
 
 
 def best_bound_over_orders(P, Pbig, field, orders=None):
@@ -390,8 +394,9 @@ def subcode_matrix(M, rows=None, cols=None):
     form the command line emits. Raises ValueError on an empty
     selection or an unknown row point.
     """
-    index = {m: i for i, m in enumerate(M.row_points)}
-    rows = M.row_points if rows is None else [tuple(m) for m in rows]
+    points = list(map(tuple, M.row_points.tolist()))
+    index = {m: i for i, m in enumerate(points)}
+    rows = points if rows is None else [tuple(m) for m in rows]
     unknown = next((m for m in rows if m not in index), None)
     if unknown is not None:
         raise ValueError(f"{unknown} is not a row of the matrix")
@@ -401,4 +406,4 @@ def subcode_matrix(M, rows=None, cols=None):
         raise ValueError("column index out of range")
     if not rows or not cidx:
         raise ValueError("empty selection")
-    return _tuples(M.codes[np.ix_([index[m] for m in rows], cidx)])
+    return tuple(map(tuple, M.codes[np.ix_([index[m] for m in rows], cidx)].tolist()))

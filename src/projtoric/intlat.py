@@ -78,15 +78,12 @@ def determinant(A):
 
 
 def _hermite(A):
-    """Lower column-echelon Hermite form by unimodular column operations.
-
-    Returns (H, T, r): A @ T == H, |det T| == 1, r pivots. The pivot
-    column advances only on a row with a nonzero entry from it on.
+    """Lower column-echelon Hermite form of A by unimodular column
+    operations, as new rows: A @ T for some T with |det T| == 1. The
+    pivot column advances only on a row with a nonzero entry from it on.
     """
     H = [list(map(int, row)) for row in A]
     n = len(H[0])
-    T = identity(n)
-    HT = H + T  # column operations act on both alike
     k = 0
     for row in H:
         for j in range(k + 1, n):
@@ -96,21 +93,21 @@ def _hermite(A):
             g, x, y = _egcd(a, b)
             p, q = a // g, b // g
             # right-multiply columns k, j by [[x, -q], [y, p]], det = 1
-            for v in HT:
+            for v in H:
                 ck, cj = v[k], v[j]
                 v[k] = x * ck + y * cj
                 v[j] = p * cj - q * ck
         if k == n or row[k] == 0:
             continue
         if row[k] < 0:
-            for v in HT:
+            for v in H:
                 v[k] = -v[k]
         for j in range(k):
             f = row[j] // row[k]
-            for v in HT:
+            for v in H:
                 v[j] -= f * v[k]
         k += 1
-    return H, T, k
+    return H
 
 
 def hnf_lower(A):
@@ -120,15 +117,18 @@ def hnf_lower(A):
     positive diagonal and 0 <= H[i][j] < H[i][i] for j < i. The canonical
     form makes both H and T unique for nonsingular A.
 
+    The form of A stacked on the identity is H stacked on T. A's rows
+    take all rank A pivots, leaving H[r][r] = 0 for rank r < n.
+
     Raises SingularMatrixError when A is singular.
     """
     n = len(A)
     if n == 0 or any(len(row) != n for row in A):
         raise ValueError("square matrix required")
-    H, T, r = _hermite(A)
-    if r < n:
+    HT = _hermite([*A, *identity(n)])
+    if not all(HT[i][i] for i in range(n)):
         raise SingularMatrixError("matrix is singular")
-    return H, T
+    return HT[:n], HT[n:]
 
 
 def snf_invariant_factors(A):
@@ -147,7 +147,7 @@ def snf_invariant_factors(A):
     if n == 0 or any(len(row) != n for row in M):
         raise ValueError("nonempty rectangular matrix required")
     while any(v for i, row in enumerate(M) for j, v in enumerate(row) if i != j):
-        M = [list(col) for col in zip(*_hermite(M)[0])]
+        M = [list(col) for col in zip(*_hermite(M))]
     diag = [abs(M[i][i]) for i in range(min(m, n))]
     if m < n or 0 in diag:
         raise ValueError("matrix does not have full column rank")

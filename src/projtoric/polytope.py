@@ -104,19 +104,6 @@ class Face:
 
 
 @dataclass(frozen=True)
-class HalfspaceRegion:
-    """Intersection of halfspaces <m, u_i> >= -a_i, possibly unbounded."""
-
-    normals: tuple
-    offsets: tuple
-
-    def contains(self, point):
-        return all(
-            _dot(point, u) >= -a for u, a in zip(self.normals, self.offsets)
-        )
-
-
-@dataclass(frozen=True)
 class Polytope:
     """A full-dimensional lattice polytope in Z^dim.
 
@@ -377,7 +364,8 @@ def same_normal_fan(P, Q):
 
 
 def offset_difference(outer, inner):
-    """Halfspace region with outer's normals and offsets a_out - a_in.
+    """The region <m, u> >= -(a_out - a_in) over outer's facets, possibly
+    unbounded, as (normals, offsets) int64 arrays, one row or entry each.
 
     Both polytopes must share the same facet normal set; offsets are
     matched facet by facet through the normal.
@@ -385,7 +373,5 @@ def offset_difference(outer, inner):
     if set(outer.normals) != set(inner.normals):
         raise PolytopeError("polytopes do not share facet normals")
     by_normal = dict(zip(inner.normals, inner.offsets))
-    return HalfspaceRegion(
-        outer.normals,
-        tuple(a - by_normal[u] for u, a in zip(outer.normals, outer.offsets)),
-    )
+    offsets = [a - by_normal[u] for u, a in zip(outer.normals, outer.offsets)]
+    return np.array(outer.normals, dtype=np.int64), np.array(offsets, dtype=np.int64)

@@ -9,11 +9,12 @@ GF.inv does.
 
 The lattice references are the scan and grouping the package used
 before they moved onto arrays: a product over the bounding box filtered
-by HalfspaceRegion.contains on P's facets, tight_facets for every point, dict grouping of congruence
-classes and min(key=...) for representatives, with the sort keys
-spelled out per order kind. scalar_rows is the evaluation the matrix
-builders used before they were vectorised: one mul/power chain per
-entry. ref_random_coefficients is the per-draw loop of the random upper
+by ref_contains on P's facets, tight_facets for every point, dict
+grouping of congruence classes and min(key=...) for representatives,
+with the sort keys spelled out per order kind. ref_contains is the
+one-line facet test; it needs nothing from the package. scalar_rows is
+the evaluation the matrix builders used before they were vectorised:
+one mul/power chain per entry. ref_random_coefficients is the per-draw loop of the random upper
 bound before it read its draws off batches of 32-bit words.
 
 ref_hull is the convex hull as Polytope.from_vertices built it before
@@ -29,7 +30,7 @@ import numpy as np
 
 from projtoric.gf import FieldError, _digits, _undigits
 from projtoric.intlat import determinant, rank
-from projtoric.polytope import HalfspaceRegion, PolytopeError
+from projtoric.polytope import PolytopeError
 
 
 def add(F, a, b):
@@ -110,10 +111,15 @@ def ref_key(order, point):
     return (sum(w * x for w, x in zip(order.weights, point)), tuple(point))
 
 
+def ref_contains(normals, offsets, point):
+    """Whether <point, u_i> >= -a_i for every normal u_i and offset a_i."""
+    return all(sum(x * c for x, c in zip(point, u)) >= -a for u, a in zip(normals, offsets))
+
+
 def ref_lattice_points(P):
     lo = [min(v[i] for v in P.vertices) for i in range(P.dim)]
     hi = [max(v[i] for v in P.vertices) for i in range(P.dim)]
-    return tuple(p for p in product(*(range(a, b + 1) for a, b in zip(lo, hi))) if HalfspaceRegion(P.normals, P.offsets).contains(p))
+    return tuple(p for p in product(*(range(a, b + 1) for a, b in zip(lo, hi))) if ref_contains(P.normals, P.offsets, p))
 
 
 def ref_buckets(P):
@@ -138,13 +144,14 @@ def ref_classes(points, q):
 
 
 def ref_projective_reduction(P, q, order):
-    """The order-minimal point of each class, listed by face, then in the order."""
+    """The order-minimal point of each class, listed by face, then in the
+    order, as a list of lists."""
     key = lambda m: ref_key(order, m)  # noqa: E731
-    return tuple(
-        rep
+    return [
+        list(rep)
         for bucket in ref_buckets(P)
         for rep in sorted((min(g, key=key) for g in ref_classes(bucket, q)), key=key)
-    )
+    ]
 
 
 def ref_toric_reduction(points, q, order):

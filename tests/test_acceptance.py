@@ -11,9 +11,9 @@ from contextlib import contextmanager
 from projtoric.code import (
     OrderSpec,
     best_bound_over_orders,
+    bounds_over_orders,
     dimension,
     distance_lower_bound,
-    distance_lower_bound_details,
     find_surjective_dilate,
     generator_matrix,
     is_surjective,
@@ -69,15 +69,15 @@ def test_toy_triangle_full_pipeline(toy_triangle):
         assert not is_surjective(P4, toy_triangle, field)
         red4 = projective_reduction(P4, field)
         interior = {m for m, f in zip(P4.lattice_points, P4.lattice_point_faces) if f == 0}
-        torus_classes = sum(1 for r in red4.representatives if r in interior)
+        torus_classes = sum(1 for r in red4.representatives.tolist() if tuple(r) in interior)
         assert torus_classes == 8
         assert torus_classes < (field.q - 1) ** 2  # 9 would be needed
 
         P5 = toy_triangle.dilate(5)
         assert is_surjective(P5, toy_triangle, field)
-        details = distance_lower_bound_details(toy_triangle, P5, field)
+        (details,) = bounds_over_orders(toy_triangle, P5, field, [OrderSpec.lex()])
         assert details.bound == 8
-        assert details.attained_at() == ((0, 1), (1, 0))
+        assert details.attained_at().tolist() == [[0, 1], [1, 0]]
         assert min_distance_exhaustive(M.codes, field) == 8
 
 

@@ -358,6 +358,18 @@ def test_order_of_the_wrong_dimension_exits_two(capsys, toy_doc, command, order)
     assert "does not fit dimension 2" in err
 
 
+@pytest.mark.parametrize("command", ["bound", "verify"])
+@pytest.mark.parametrize(
+    "order", ["wlex:-4611686018427387904,4611686018427387903", "wlex:99999999999999999999,1"]
+)
+def test_order_past_int64_exits_two_before_any_output(capsys, toy_doc, command, order):
+    # wrapped int64 keys would give the first a bound of 9 against d = 8;
+    # the second is not int64. Both are checked on 16P, the default cap
+    code, out, err = run(capsys, command, "--polytope", toy_doc, "--order", order)
+    assert (code, out) == (2, "")
+    assert "overflows int64 on points up to [32, 48]" in err
+
+
 def test_facet_document_roundtrip(capsys, tmp_path):
     doc = write_doc(
         tmp_path, "square.json",

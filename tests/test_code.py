@@ -21,7 +21,6 @@ from projtoric.code import (
     bounds_over_orders,
     dimension,
     distance_lower_bound,
-    distance_lower_bound_details,
     find_surjective_dilate,
     generator_matrix,
     is_surjective,
@@ -68,6 +67,29 @@ def test_order_validation():
         OrderSpec("wlex")
 
 
+def test_order_entries_must_be_integers():
+    # int64 columns would read 0.5 as 0 while the name still says 0.5
+    with pytest.raises(ValueError, match="must be integers"):
+        OrderSpec.wlex((0.5, 1))
+    with pytest.raises(ValueError, match="must be integers"):
+        OrderSpec.permlex((True, False))
+
+
+def test_weights_past_int64_are_refused(toy_triangle):
+    # over 5P, max |w.x| is about 1.15e20: wrapped int64 keys would give a
+    # bound of 9 against d = 8, and the second weight vector is not int64
+    P5 = toy_triangle.dilate(5)
+    for weights in ((-(1 << 62), (1 << 62) - 1), (10**20, 1)):
+        with pytest.raises(ValueError, match="overflows int64"):
+            bounds_over_orders(toy_triangle, P5, 4, [OrderSpec.wlex(weights)])
+    # 5P's coordinates reach 10 and 15, so these sums stay below 2^63
+    order = OrderSpec.wlex((1 << 58, -(1 << 58)))
+    points = P5.lattice_scan[0]
+    assert order.columns(points)[:, 0].tolist() == [(x - y) << 58 for x, y in points.tolist()]
+    with pytest.raises(ValueError, match="overflows int64"):
+        order.require_fit([10, 22])
+
+
 def test_order_names():
     assert OrderSpec.lex().name == "lex"
     assert OrderSpec.grlex().name == "grlex"
@@ -81,9 +103,13 @@ def test_stock_orders():
 
 
 def test_ordered_lattice_points_follow_faces(toy_triangle):
-    pts = generator_matrix(toy_triangle, GF(4)).row_points
-    assert sorted(pts) == sorted(toy_triangle.lattice_points)
-    assert pts == ((-1, 2), (0, 1), (-2, 3), (0, 0), (1, 0))
+    M = generator_matrix(toy_triangle, GF(4))
+    pts = M.row_points.tolist()
+    assert sorted(map(tuple, pts)) == sorted(toy_triangle.lattice_points)
+    assert pts == [[-1, 2], [0, 1], [-2, 3], [0, 0], [1, 0]]
+    assert M.row_face_index.tolist() == [2, 2, 4, 5, 6]
+    for array in (M.row_points, M.row_face_index):
+        assert array.dtype == np.int64 and not array.flags.writeable
 
 
 def test_segment_matrix_frozen(segment01):
@@ -92,7 +118,7 @@ def test_segment_matrix_frozen(segment01):
     assert M.codes.dtype == np.uint16
     assert M.codes.tolist() == [[1, 1, 1, 0], [1, 2, 0, 1]]
     assert M.entries == ((1, 1, 1, 0), (1, 2, 0, 1))
-    assert M.row_points == ((0,), (1,))
+    assert M.row_points.tolist() == [[0], [1]]
     assert M.block_widths == (2, 1, 1)
     assert M.torus_columns() == (0, 1)
 
@@ -288,7 +314,8 @@ def test_face_blocks_match_toric_reduction(toy_triangle, hirzebruch):
 
 def test_projective_reduction_toy(toy_triangle):
     red = projective_reduction(toy_triangle, GF(4))
-    assert red.representatives == ((-1, 2), (0, 1), (-2, 3), (0, 0), (1, 0))
+    assert red.representatives.dtype == np.int64 and not red.representatives.flags.writeable
+    assert red.representatives.tolist() == [[-1, 2], [0, 1], [-2, 3], [0, 0], [1, 0]]
 
 
 def test_projective_reduction_dilated_toy_interior(toy_triangle):
@@ -296,13 +323,13 @@ def test_projective_reduction_dilated_toy_interior(toy_triangle):
     P4 = toy_triangle.dilate(4)
     red = projective_reduction(P4, GF(4))
     interior = {m for m, f in zip(P4.lattice_points, P4.lattice_point_faces) if f == 0}
-    assert sum(1 for r in red.representatives if r in interior) == 8
+    assert sum(1 for r in red.representatives.tolist() if tuple(r) in interior) == 8
 
 
 def test_projective_reduction_segment():
     P = Polytope.from_vertices([(0,), (3,)])
     red = projective_reduction(P, GF(3))
-    assert red.representatives == ((1,), (2,), (0,), (3,))
+    assert red.representatives.tolist() == [[1], [2], [0], [3]]
 
 
 def test_reduction_respects_order_choice(toy_triangle):
@@ -312,7 +339,7 @@ def test_reduction_respects_order_choice(toy_triangle):
     for order in stock_orders(2):
         red = projective_reduction(P5, field, order=order)
         sizes.add(len(red.representatives))
-        assert red.representatives == ref_projective_reduction(P5, 4, order)
+        assert red.representatives.tolist() == ref_projective_reduction(P5, 4, order)
     assert len(sizes) == 1
 
 
@@ -374,11 +401,11 @@ def test_negative_offset_ends_the_dilate_search(monkeypatch):
 def test_distance_bound_toy(toy_triangle):
     field = GF(4)
     big = toy_triangle.dilate(5)
-    details = distance_lower_bound_details(toy_triangle, big, field)
-    assert details.bound == 8
-    assert details.reduced == ((-1, 2), (0, 1), (-2, 3), (0, 0), (1, 0))
-    assert details.counts == (12, 8, 16, 16, 8)
-    assert details.attained_at() == ((0, 1), (1, 0))
+    (details,) = bounds_over_orders(toy_triangle, big, field, [OrderSpec.lex()])
+    assert details.bound == 8 and type(details.bound) is int
+    assert details.reduced.tolist() == [[-1, 2], [0, 1], [-2, 3], [0, 0], [1, 0]]
+    assert details.counts.tolist() == [12, 8, 16, 16, 8]
+    assert details.attained_at().tolist() == [[0, 1], [1, 0]]
     assert distance_lower_bound(toy_triangle, big, field) == 8
 
 
@@ -391,9 +418,7 @@ def test_distance_bound_requires_surjective(toy_triangle):
     with pytest.raises(SurjectivityError):
         distance_lower_bound(toy_triangle, toy_triangle, GF(4))
     with pytest.raises(SurjectivityError):
-        distance_lower_bound_details(
-            toy_triangle, toy_triangle.dilate(4), GF(4)
-        )
+        bounds_over_orders(toy_triangle, toy_triangle.dilate(4), GF(4))
 
 
 def test_best_bound_over_orders(toy_triangle, unit_square):
@@ -471,6 +496,6 @@ def test_int_field_sizes_build_no_tables(toy_triangle, monkeypatch):
     assert reduction_class_count_unionfind(toy_triangle, q) == 5
     P5 = toy_triangle.dilate(5)
     assert [d.bound for d in bounds_over_orders(toy_triangle, P5, 4)] == [8, 8, 8]
-    assert distance_lower_bound_details(toy_triangle, P5, 4).bound == 8
+    assert distance_lower_bound(toy_triangle, P5, 4) == 8
     with pytest.raises(FieldError):
         projective_reduction(toy_triangle, 1 << 17)

@@ -276,15 +276,17 @@ def test_determinant_sign_matches_leibniz():
 
 def test_hermite_column_echelon_on_rectangular_matrices():
     # the Smith form alternates this routine on M and its transpose, so
-    # it must reach a lower column echelon on any shape and rank
+    # it must reach a lower column echelon on any shape and rank; the
+    # identity stacked below A records the column operations as T
     rng = random.Random(19)
     for _ in range(300):
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         A = _low_rank(rng, m, n, rng.choice([1, 5, 30]))
-        H, T, r = _hermite(A)
+        HT = _hermite([*A, *identity(n)])
+        H, T, r = HT[:m], HT[m:], rank(A)
+        assert _hermite(A) == H
         assert (np.array(A, dtype=object) @ np.array(T, dtype=object)).tolist() == H
         assert determinant(T) in (1, -1)
-        assert r == rank(A)
         top = -1
         for k in range(n):
             column = [H[i][k] for i in range(m)]

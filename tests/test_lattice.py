@@ -29,7 +29,6 @@ from projtoric.code import (
     _survivor_counts,
     bounds_over_orders,
     dimension,
-    distance_lower_bound_details,
     find_surjective_dilate,
     is_surjective,
     projective_reduction,
@@ -42,6 +41,7 @@ from test_acceptance import random_3d_corpus
 from reference import (
     ref_buckets,
     ref_classes,
+    ref_contains,
     ref_key,
     ref_lattice_points,
     ref_projective_reduction,
@@ -63,13 +63,14 @@ def ref_is_surjective(Pbig, P, q):
 
 
 def ref_counts(P, Pbig, q, order):
-    region = offset_difference(Pbig, P)
+    base = dict(zip(P.normals, P.offsets))
+    offsets = [a - base[u] for u, a in zip(Pbig.normals, Pbig.offsets)]
     small = ref_projective_reduction(P, q, order)
     large = [min(g, key=lambda m: ref_key(order, m)) for g in ref_groups(Pbig, q)]
-    return small, tuple(
-        sum(region.contains(tuple(x - y for x, y in zip(r, m))) for r in large)
+    return small, [
+        sum(ref_contains(Pbig.normals, offsets, [x - y for x, y in zip(r, m)]) for r in large)
         for m in small
-    )
+    ]
 
 
 def orders_for(dim, draw):
@@ -118,7 +119,7 @@ def assert_reductions_match(P, q, orders):
     assert len(_class_table(P, q)[1]) == len(ref_groups(P, q))
     for order in orders:
         red = projective_reduction(P, q, order)
-        assert red.representatives == ref_projective_reduction(P, q, order)
+        assert red.representatives.tolist() == ref_projective_reduction(P, q, order)
 
 
 QS = (2, 3, 4, 5, 7, 8, 9)
@@ -149,8 +150,11 @@ def test_dilate_search_and_bounds_match_scalar_reference(case, q):
     every = bounds_over_orders(P, B, q, orders)
     assert [d.bound for d in every] == [min(c) for _, c in expected]
     for order, (small, counts), details in zip(orders, expected, every):
-        assert details == distance_lower_bound_details(P, B, q, order)
-        assert (details.order, details.reduced, details.counts) == (order, small, counts)
+        (single,) = bounds_over_orders(P, B, q, [order])
+        for d in (details, single):
+            assert (d.order, d.bound, d.reduced.tolist(), d.counts.tolist()) == (
+                order, min(counts), small, counts
+            )
 
 
 @settings(deadline=None, max_examples=50, suppress_health_check=[HealthCheck.filter_too_much])
@@ -286,8 +290,8 @@ def test_class_tables_are_cached_per_q(hirzebruch):
         tables.setdefault(q, _class_table(P, q))
         assert _class_table(P, q) is tables[q]
         order = ORDERS_2D[q % 4]
-        assert projective_reduction(P, q, order).representatives == ref_projective_reduction(
-            P, q, order
+        assert projective_reduction(P, q, order).representatives.tolist() == (
+            ref_projective_reduction(P, q, order)
         )
         assert len(tables[q][1]) == len(ref_groups(P, q))
     assert sorted(P.class_tables) == [3, 4, 5, 7]
@@ -303,8 +307,8 @@ def test_a_dilate_builds_its_own_class_table(toy_triangle):
         assert _class_table(D, 4)[0] is not perm
         assert len(_class_table(D, 4)[1]) == len(ref_groups(D, 4))
         for order in ORDERS_2D:
-            assert projective_reduction(D, 4, order).representatives == ref_projective_reduction(
-                D, 4, order
+            assert projective_reduction(D, 4, order).representatives.tolist() == (
+                ref_projective_reduction(D, 4, order)
             )
     assert _class_table(P, 4)[0] is perm
 
@@ -320,7 +324,7 @@ def test_orders_interleaved_on_one_polytope(q):
     ]
     expected = {order: ref_projective_reduction(P, q, order) for order in orders}
     for order in orders + orders[::-1] + orders[1::2] + orders:
-        assert projective_reduction(P, q, order).representatives == expected[order]
+        assert projective_reduction(P, q, order).representatives.tolist() == expected[order]
 
 
 def test_class_table_arrays_are_read_only(toy_triangle):
@@ -362,10 +366,10 @@ def test_survivor_counts_in_chunks_match_the_row_loop(monkeypatch, toy_triangle,
         small, expected = ref_counts(P, B, q, order)
         large = [min(g, key=lambda m: ref_key(order, m)) for g in ref_groups(B, q)]
         # CAP sized for `rows` rows of small per chunk, fewer than it has
-        monkeypatch.setattr(code, "CAP", rows * len(large) * len(region.normals))
+        monkeypatch.setattr(code, "CAP", rows * len(large) * len(region[0]))
         assert rows < len(small)
-        assert _survivor_counts(region, np.array(small), np.array(large)) == expected
-        assert bounds_over_orders(P, B, q, [order])[0].counts == expected
+        assert _survivor_counts(region, np.array(small), np.array(large)).tolist() == expected
+        assert bounds_over_orders(P, B, q, [order])[0].counts.tolist() == expected
 
 
 def test_kernel_does_not_import_numpy_ma():
@@ -486,7 +490,7 @@ def certificate(P, q, dilate):
     if lam is None:
         return None
     bounds = bounds_over_orders(P, dilate(P, lam), q)
-    return lam, [(d.order, d.bound, d.attained_at()) for d in bounds]
+    return lam, [(d.order, d.bound, d.attained_at().tolist()) for d in bounds]
 
 
 def test_a_reused_polytope_certifies_as_a_fresh_one(polygon_corpus):
