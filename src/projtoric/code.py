@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import CAP, GF, as_field, field_size
-from .polytope import PolytopeError, offset_difference, same_normal_fan
+from .polytope import PolytopeError, face_incidence, offset_difference, same_normal_fan
 from .variety import build_flags, flag_assignment, require_hypotheses, count_rational_points
 
 
@@ -115,12 +115,6 @@ def _rows(P):
     return P.lattice_scan[0][by_face], face[by_face]
 
 
-def _subface_table(faces):
-    """table[a, b]: faces[a] lies on every facet that faces[b] lies on."""
-    sets = [set(f.facet_indices) for f in faces]
-    return np.array([[b <= a for b in sets] for a in sets], dtype=bool)
-
-
 def _evaluate(exponents, field):
     """exp[(E @ J) % (q-1)] as uint16, which holds every code as q <= 2^16.
     Units are stored as powers of the generator g and column c of J is
@@ -180,7 +174,7 @@ class EvaluationMatrix:
         face or zero on it, as (i, j) pairs in row-major order. Empty on
         a correctly assembled matrix."""
         col_face = np.repeat(np.arange(len(self.faces)), self.block_widths)
-        on_face = _subface_table(self.faces)[np.ix_(self.row_face_index, col_face)]
+        on_face = face_incidence(self.faces)[np.ix_(self.row_face_index, col_face)]
         return list(map(tuple, np.argwhere(on_face != (self.codes != 0)).tolist()))
 
 
@@ -198,7 +192,7 @@ def generator_matrix(P, field, flags=None):
     assign = flag_assignment(P, flags)
     faces = P.faces
     points, row_face = _rows(P)
-    on_face = _subface_table(faces)[row_face]
+    on_face = face_incidence(faces)[row_face]
     widths = tuple((field.q - 1) ** f.dim for f in faces)
     out = np.zeros((len(points), sum(widths)), dtype=np.uint16)
     start = 0

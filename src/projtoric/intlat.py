@@ -157,13 +157,3 @@ def snf_invariant_factors(A):
             diag[i], diag[j] = g, diag[i] * diag[j] // g
     return diag
 
-
-def unimodular_inverse(T):
-    """Exact inverse of a unimodular integer matrix, as integer rows.
-
-    The Hermite form H = T X is the identity exactly when T is
-    unimodular, and X = T^-1 then."""
-    H, X = hnf_lower(T)
-    if H != identity(len(T)):
-        raise ValueError("matrix is not unimodular")
-    return X

@@ -344,6 +344,13 @@ class Polytope:
         return scaled
 
 
+def face_incidence(faces):
+    """table[a, b]: faces[a] lies in faces[b], on every facet that
+    faces[b] lies on."""
+    sets = [set(f.facet_indices) for f in faces]
+    return np.array([[b <= a for b in sets] for a in sets], dtype=bool)
+
+
 def same_normal_fan(P, Q):
     """Whether two polytopes have identical normal fans.
 

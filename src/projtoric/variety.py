@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import prime_power
-from .intlat import determinant, hnf_lower, snf_invariant_factors, unimodular_inverse
+from .intlat import determinant, hnf_lower, snf_invariant_factors
+from .polytope import face_incidence
 
 
 class HypothesisError(Exception):
@@ -68,10 +69,10 @@ def check_hypotheses(P, q):
     Never raises on a failing polytope; the report carries the failure.
     """
     p, _ = prime_power(q)
-    if not P.is_simple():
-        crowded = tuple(
-            v for v, f in zip(P.vertices, P.faces_of_dim(0)) if len(f.facet_indices) > P.dim
-        )
+    crowded = tuple(
+        v for v, f in zip(P.vertices, P.faces_of_dim(0)) if len(f.facet_indices) > P.dim
+    )
+    if crowded:
         return HypothesisReport(q, p, False, None, crowded)
     dets = vertex_determinants(P)
     offenders = tuple(v for v, d in zip(P.vertices, dets) if d % p == 0)
@@ -82,7 +83,10 @@ def require_hypotheses(P, q):
     """check_hypotheses, raising HypothesisError on any failure."""
     report = check_hypotheses(P, q)
     if not report.simple:
-        raise HypothesisError("polytope is not simple")
+        v = report.offenders[0]
+        raise HypothesisError(
+            f"polytope is not simple: vertex {v} lies on {len(P.tight_facets(v))} facets"
+        )
     if not report.ok:
         raise HypothesisError(
             f"characteristic {report.characteristic} divides the vertex "
@@ -117,10 +121,10 @@ class Flag:
 
     chain holds one face of each dimension 0..dim, ending at the
     polytope itself. Stack the normals of the facets through the base
-    vertex, ordered so the first dim-j of them cut out the j-face;
-    inverse_transform inverts their Hermite column transform, columns
-    reversed, and sends m - base_vertex to straightened coordinates.
-    hnf_diagonal records the diagonal of the Hermite form.
+    vertex, ordered so the first dim-j of them cut out the j-face, as
+    A. With A T = H their Hermite form, inverse_transform is T^-1 with
+    its rows reversed, and sends m - base_vertex to straightened
+    coordinates. hnf_diagonal records the diagonal of H.
     """
 
     chain: tuple
@@ -146,38 +150,40 @@ def flag_for_chain(P, chain):
     if len(chain) != P.dim + 1 or any(f.dim != d for d, f in enumerate(chain)):
         raise ValueError("chain must hold one face of each dimension")
     for small, big in zip(chain, chain[1:]):
-        if not set(small.vertex_indices) <= set(big.vertex_indices):
+        if any(i not in small.facet_indices for i in big.facet_indices):
             raise ValueError("chain faces are not nested")
     if chain[-1].facet_indices != ():
         raise ValueError("chain must end at the polytope itself")
     n = P.dim
-    sets = [set(f.facet_indices) for f in chain]
     order = []
-    for i in range(1, n + 1):
-        dropped = sets[n - i] - sets[n - i + 1]
+    for big, small in zip(chain[:0:-1], chain[-2::-1]):
+        dropped = [i for i in small.facet_indices if i not in big.facet_indices]
         if len(dropped) != 1:
             raise HypothesisError("chain does not peel one facet per step")
-        order.append(dropped.pop())
-    H, T = hnf_lower([list(P.normals[f]) for f in order])
-    inverse = unimodular_inverse([row[::-1] for row in T])
+        order += dropped
+    A = [list(P.normals[f]) for f in order]
+    H, _ = hnf_lower(A)
+    inverse = []  # T^-1 = H^-1 A, row by row by forward substitution
+    for i, (h, a) in enumerate(zip(H, A)):
+        for c, row in zip(h, inverse):
+            a = [x - c * y for x, y in zip(a, row)]
+        inverse.append(tuple(x // h[i] for x in a))
     base = P.vertices[chain[0].vertex_indices[0]]
-    return Flag(
-        chain,
-        base,
-        tuple(tuple(r) for r in inverse),
-        tuple(H[i][i] for i in range(n)),
-    )
+    return Flag(chain, base, tuple(inverse[::-1]), tuple(H[i][i] for i in range(n)))
 
 
 def build_flags(P, reverse=False):
     """A deterministic list of flags whose chains cover every face.
 
-    One greedy sweep: each vertex, in canonical order, starts a chain
-    that climbs through the first faces not yet covered, and a repair
-    pass emits a chain through any face the sweep missed. With
-    reverse=True the sweep runs in the opposite canonical order, which
-    generally yields a different cover; comparing the two checks that
-    downstream results do not depend on the choice.
+    One greedy sweep over face indices in canonical order, by vertex
+    index tuple (reversed with reverse=True): each vertex, then each
+    face still uncovered, starts a chain. Going down and then up from
+    the start, each step takes the first face of the next dimension
+    that the incidence table admits, an uncovered one if there is one.
+    A chain from a vertex holds no other vertex, so every vertex starts
+    one. The reverse sweep generally yields a different cover;
+    comparing the two checks that downstream results do not depend on
+    the choice.
 
     On a polygon the cover is the boundary walk from the first vertex
     towards its smaller neighbour (larger, with reverse), one flag per
@@ -190,56 +196,30 @@ def build_flags(P, reverse=False):
     if not P.is_simple():
         raise HypothesisError("flags require a simple polytope")
     faces = P.faces
-    by_dim = [list(P.faces_of_dim(d)) for d in range(P.dim + 1)]
-
-    def ordered(fs):
-        return sorted(fs, key=lambda f: f.vertex_indices, reverse=reverse)
-
-    covered = set()
-
-    def chain_through(face):
-        chain = [face]
-        cur = face
-        for d in range(face.dim - 1, -1, -1):
-            cands = ordered(
-                g
-                for g in by_dim[d]
-                if set(g.vertex_indices) <= set(cur.vertex_indices)
-            )
-            cur = next((g for g in cands if g not in covered), cands[0])
-            chain.insert(0, cur)
-        cur = face
-        for d in range(face.dim + 1, P.dim + 1):
-            cands = ordered(
-                g
-                for g in by_dim[d]
-                if set(cur.vertex_indices) <= set(g.vertex_indices)
-            )
-            cur = next((g for g in cands if g not in covered), cands[0])
-            chain.append(cur)
-        return chain
-
+    inside = face_incidence(faces)
+    down, up = inside.T.tolist(), inside.tolist()  # down[b][a] == up[a][b]: a lies in b
+    order = sorted(range(len(faces)), key=lambda i: faces[i].vertex_indices, reverse=reverse)
+    by_dim = [[i for i in order if faces[i].dim == d] for d in range(P.dim + 1)]
+    covered = np.zeros(len(faces), dtype=bool)
     flags = []
-
-    def emit(face):
-        chain = chain_through(face)
-        flags.append(flag_for_chain(P, chain))
-        covered.update(chain)
-
-    for v in ordered(by_dim[0]):
-        emit(v)
-    for f in ordered(faces):
-        if f not in covered:
-            emit(f)
+    for start in by_dim[0] + order:
+        if covered[start]:
+            continue
+        s = faces[start].dim
+        chain = {s: start}
+        for d in (*range(s - 1, -1, -1), *range(s + 1, P.dim + 1)):
+            admits = down[chain[d + 1]] if d < s else up[chain[d - 1]]
+            cands = [i for i in by_dim[d] if admits[i]]
+            chain[d] = next((i for i in cands if not covered[i]), cands[0])
+        chain = [chain[d] for d in range(P.dim + 1)]
+        covered[chain] = True
+        flags.append(flag_for_chain(P, [faces[i] for i in chain]))
     return flags
 
 
 def flag_assignment(P, flags):
     """Map each face of P to the first flag whose chain contains it."""
-    assign = {}
-    for f in P.faces:
-        flag = next((fl for fl in flags if f in fl.chain), None)
-        if flag is None:
-            raise ValueError(f"no flag covers the face {f.vertex_indices}")
-        assign[f] = flag
+    assign = {f: fl for fl in reversed(flags) for f in fl.chain}
+    if missing := [f for f in P.faces if f not in assign]:
+        raise ValueError(f"no flag covers the face {missing[0].vertex_indices}")
     return assign

@@ -17,6 +17,10 @@ the evaluation the matrix builders used before they were vectorised:
 one mul/power chain per entry. ref_random_coefficients is the per-draw loop of the random upper
 bound before it read its draws off batches of 32-bit words.
 
+ref_face_incidence is face inclusion as build_flags tested it before
+the incidence table: one face lies in another when its vertex index
+set is a subset of the other's.
+
 ref_hull is the convex hull as Polytope.from_vertices built it before
 its int64 kernel: one Python-int kernel_vector and rank per n-subset of
 the points, and one rank per point for the vertex test.
@@ -157,6 +161,11 @@ def ref_projective_reduction(P, q, order):
 def ref_toric_reduction(points, q, order):
     key = lambda m: ref_key(order, m)  # noqa: E731
     return tuple(sorted((min(g, key=key) for g in ref_classes(points, q)), key=key))
+
+
+def ref_face_incidence(faces):
+    """table[a][b]: the vertices of faces[a] are vertices of faces[b]."""
+    return [[set(a.vertex_indices) <= set(b.vertex_indices) for b in faces] for a in faces]
 
 
 def kernel_vector(rows, n):

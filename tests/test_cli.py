@@ -166,6 +166,17 @@ def test_bound_hypothesis_failure_exit(capsys, quad_doc):
     assert "hypothesis failure" in err
 
 
+def test_non_simple_failure_names_the_vertex(capsys, tmp_path):
+    # the apex of a square pyramid lies on all four side facets
+    path = write_doc(
+        tmp_path, "pyramid.json",
+        vertices=[[0, 0, 0], [2, 0, 0], [0, 2, 0], [2, 2, 0], [1, 1, 1]], q=3,
+    )
+    err = "hypothesis failure: polytope is not simple: vertex (1, 1, 1) lies on 4 facets\n"
+    for command in ("dim", "matrix", "bound", "verify", "subcode"):
+        assert run(capsys, command, "--polytope", path) == (3, "", err)
+
+
 def test_bound_without_dilate(capsys, toy_doc):
     code, out, err = run(
         capsys, "bound", "--polytope", toy_doc, "--lambda-max", "2"

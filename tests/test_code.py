@@ -15,7 +15,6 @@ from reference import mul, ref_projective_reduction, ref_toric_reduction, scalar
 from projtoric.cli import load_document
 from projtoric.code import (
     OrderSpec,
-    _subface_table,
     SurjectivityError,
     best_bound_over_orders,
     bounds_over_orders,
@@ -30,7 +29,7 @@ from projtoric.code import (
 )
 from projtoric.gf import GF, FieldError
 from projtoric.oracle import rank_gf, reduction_class_count_unionfind
-from projtoric.polytope import Polytope
+from projtoric.polytope import Polytope, face_incidence
 from projtoric.variety import HypothesisError, build_flags, flag_assignment
 
 
@@ -306,7 +305,7 @@ def test_face_blocks_match_toric_reduction(toy_triangle, hirzebruch):
         for fi, Q in enumerate(P.faces):
             flag = assign[Q]
             B = M.codes[:, ends[fi] - M.block_widths[fi]:ends[fi]]
-            on = _subface_table(P.faces)[P.lattice_point_faces, P.faces.index(Q)]
+            on = face_incidence(P.faces)[P.lattice_point_faces, P.faces.index(Q)]
             on_face = flag.straighten(P.lattice_scan[0][on])[:, :Q.dim]
             classes = ref_toric_reduction(on_face.tolist(), q, OrderSpec.lex())
             assert rank_gf(B, field) == len(classes)

@@ -14,7 +14,6 @@ from projtoric.intlat import (
     identity,
     rank,
     snf_invariant_factors,
-    unimodular_inverse,
 )
 
 
@@ -177,17 +176,6 @@ def test_snf_rejects_rank_deficient():
         snf_invariant_factors([[1, 2], [2, 4]])
     with pytest.raises(ValueError):
         snf_invariant_factors([[1, 2, 3]])
-
-
-def test_unimodular_inverse_self_inverse_transform():
-    T = [[-1, -3], [0, 1]]
-    assert unimodular_inverse(T) == T
-    assert (np.array(T) @ T).tolist() == identity(2)
-
-
-def test_unimodular_inverse_rejects_non_unimodular():
-    with pytest.raises(ValueError):
-        unimodular_inverse([[2, 0], [0, 1]])
 
 
 def test_hnf_rejects_singular():

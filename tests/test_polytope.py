@@ -11,11 +11,14 @@ from projtoric.polytope import (
     Polytope,
     PolytopeError,
     _kernels,
+    face_incidence,
     offset_difference,
     same_normal_fan,
 )
+from projtoric.cli import load_document
 from projtoric.oracle import _monotone_chains
-from reference import kernel_vector, ref_contains, ref_hull
+from reference import kernel_vector, ref_contains, ref_face_incidence, ref_hull
+from test_acceptance import random_3d_corpus
 from test_code import DATA
 from test_lattice import box4
 
@@ -519,3 +522,14 @@ def test_vrep_hrep_int64_bound_is_sharp():
         Polytope.from_vrep_hrep(
             [(0, 0), (b + 1, 0), (0, b + 1)], [(1, 0), (0, 1), (-1, -1)], [0, 0, b + 1]
         )
+
+
+def test_face_incidence_matches_vertex_inclusion(polygon_corpus):
+    # facet-set inclusion, reversed, is vertex-set inclusion on a face lattice
+    docs = [load_document(path)[0] for path in sorted(DATA.glob("*.json"))]
+    cases = [P for P, _ in polygon_corpus + random_3d_corpus(24, seed=3)] + docs
+    assert len(docs) == 6
+    for P in cases:
+        table = face_incidence(P.faces)
+        assert table.dtype == bool and table.shape == (len(P.faces),) * 2
+        assert table.tolist() == ref_face_incidence(P.faces)

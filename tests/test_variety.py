@@ -2,8 +2,7 @@ import itertools
 
 import pytest
 
-from projtoric.code import _subface_table
-from projtoric.polytope import Polytope
+from projtoric.polytope import Polytope, face_incidence
 from projtoric.variety import (
     HypothesisError,
     build_flags,
@@ -73,7 +72,9 @@ def test_pyramid_report():
 def test_require_hypotheses(toy_triangle, quadrilateral):
     report = require_hypotheses(toy_triangle, 4)
     assert report.ok
-    with pytest.raises(HypothesisError, match="not simple"):
+    with pytest.raises(
+        HypothesisError, match=r"^polytope is not simple: vertex \(1, 1, 1\) lies on 4 facets$"
+    ):
         require_hypotheses(pyramid(), 3)
     with pytest.raises(HypothesisError, match="divides the vertex"):
         require_hypotheses(quadrilateral, 7)
@@ -166,7 +167,7 @@ def test_trailing_zeros_on_chain_faces(toy_triangle, quadrilateral, cube):
         for flag in build_flags(P):
             for j, face in enumerate(flag.chain):
                 assert face.dim == j
-                on = _subface_table(P.faces)[P.lattice_point_faces, P.faces.index(face)]
+                on = face_incidence(P.faces)[P.lattice_point_faces, P.faces.index(face)]
                 assert on.any()
                 assert not flag.straighten(P.lattice_scan[0][on])[:, j:].any()
 
