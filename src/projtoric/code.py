@@ -308,7 +308,10 @@ def find_surjective_dilate(P, field, lambda_max=16):
     k <= k' and relint(c(F - v)) holds a lattice point for c = dim F + 1:
     the sum of c affinely independent vertices of F, minus cv. Past lam = 1
     a negative facet offset a fails is_surjective, as lam*a < a. P keeps
-    the surjective lam*P, so P.dilate(lam) returns it; failures are dropped."""
+    the surjective lam*P, so P.dilate(lam) returns it; failures are dropped.
+    lambda_max must be an int >= 1, not a bool."""
+    if isinstance(lambda_max, bool) or not isinstance(lambda_max, int) or lambda_max < 1:
+        raise ValueError(f"lambda_max must be an int >= 1, got {lambda_max!r}")
     top = lambda_max if min(P.offsets) >= 0 else min(lambda_max, 1)
     for lam in range(_dilate_lower_bound(P, field_size(field)), top + 1):
         if is_surjective(B := P.dilate(lam), P, field):

@@ -2,15 +2,16 @@
 
 Matrices are nested sequences of Python ints and results are plain
 lists of lists of exact integers; nothing touches floating point.
-Fraction-free (Bareiss) elimination over Q gives the rank, for the
-face lattice, and the determinant, for the vertex determinants.
-Unimodular column elimination over Z gives the Hermite form, for the
-flags' straightening, and, alternated on a matrix and its transpose,
-the Smith form, for the Picard invariants. The hull's minors are the
-int64 kernel of polytope.py.
+One elimination serves every question: unimodular column operations
+over Z bring A to its Hermite form H = A @ T, |det T| = 1. The pivot
+columns of H give the rank, for the face lattice; det T times the
+diagonal of H gives the determinant, for the vertex determinants; H
+itself straightens the flags; and, alternated on a matrix and its
+transpose, it gives the Smith form, for the Picard invariants. The
+hull's minors are the int64 kernel of polytope.py.
 """
 
-from math import gcd
+from math import gcd, prod
 
 
 class SingularMatrixError(ValueError):
@@ -36,55 +37,19 @@ def _egcd(a, b):
     return old_r, old_s, old_t
 
 
-def _bareiss(A):
-    """Fraction-free elimination over the columns in order, with row swaps.
-
-    Returns the pivot count, the last pivot (1 if none) and the swap
-    sign. Each entry left to eliminate is, up to sign, the minor of A on
-    the pivot rows and columns so far plus its own row and column
-    (Sylvester's identity), so each division by the previous pivot, a
-    minor too, is exact, also after a column without a pivot is skipped.
-    """
-    M = [list(map(int, row)) for row in A]
-    r, prev, sign = 0, 1, 1
-    for c in range(len(M[0]) if M else 0):
-        piv = next((i for i in range(r, len(M)) if M[i][c]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            M[r], M[piv] = M[piv], M[r]
-            sign = -sign
-        p = M[r][c]
-        for row in M[r + 1 :]:
-            a = row[c]
-            row[c:] = [(v * p - a * t) // prev for v, t in zip(row[c:], M[r][c:])]
-        prev = p
-        r += 1
-    return r, prev, sign
-
-
-def rank(A):
-    """Rank over the rationals."""
-    return _bareiss(A)[0]
-
-
-def determinant(A):
-    """Exact determinant: the signed last Bareiss pivot, 0 below full rank."""
-    n = len(A)
-    if any(len(row) != n for row in A):
-        raise ValueError("square matrix required")
-    r, p, sign = _bareiss(A)
-    return sign * p if r == n else 0
-
-
 def _hermite(A):
     """Lower column-echelon Hermite form of A by unimodular column
-    operations, as new rows: A @ T for some T with |det T| == 1. The
-    pivot column advances only on a row with a nonzero entry from it on.
+    operations: (H, det T) for H = A @ T, as new rows. The pivot column
+    advances only on a row with a nonzero entry from it on, so every
+    column from the last pivot on is zero. The Bezout step and column
+    subtraction have det 1, so det T = -1 exactly when an odd number of
+    pivot columns were negated. Ragged rows raise ValueError.
     """
     H = [list(map(int, row)) for row in A]
-    n = len(H[0])
-    k = 0
+    n = len(H[0]) if H else 0
+    if any(len(row) != n for row in H):
+        raise ValueError("rectangular matrix required")
+    k, sign = 0, 1
     for row in H:
         for j in range(k + 1, n):
             if row[j] == 0:
@@ -100,6 +65,7 @@ def _hermite(A):
         if k == n or row[k] == 0:
             continue
         if row[k] < 0:
+            sign = -sign
             for v in H:
                 v[k] = -v[k]
         for j in range(k):
@@ -107,7 +73,22 @@ def _hermite(A):
             for v in H:
                 v[j] -= f * v[k]
         k += 1
-    return H
+    return H, sign
+
+
+def rank(A):
+    """Rank over the rationals: the nonzero columns of the Hermite form."""
+    return sum(map(any, zip(*_hermite(A)[0])))
+
+
+def determinant(A):
+    """Exact determinant: det T times the diagonal of H = A @ T, which
+    holds a zero below full rank."""
+    n = len(A)
+    if any(len(row) != n for row in A):
+        raise ValueError("square matrix required")
+    H, sign = _hermite(A)
+    return sign * prod(H[i][i] for i in range(n))
 
 
 def hnf_lower(A):
@@ -125,7 +106,7 @@ def hnf_lower(A):
     n = len(A)
     if n == 0 or any(len(row) != n for row in A):
         raise ValueError("square matrix required")
-    HT = _hermite([*A, *identity(n)])
+    HT, _ = _hermite([*A, *identity(n)])
     if not all(HT[i][i] for i in range(n)):
         raise SingularMatrixError("matrix is singular")
     return HT[:n], HT[n:]
@@ -147,7 +128,7 @@ def snf_invariant_factors(A):
     if n == 0 or any(len(row) != n for row in M):
         raise ValueError("nonempty rectangular matrix required")
     while any(v for i, row in enumerate(M) for j, v in enumerate(row) if i != j):
-        M = [list(col) for col in zip(*_hermite(M))]
+        M = [list(col) for col in zip(*_hermite(M)[0])]
     diag = [abs(M[i][i]) for i in range(min(m, n))]
     if m < n or 0 in diag:
         raise ValueError("matrix does not have full column rank")
@@ -156,4 +137,3 @@ def snf_invariant_factors(A):
             g = gcd(diag[i], diag[j])
             diag[i], diag[j] = g, diag[i] * diag[j] // g
     return diag
-

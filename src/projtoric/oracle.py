@@ -199,14 +199,20 @@ def _basis(entries, field):
     return field, basis
 
 
+def _nonnegative_int(value, what):
+    # bool is an int subclass, and random.Random(True) draws what 1 draws
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{what} must be nonnegative and an int, not a bool, got {value!r}")
+
+
 def min_distance_exhaustive(entries, field, budget=1 << 24):
     """True minimum distance by enumerating every nonzero codeword.
 
     Refuses with BudgetExceededError when q^rank exceeds the budget;
-    raises ValueError on a negative budget or a rank-zero matrix.
+    raises ValueError on a budget that is a bool or not an int >= 0, and
+    on a rank-zero matrix.
     """
-    if budget < 0:
-        raise ValueError(f"budget must be nonnegative, got {budget}")
+    _nonnegative_int(budget, "budget")
     field, B = _basis(entries, field)
     if field.q ** len(B) > budget:
         raise BudgetExceededError(
@@ -251,11 +257,9 @@ def _random_coefficients(rng, q, k, iterations):
 
 def min_weight_random_upper(entries, field, iterations=200, seed=0):
     """Upper bound on the minimum distance from random codewords;
-    iterations >= 0 and seed >= 0."""
-    if iterations < 0:
-        raise ValueError(f"iterations must be nonnegative, got {iterations}")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    iterations and seed are ints >= 0, not bools."""
+    _nonnegative_int(iterations, "iterations")
+    _nonnegative_int(seed, "seed")
     field, B = _basis(entries, field)
     (k, n), q = B.shape, field.q
     C = _random_coefficients(random.Random(seed), q, k, iterations)

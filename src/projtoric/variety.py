@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import prime_power
-from .intlat import determinant, hnf_lower, snf_invariant_factors
+from .gf import field_size, prime_power
+from .intlat import _hermite, determinant, snf_invariant_factors
 from .polytope import face_incidence
 
 
@@ -84,8 +84,9 @@ def require_hypotheses(P, q):
     report = check_hypotheses(P, q)
     if not report.simple:
         v = report.offenders[0]
+        f = P.faces_of_dim(0)[P.vertices.index(v)]
         raise HypothesisError(
-            f"polytope is not simple: vertex {v} lies on {len(P.tight_facets(v))} facets"
+            f"polytope is not simple: vertex {v} lies on {len(f.facet_indices)} facets"
         )
     if not report.ok:
         raise HypothesisError(
@@ -99,8 +100,10 @@ def count_rational_points(P, q):
     """Rational points of the variety of P over a q-element field.
 
     One torus orbit of size (q-1)^k per k-face, so the count is
-    sum over faces of (q-1)^dim.
+    sum over faces of (q-1)^dim. q is a field or a field size, checked
+    as gf.field_size checks it.
     """
+    q = field_size(q)
     return sum((q - 1) ** f.dim for f in P.faces)
 
 
@@ -162,7 +165,7 @@ def flag_for_chain(P, chain):
             raise HypothesisError("chain does not peel one facet per step")
         order += dropped
     A = [list(P.normals[f]) for f in order]
-    H, _ = hnf_lower(A)
+    H, _ = _hermite(A)  # A is nonsingular: each peeled facet drops one dimension
     inverse = []  # T^-1 = H^-1 A, row by row by forward substitution
     for i, (h, a) in enumerate(zip(H, A)):
         for c, row in zip(h, inverse):

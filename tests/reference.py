@@ -23,17 +23,20 @@ set is a subset of the other's.
 
 ref_hull is the convex hull as Polytope.from_vertices built it before
 its int64 kernel: one Python-int kernel_vector and rank per n-subset of
-the points, and one rank per point for the vertex test.
+the points, and one rank per point for the vertex test. It reads
+nothing of projtoric.intlat, so it checks the hull against other
+arithmetic than the package's: kernel_vector's minors are Leibniz sums
+(_leibniz) and ref_rank is Gaussian elimination over Fraction.
 """
 
 from collections import defaultdict
-from itertools import combinations, product
+from fractions import Fraction
+from itertools import combinations, permutations, product
 from math import gcd
 
 import numpy as np
 
 from projtoric.gf import FieldError, _digits, _undigits
-from projtoric.intlat import determinant, rank
 from projtoric.polytope import PolytopeError
 
 
@@ -168,6 +171,35 @@ def ref_face_incidence(faces):
     return [[set(a.vertex_indices) <= set(b.vertex_indices) for b in faces] for a in faces]
 
 
+def _leibniz(S):
+    """Determinant as the signed sum over permutations, sign by inversions."""
+    n = len(S)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= S[i][j]
+        total += term
+    return total
+
+
+def ref_rank(rows):
+    """Rank over Q by Gaussian elimination on Fractions."""
+    M = [[Fraction(x) for x in row] for row in rows]
+    r = 0
+    for c in range(len(M[0]) if M else 0):
+        piv = next((i for i in range(r, len(M)) if M[i][c]), None)
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        for row in M[r + 1:]:
+            f = row[c] / M[r][c]
+            row[c:] = [x - f * y for x, y in zip(row[c:], M[r][c:])]
+        r += 1
+    return r
+
+
 def kernel_vector(rows, n):
     """Primitive integer kernel generator for n-1 independent rows in Z^n.
 
@@ -179,7 +211,7 @@ def kernel_vector(rows, n):
     d = []
     for j in range(n):
         minor = [[row[t] for t in range(n) if t != j] for row in rows]
-        d.append((-1) ** j * determinant(minor))
+        d.append((-1) ** j * _leibniz(minor))
     g = gcd(*d)
     if g == 0:
         raise ValueError("rows do not have rank n-1")
@@ -193,12 +225,12 @@ def ref_hull(points):
     pts = sorted(set(map(tuple, points)))
     n = len(pts[0])
     dot = lambda u, v: sum(a * b for a, b in zip(u, v))  # noqa: E731
-    if rank([[x - b for x, b in zip(p, pts[0])] for p in pts[1:]]) != n:
+    if ref_rank([[x - b for x, b in zip(p, pts[0])] for p in pts[1:]]) != n:
         raise PolytopeError("hull is not full-dimensional")
     facets = {}
     for combo in combinations(pts, n):
         diffs = [[x - b for x, b in zip(p, combo[0])] for p in combo[1:]]
-        if rank(diffs) != n - 1:
+        if ref_rank(diffs) != n - 1:
             continue
         u = kernel_vector(diffs, n)
         vals = [dot(p, u) for p in pts]
@@ -209,5 +241,5 @@ def ref_hull(points):
             facets[tuple(-x for x in u)] = c
     normals = sorted(facets)
     offsets = [facets[u] for u in normals]
-    verts = [p for p in pts if rank([u for u, a in zip(normals, offsets) if dot(p, u) == -a]) == n]
+    verts = [p for p in pts if ref_rank([u for u, a in zip(normals, offsets) if dot(p, u) == -a]) == n]
     return tuple(verts), tuple(normals), tuple(offsets)

@@ -378,6 +378,13 @@ def test_find_surjective_dilate(toy_triangle, segment01, unit_square):
     assert find_surjective_dilate(toy_triangle, GF(4), lambda_max=2) is None
 
 
+@pytest.mark.parametrize("cap", [0, -3, True, 2.5, "4"])
+def test_find_surjective_dilate_refuses_bad_caps(toy_triangle, cap):
+    # 0 and -3 returned None, read as "no dilate"; True searched with cap 1
+    with pytest.raises(ValueError, match="lambda_max must be an int >= 1"):
+        find_surjective_dilate(toy_triangle, GF(4), lambda_max=cap)
+
+
 def test_negative_offset_ends_the_dilate_search(monkeypatch):
     # the origin lies outside P, so a facet offset a is negative and
     # lam*a < a for every lam > 1: no dilate past lam = 1 can be surjective

@@ -1,11 +1,12 @@
 import random
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from math import gcd
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference import _leibniz, ref_rank
 from projtoric.intlat import (
     SingularMatrixError,
     _hermite,
@@ -109,9 +110,14 @@ def test_determinant_frozen_values():
 
 def test_rank_examples():
     assert rank([]) == 0
+    assert rank([[]]) == 0
+    assert rank([[], []]) == 0
+    assert _hermite([]) == ([], 1)
     assert rank([[0, 0], [0, 0]]) == 0
     assert rank([[1, 2], [2, 4]]) == 1
     assert rank([[1, 0], [0, 1], [1, 1]]) == 2
+    with pytest.raises(ValueError, match="rectangular"):
+        rank([[1, 2], [3]])  # ragged rows once read an IndexError, or a rank
 
 
 def _minor_gcd_factors(A, n):
@@ -181,19 +187,6 @@ def test_snf_rejects_rank_deficient():
 def test_hnf_rejects_singular():
     with pytest.raises(SingularMatrixError):
         hnf_lower([[1, 1], [1, 1]])
-
-
-def _leibniz(S):
-    # determinant as the signed sum over permutations, sign by inversions
-    n = len(S)
-    total = 0
-    for perm in permutations(range(n)):
-        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
-        term = (-1) ** inversions
-        for i, j in enumerate(perm):
-            term *= S[i][j]
-        total += term
-    return total
 
 
 def _low_rank(rng, m, n, bound):
@@ -270,9 +263,9 @@ def test_hermite_column_echelon_on_rectangular_matrices():
     for _ in range(300):
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         A = _low_rank(rng, m, n, rng.choice([1, 5, 30]))
-        HT = _hermite([*A, *identity(n)])
+        HT, _ = _hermite([*A, *identity(n)])
         H, T, r = HT[:m], HT[m:], rank(A)
-        assert _hermite(A) == H
+        assert _hermite(A)[0] == H
         assert (np.array(A, dtype=object) @ np.array(T, dtype=object)).tolist() == H
         assert determinant(T) in (1, -1)
         top = -1
@@ -285,3 +278,35 @@ def test_hermite_column_echelon_on_rectangular_matrices():
             assert i > top and column[i] > 0
             assert all(0 <= H[i][j] < column[i] for j in range(k))
             top = i
+
+
+def test_hermite_sign_is_the_determinant_of_its_transform():
+    # rank and determinant read H and det T off the one elimination, so
+    # the sign it returns must be det T itself, on any shape and rank
+    rng = random.Random(23)
+    for _ in range(300):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        A = _low_rank(rng, m, n, rng.choice([1, 5, 30]))
+        HT, sign = _hermite([*A, *identity(n)])
+        assert sign == _leibniz(HT[m:])
+        if rank(A) == n:  # A's rows take every pivot: the identity adds no operation
+            assert _hermite(A) == (HT[:m], sign)
+
+
+def test_rank_matches_fraction_elimination_on_point_differences():
+    # the hull's rank calls: differences of up to 40 points in dimension
+    # n <= 3 that span a point, a line, a plane or space, now and then
+    # with one stray point off that span
+    rng = random.Random(29)
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        base = [rng.randint(-50, 50) for _ in range(n)]
+        span = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(0, n))]
+        points = [
+            [b + sum(rng.randint(-6, 6) * d[i] for d in span) for i, b in enumerate(base)]
+            for _ in range(rng.randint(1, 40))
+        ]
+        if rng.random() < 0.3:
+            points.insert(rng.randrange(len(points) + 1), [rng.randint(-60, 60) for _ in range(n)])
+        diffs = [[x - b for x, b in zip(p, points[0])] for p in points[1:]]
+        assert rank(diffs) == ref_rank(diffs)

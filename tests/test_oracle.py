@@ -423,6 +423,25 @@ def test_random_upper_refuses_negative_iterations(toy_triangle):
     assert min_weight_random_upper(codes, field, iterations=0) == len(codes[0])
 
 
+@pytest.mark.parametrize("budget", [True, 2.5, "64"])
+def test_exhaustive_refuses_a_budget_that_is_no_int(toy_triangle, budget):
+    field = GF(4)
+    codes = generator_matrix(toy_triangle, field).codes
+    with pytest.raises(ValueError, match="budget must be nonnegative and an int"):
+        min_distance_exhaustive(codes, field, budget=budget)
+
+
+@pytest.mark.parametrize("limit", [{"iterations": True}, {"iterations": 2.5},
+                                   {"seed": True}, {"seed": 1.5}, {"seed": "0"}])
+def test_random_upper_refuses_a_count_or_seed_that_is_no_int(toy_triangle, limit):
+    # seed=True drew what seed=1 draws
+    field = GF(4)
+    codes = generator_matrix(toy_triangle, field).codes
+    (what, _), = limit.items()
+    with pytest.raises(ValueError, match=f"{what} must be nonnegative and an int"):
+        min_weight_random_upper(codes, field, **limit)
+
+
 def test_exhaustive_rejects_zero_matrix():
     with pytest.raises(ValueError):
         min_distance_exhaustive([[0, 0, 0]], GF(3))

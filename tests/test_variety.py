@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from projtoric.gf import FieldError
 from projtoric.polytope import Polytope, face_incidence
 from projtoric.variety import (
     HypothesisError,
@@ -93,6 +94,13 @@ def test_count_rational_points(toy_triangle, unit_square, segment01):
     for q in (2, 3, 4, 5, 7, 8):
         assert count_rational_points(unit_square, q) == (q + 1) ** 2
         assert count_rational_points(segment01, q) == q + 1
+
+
+@pytest.mark.parametrize("q", [6, 1, 0, True, 2.0, 1 << 17])
+def test_count_rational_points_refuses_a_non_field_size(toy_triangle, q):
+    # q = 6 counted 43 points of a variety over no field
+    with pytest.raises(FieldError):
+        count_rational_points(toy_triangle, q)
 
 
 def test_picard_invariants(toy_triangle, unit_square, quadrilateral, segment01):
