@@ -23,7 +23,6 @@ from .variety import (
     flag_for_chain,
     picard_invariants,
     require_hypotheses,
-    vertex_determinants,
 )
 from .code import (
     EvaluationMatrix,
@@ -89,7 +88,6 @@ __all__ = [
     "snf_invariant_factors",
     "stock_orders",
     "subcode_matrix",
-    "vertex_determinants",
 ]
 
 __version__ = "0.1.0"

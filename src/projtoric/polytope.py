@@ -120,25 +120,24 @@ class Polytope:
 
     @classmethod
     def from_vertices(cls, points):
-        """Convex hull of the given lattice points, for dimension <= 3.
+        """Convex hull of the given lattice points, in any dimension.
 
         Points that are not vertices of the hull are dropped. The hull
-        must be full-dimensional in the ambient space; in dimension 4
-        and up, supply facets explicitly through from_vrep_hrep.
+        must be full-dimensional in the ambient space.
 
         The points move to the first one as rows [p - first | 1]. The
         kernel (u, c) of n of these rows is a primitive normal u with
         <p - first, u> + c = 0 on the n points, and it gives the facet
         u or -u when every point lies on one side. A point is a vertex
-        when it lies on n facets: in dimension <= 3 a face of dimension
-        >= 1 is the hull, a facet or an edge, which two facets meet in.
+        when no other point's set of tight facets contains its own: a
+        vertex's tight facets meet in the vertex alone, and a non-vertex
+        lies inside a face of dimension >= 1 whose vertices, input
+        points, each lie on every facet the point lies on.
         """
         pts = sorted({_as_lattice_point(p) for p in points})
         if len({len(p) for p in pts}) != 1:
             raise PolytopeError("no points, or points of mixed dimensions")
         n = len(pts[0])
-        if n > 3:
-            raise PolytopeError("facet enumeration from vertices is supported up to dimension 3")
         if _affine_rank(pts) != n:
             raise PolytopeError("hull is not full-dimensional")
         first = pts[0]
@@ -151,7 +150,11 @@ class Polytope:
         facets = sorted(found)
         normals = tuple(f[:n] for f in facets)
         offsets = tuple(f[n] - _dot(f[:n], first) for f in facets)
-        vertex = (rows @ np.array(facets, dtype=np.int64).T == 0).sum(axis=1) >= n
+        tight = rows @ np.array(facets, dtype=np.int64).T == 0
+        vertex = tight.sum(axis=1) >= n  # a vertex lies on n facets at least
+        tight = tight[vertex].astype(np.int64)
+        shared = tight @ tight.T  # facets tight at both points
+        vertex[vertex] = (shared == shared.diagonal()[:, None]).sum(axis=1) == 1
         return cls(n, tuple(p for p, v in zip(pts, vertex) if v), normals, offsets)
 
     @classmethod
@@ -275,7 +278,7 @@ class Polytope:
         relative interior holds it: the face whose facets are the point's
         tight facets, found by looking packed masks up among the faces'.
         The array is read-only."""
-        masks = [[i in f.facet_indices for i in range(len(self.normals))] for f in self.faces]
+        masks = _facet_masks(self.faces)
         keys = np.packbits(np.concatenate((masks, self.lattice_scan[1])), axis=1)
         keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
         by_key = np.argsort(keys[: len(masks)])
@@ -344,11 +347,20 @@ class Polytope:
         return scaled
 
 
+def _facet_masks(faces):
+    """The bool table [a, i]: faces[a] lies on facet i. A facet is a
+    face and lies on itself, so the largest index is the last facet's."""
+    facets = [f.facet_indices for f in faces]
+    masks = np.zeros((len(faces), 1 + max(map(max, filter(None, facets)))), dtype=bool)
+    masks[np.repeat(np.arange(len(faces)), list(map(len, facets))), list(chain(*facets))] = True
+    return masks
+
+
 def face_incidence(faces):
-    """table[a, b]: faces[a] lies in faces[b], on every facet that
-    faces[b] lies on."""
-    sets = [set(f.facet_indices) for f in faces]
-    return np.array([[b <= a for b in sets] for a in sets], dtype=bool)
+    """table[a, b]: faces[a] lies in faces[b], as no facet that faces[b]
+    lies on misses faces[a]; one product of the facet masks."""
+    masks = _facet_masks(faces).astype(np.int64)
+    return (1 - masks) @ masks.T == 0
 
 
 def same_normal_fan(P, Q):

@@ -25,31 +25,15 @@ class HypothesisError(Exception):
     """Raised when a construction requires hypotheses the input fails."""
 
 
-def vertex_determinants(P):
-    """|det| of the facet normals meeting at each vertex, in vertex order.
-
-    Each vertex's facets are read from its face; the face lattice lists
-    the vertices' faces in vertex order. Defined for simple polytopes
-    only; raises HypothesisError otherwise.
-    """
-    out = []
-    for v, f in zip(P.vertices, P.faces_of_dim(0)):
-        if len(f.facet_indices) != P.dim:
-            raise HypothesisError(
-                f"vertex {v} lies on {len(f.facet_indices)} facets; polytope is not simple"
-            )
-        out.append(abs(determinant([list(P.normals[i]) for i in f.facet_indices])))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class HypothesisReport:
     """Outcome of the two construction hypotheses for a (P, q) pair.
 
-    determinants is None when the polytope is not simple. offenders
-    lists the vertices that break a hypothesis: for a non-simple
-    polytope those lying on more than dim facets, otherwise those whose
-    determinant the characteristic divides.
+    determinants holds |det| of the facet normals meeting at each
+    vertex, in vertex order, or None when the polytope is not simple.
+    offenders lists the vertices that break a hypothesis: for a
+    non-simple polytope those lying on more than dim facets, otherwise
+    those whose determinant the characteristic divides.
     """
 
     q: int
@@ -69,12 +53,11 @@ def check_hypotheses(P, q):
     Never raises on a failing polytope; the report carries the failure.
     """
     p, _ = prime_power(q)
-    crowded = tuple(
-        v for v, f in zip(P.vertices, P.faces_of_dim(0)) if len(f.facet_indices) > P.dim
-    )
+    cones = [f.facet_indices for f in P.faces_of_dim(0)]  # in vertex order
+    crowded = tuple(v for v, f in zip(P.vertices, cones) if len(f) > P.dim)
     if crowded:
         return HypothesisReport(q, p, False, None, crowded)
-    dets = vertex_determinants(P)
+    dets = tuple(abs(determinant([list(P.normals[i]) for i in f])) for f in cones)
     offenders = tuple(v for v, d in zip(P.vertices, dets) if d % p == 0)
     return HypothesisReport(q, p, True, dets, offenders)
 

@@ -219,9 +219,10 @@ def kernel_vector(rows, n):
 
 
 def ref_hull(points):
-    """(vertices, normals, offsets) of the convex hull of lattice points
-    in dimension <= 3, sorted as Polytope keeps them. Raises
-    PolytopeError when the hull is not full-dimensional."""
+    """(vertices, normals, offsets) of the convex hull of lattice points,
+    sorted as Polytope keeps them: a point is a vertex when its tight
+    facet normals have rank n, in any dimension n. Raises PolytopeError
+    when the hull is not full-dimensional."""
     pts = sorted(set(map(tuple, points)))
     n = len(pts[0])
     dot = lambda u, v: sum(a * b for a, b in zip(u, v))  # noqa: E731

@@ -33,7 +33,6 @@ from projtoric.variety import (
     check_hypotheses,
     count_rational_points,
     flag_assignment,
-    vertex_determinants,
 )
 
 from conftest import anchored
@@ -86,7 +85,7 @@ def test_quadrilateral_determinant_obstruction(quadrilateral):
         assert set(quadrilateral.normals) == {
             (1, 0), (0, 1), (-2, 1), (-1, -3)
         }
-        assert sorted(vertex_determinants(quadrilateral)) == [1, 2, 3, 7]
+        assert sorted(check_hypotheses(quadrilateral, 5).determinants) == [1, 2, 3, 7]
         for q in (2, 3, 4, 7, 8, 9, 49):
             assert not check_hypotheses(quadrilateral, q).ok
         for q in (5, 11, 13):

@@ -397,6 +397,27 @@ def test_facet_document_roundtrip(capsys, tmp_path):
     assert code == 0 and out.strip() == "4"
 
 
+def test_four_dimensional_vertex_document_runs_every_subcommand(capsys, tmp_path):
+    # the unit 4-simplex: the projective space P^4, its code the [121, 5, 81]
+    # first-order projective Reed-Muller code over F3
+    units = [[int(i == j) for j in range(4)] for i in range(4)]
+    doc = write_doc(tmp_path, "simplex4.json", vertices=[[0, 0, 0, 0], *units], q=3)
+    outputs = {}
+    runs = ("info",), ("dim",), ("bound",), ("verify",), ("matrix",), ("subcode", "--cols", "torus")
+    for command, *extra in runs:
+        code, outputs[command], _ = run(capsys, command, "--polytope", doc, *extra)
+        assert code == 0, command
+    assert "n = 121\nk = 5\n" in outputs["info"]
+    assert outputs["dim"] == "5\n"
+    assert outputs["bound"] == (
+        "lambda = 9\nbound[lex] = 81\nbound[grlex] = 81\n"
+        "bound[permlex:3,2,1,0] = 81\nbest = 81 (lex)\n"
+    )
+    assert "FAIL" not in outputs["verify"] and "ok   bound below true distance" in outputs["verify"]
+    assert [len(row.split(",")) for row in outputs["matrix"].splitlines()] == [121] * 5
+    assert [len(row.split(",")) for row in outputs["subcode"].splitlines()] == [2**4] * 5
+
+
 @pytest.mark.parametrize(
     "doc",
     [

@@ -93,13 +93,7 @@ def polytopes(draw):
 
 
 def box4(lo, hi):
-    corners = list(product(*zip(lo, hi)))
-    normals, offsets = [], []
-    for i in range(4):
-        e = tuple(int(j == i) for j in range(4))
-        normals += [e, tuple(-x for x in e)]
-        offsets += [-lo[i], hi[i]]
-    return Polytope.from_vrep_hrep(corners, normals, offsets)
+    return Polytope.from_vertices(product(*zip(lo, hi)))
 
 
 def assert_scan_matches(P):

@@ -1,7 +1,7 @@
 import json
 import random
 import re
-from math import gcd
+from math import factorial, gcd
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ from projtoric.oracle import _monotone_chains
 from reference import kernel_vector, ref_contains, ref_face_incidence, ref_hull
 from test_acceptance import random_3d_corpus
 from test_code import DATA
+from test_high_dim import high_dim_corpus
 from test_lattice import box4
 
 
@@ -133,6 +134,7 @@ def test_vrep_hrep_accepts_four_dimensional_cube():
     assert P.dim == 4
     assert len(P.vertices) == 16
     assert len(P.faces) == 81
+    assert Polytope.from_vertices(verts) == P
 
 
 def test_vrep_hrep_rejects_non_facet_inequality():
@@ -171,13 +173,29 @@ def test_vrep_hrep_rejects_imprimitive_normal():
         )
 
 
+def test_from_vertices_drops_a_non_vertex_on_n_facets():
+    # (1, 1, 0, 0), the midpoint of an edge of the doubled cross-polytope,
+    # lies on the 4 facets (1, 1, +-1, +-1) . x <= 2, all tight at (2, 0, 0, 0)
+    tips = [tuple(s * 2 * int(i == j) for j in range(4)) for i in range(4) for s in (1, -1)]
+    pts = tips + [(1, 1, 0, 0), (0, 0, 0, 0)]
+    P = Polytope.from_vertices(pts)
+    assert len(P.tight_facets((1, 1, 0, 0))) == 4
+    assert P.vertices == tuple(sorted(tips)) and len(P.normals) == 16
+    assert (P.vertices, P.normals, P.offsets) == ref_hull(pts)
+
+
 def test_from_vertices_rejects_high_dimension():
-    verts = [
-        (a, b, c, d)
-        for a in (0, 1) for b in (0, 1) for c in (0, 1) for d in (0, 1)
-    ]
-    with pytest.raises(PolytopeError):
-        Polytope.from_vertices(verts)
+    # dimension 4 and up is built (see the 4-cube above), but a 4-cube
+    # lying in a hyperplane of Z^5 is not full-dimensional, and a 5-simplex
+    # with edges 2^13 has 6! B^5 past 2^63, beyond the int64 hull kernel
+    flat = [(a, b, c, d, 0) for a in (0, 1) for b in (0, 1) for c in (0, 1) for d in (0, 1)]
+    with pytest.raises(PolytopeError, match="not full-dimensional"):
+        Polytope.from_vertices(flat)
+    simplex = [tuple(2**13 * int(i == j) for j in range(5)) for i in range(5)] + [(0,) * 5]
+    with pytest.raises(PolytopeError, match="int64 bound"):
+        Polytope.from_vertices(simplex)
+    small = [tuple(2**8 * int(i == j) for j in range(5)) for i in range(5)] + [(0,) * 5]
+    assert len(Polytope.from_vertices(small).vertices) == 6
 
 
 def test_from_vertices_rejects_degenerate_input():
@@ -427,11 +445,11 @@ def hull_inputs(request):
 
 
 def hull_draws(seed=0, count=600):
-    """Seeded point lists in dimensions 1 to 3, about a third of them
+    """Seeded point lists in dimensions 1 to 5, about a third of them
     translated by +-2^40, degenerate ones included."""
     rng = random.Random(seed)
     for _ in range(count):
-        n = rng.randint(1, 3)
+        n = rng.randint(1, 5)
         c = rng.choice((1, 3, 9))
         pts = [tuple(rng.randint(-c, c) for _ in range(n)) for _ in range(rng.randint(1, 9))]
         if rng.random() < 1 / 3:
@@ -469,9 +487,19 @@ def test_vrep_hrep_rebuilds_every_hull(request):
         except PolytopeError:
             pass
     hulls.append(box4((-1, 0, -2, 0), (1, 2, 0, 1)))
+    refused = 0
     for P in hulls:
-        assert Polytope.from_vrep_hrep(P.vertices, P.normals, P.offsets) == P
-        assert Polytope.from_vrep_hrep(P.vertices[::-1], P.normals[::-1], P.offsets[::-1]) == P
+        for step in (1, -1):
+            try:
+                Q = Polytope.from_vrep_hrep(P.vertices[::step], P.normals[::step], P.offsets[::step])
+            except PolytopeError as e:
+                # normals of 4D and 5D hulls reach entries of some hundreds,
+                # and (n+1)! B^n S then passes 2^63 for some first vertices
+                assert P.dim >= 4 and "int64" in str(e)
+                refused += 1
+                continue
+            assert Q == P
+    assert refused <= 21
 
 
 UNIT_SQUARE_FACETS = ([(1, 0), (0, 1), (-1, 0), (0, -1)], [0, 0, 1, 1])
@@ -524,10 +552,22 @@ def test_vrep_hrep_int64_bound_is_sharp():
         )
 
 
+@pytest.mark.parametrize("n,b", [(4, 16650), (5, 1665)])
+def test_from_vertices_int64_bound_is_sharp(n, b):
+    # rows [p - first | 1] with |p - first| <= b ask (n+1)! b^n < 2^63
+    assert factorial(n + 1) * b**n < 2**63 <= factorial(n + 1) * (b + 1) ** n
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    P = Polytope.from_vertices([(0,) * n] + [tuple(b * x for x in u) for u in units])
+    assert (P.normals, P.offsets) == ((((-1,) * n), *units[::-1]), (b,) + (0,) * n)
+    with pytest.raises(PolytopeError, match="int64"):
+        Polytope.from_vertices([(0,) * n] + [tuple((b + 1) * x for x in u) for u in units])
+
+
 def test_face_incidence_matches_vertex_inclusion(polygon_corpus):
     # facet-set inclusion, reversed, is vertex-set inclusion on a face lattice
     docs = [load_document(path)[0] for path in sorted(DATA.glob("*.json"))]
     cases = [P for P, _ in polygon_corpus + random_3d_corpus(24, seed=3)] + docs
+    cases += [P for _, P, _, _ in high_dim_corpus()]
     assert len(docs) == 6
     for P in cases:
         table = face_incidence(P.faces)

@@ -13,7 +13,6 @@ from projtoric.variety import (
     flag_for_chain,
     picard_invariants,
     require_hypotheses,
-    vertex_determinants,
 )
 
 
@@ -79,12 +78,6 @@ def test_require_hypotheses(toy_triangle, quadrilateral):
         require_hypotheses(pyramid(), 3)
     with pytest.raises(HypothesisError, match="divides the vertex"):
         require_hypotheses(quadrilateral, 7)
-
-
-def test_vertex_determinants_requires_simple(toy_triangle):
-    assert vertex_determinants(toy_triangle) == (1, 3, 1)
-    with pytest.raises(HypothesisError):
-        vertex_determinants(pyramid())
 
 
 def test_count_rational_points(toy_triangle, unit_square, segment01):
