@@ -187,9 +187,7 @@ def generator_matrix(P, field, flags=None):
     """
     field = as_field(field)
     require_hypotheses(P, field.q)
-    if flags is None:
-        flags = build_flags(P)
-    assign = flag_assignment(P, flags)
+    assign = flag_assignment(P, build_flags(P) if flags is None else flags)
     faces = P.faces
     points, row_face = _rows(P)
     on_face = face_incidence(faces)[row_face]
@@ -214,29 +212,34 @@ class ReductionSet:
 
 
 def _class_table(P, q):
-    """Read-only (perm, starts), cached on P per q: perm groups P's lattice
+    """Read-only (perm, starts), kept on P per q: perm groups P's lattice
     points by class, (face, coordinates mod q-1), in lex order within one,
     and class c begins at perm[starts[c]]. A dilate builds and keeps its own."""
-    tables = P.__dict__.setdefault("class_tables", {})
-    if q not in tables:
+    def build():
         key = np.column_stack((P.lattice_point_faces, P.lattice_scan[0] % (q - 1)))
         perm = np.lexsort(key.T[::-1])  # stable: lex order within a class
         starts = np.flatnonzero(np.diff(key[perm], axis=0, prepend=-1).any(axis=1))  # key >= 0
         perm.flags.writeable = starts.flags.writeable = False
-        tables[q] = perm, starts
-    return tables[q]
+        return perm, starts
+    return P.kept("class_tables", q, build)
 
 
 def _representatives(P, q, order):
-    """(indices, ranks) of the order-minimal lattice point of each class,
-    in class order: the least rank over the class's run of perm. Orders
-    are total, so nothing ties; the points are in lex order already."""
-    perm, starts = _class_table(P, q)
-    if order.kind == "lex":
-        return perm[starts], perm[starts]
-    by_rank = np.lexsort(order.columns(P.lattice_scan[0]).T[::-1])
-    least = np.minimum.reduceat(np.argsort(by_rank)[perm], starts)
-    return by_rank[least], least
+    """Read-only indices of each class's order-minimal lattice point, the
+    least rank over its run of perm, by face, then in the order; kept on P per
+    (q, order). Orders are total, so nothing ties; the points are lex sorted."""
+    def build():
+        perm, starts = _class_table(P, q)
+        if order.kind == "lex":
+            reps = least = perm[starts]
+        else:
+            by_rank = np.lexsort(order.columns(P.lattice_scan[0]).T[::-1])
+            least = np.minimum.reduceat(np.argsort(by_rank)[perm], starts)
+            reps = by_rank[least]
+        reps = reps[np.lexsort((least, P.lattice_point_faces[reps]))]
+        reps.flags.writeable = False
+        return reps
+    return P.kept("representatives", (q, order), build)
 
 
 def projective_reduction(P, field, order=None):
@@ -245,8 +248,7 @@ def projective_reduction(P, field, order=None):
     are congruent mod q-1, and each class is represented by its
     order-minimal member. They are listed by face, then in the order."""
     order = OrderSpec.lex() if order is None else order
-    reps, ranks = _representatives(P, field_size(field), order)
-    listed = P.lattice_scan[0][reps[np.lexsort((ranks, P.lattice_point_faces[reps]))]]
+    listed = P.lattice_scan[0][_representatives(P, field_size(field), order)]
     listed.flags.writeable = False
     return ReductionSet(order, listed)
 
@@ -266,10 +268,8 @@ def is_surjective(Pbig, P, field):
     of Pbig must then carry all (q-1)^k congruence classes.
     """
     q = field_size(field)
-    if not same_normal_fan(Pbig, P):
-        return False
     base = dict(zip(P.normals, P.offsets))
-    if any(a < base[u] for u, a in zip(Pbig.normals, Pbig.offsets)):
+    if not same_normal_fan(Pbig, P) or any(a < base[u] for u, a in zip(Pbig.normals, Pbig.offsets)):
         return False
     return len(_class_table(Pbig, q)[1]) == count_rational_points(P, q)
 
@@ -279,9 +279,8 @@ def _dilate_lower_bound(P, q):
     each cP read kept on P. Raises PolytopeError unless (q-1) times cP's
     slack_bound lies below 2^63, so that int64 holds each (q-1)-fold slack."""
     lifted = np.array([f.dim > 0 for f in P.faces])
-    kept = P.__dict__.setdefault("dilates", {})
     for c in range(1, P.dim + 2):
-        C = P if c == 1 else kept.setdefault(c, P.dilate(c))
+        C = P if c == 1 else P.kept("dilates", c, lambda: P.dilate(c))
         if np.bincount(C.lattice_point_faces, minlength=lifted.size)[lifted].all():
             break
     if (q - 1) * C.slack_bound() >> 63:
@@ -307,16 +306,17 @@ def find_surjective_dilate(P, field, lambda_max=16):
     -<x, u_j> / a_j(v)), as relint(k(F - v)) lies in relint(k'(F - v)) for
     k <= k' and relint(c(F - v)) holds a lattice point for c = dim F + 1:
     the sum of c affinely independent vertices of F, minus cv. Past lam = 1
-    a negative facet offset a fails is_surjective, as lam*a < a. P keeps
-    the surjective lam*P, so P.dilate(lam) returns it; failures are dropped.
+    a negative facet offset a fails is_surjective, as lam*a < a. P keeps L
+    per q and the surjective lam*P for P.dilate(lam); no failure, no lam.
     lambda_max must be an int >= 1, not a bool."""
     if isinstance(lambda_max, bool) or not isinstance(lambda_max, int) or lambda_max < 1:
         raise ValueError(f"lambda_max must be an int >= 1, got {lambda_max!r}")
     top = lambda_max if min(P.offsets) >= 0 else min(lambda_max, 1)
-    for lam in range(_dilate_lower_bound(P, field_size(field)), top + 1):
+    q = field_size(field)
+    for lam in range(P.kept("lower_bounds", q, lambda: _dilate_lower_bound(P, q)), top + 1):
         if is_surjective(B := P.dilate(lam), P, field):
             if B is not P:
-                P.__dict__.setdefault("dilates", {})[lam] = B
+                P.kept("dilates", lam, lambda: B)
             return lam
     return None
 
@@ -336,13 +336,17 @@ class BoundDetails:
 
 def _survivor_counts(region, small, large):
     """For each row m of small, the number of rows of large whose difference
-    from m satisfies every inequality of region = (normals, offsets): one
-    broadcast per chunk of small, its boolean temporary at most CAP entries."""
+    from m satisfies every inequality of region = (normals, offsets), facet
+    by facet: per chunk of small, one boolean of at most CAP entries each."""
     normals, offsets = region
-    values, floors = large @ normals.T, small @ normals.T - offsets
-    step = max(1, CAP // values.size)
-    return np.concatenate([(values >= floors[i:i + step, None]).all(axis=2).sum(axis=1)
-                           for i in range(0, len(floors), step)])
+    values, floors = normals @ large.T, normals @ small.T - offsets[:, None]
+    step, counts = max(1, CAP // len(large)), []
+    for i in range(0, len(small), step):
+        inside = values[0] >= floors[0, i:i + step, None]
+        for v, f in zip(values[1:], floors[1:, i:i + step, None]):
+            inside &= v >= f
+        counts.append(np.count_nonzero(inside, axis=1))
+    return np.concatenate(counts)
 
 
 def bounds_over_orders(P, Pbig, field, orders=None):
@@ -360,11 +364,10 @@ def bounds_over_orders(P, Pbig, field, orders=None):
         raise ValueError("empty order list")
     if not is_surjective(Pbig, P, field):
         raise SurjectivityError("enlarged polytope is not surjective over the base")
-    region = offset_difference(Pbig, P)
-    details = []
+    region, details = offset_difference(Pbig, P), []
     for order in orders:
         reduced = projective_reduction(P, q, order).representatives
-        large = Pbig.lattice_scan[0][_representatives(Pbig, q, order)[0]]
+        large = Pbig.lattice_scan[0][_representatives(Pbig, q, order)]
         counts = _survivor_counts(region, reduced, large)
         details.append(BoundDetails(int(counts.min()), order, reduced, counts))
     return tuple(details)

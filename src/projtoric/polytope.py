@@ -326,6 +326,13 @@ class Polytope:
         """Whether every vertex lies on exactly dim facets."""
         return all(len(f.facet_indices) == self.dim for f in self.faces_of_dim(0))
 
+    def kept(self, table, key, build):
+        """Entry key of this polytope's table named table, from build() on
+        first use; a raising build keeps nothing. Callers validate a key before
+        the lookup, as 5.0 == np.int64(5) == 5. A dilate keeps its own tables."""
+        entries = self.__dict__.setdefault(table, {})
+        return entries[key] if key in entries else entries.setdefault(key, build())
+
     def dilate(self, factor):
         """The scaled polytope factor * P, for a positive int factor, not a
         bool: P itself for 1, or the one kept in P.__dict__["dilates"].
@@ -368,16 +375,17 @@ def same_normal_fan(P, Q):
 
     Equivalent to having the same facet normal set and the same
     collection of vertex cones (sets of facet normals tight at a
-    vertex), read from the cached face lattice, which a dilate shares.
+    vertex), read from the cached face lattice, which a dilate shares,
+    and kept sorted on each polytope.
     """
     if P.dim != Q.dim or set(P.normals) != set(Q.normals):
         return False
 
     def cones(R):
-        return sorted(
+        return R.kept("vertex_cones", None, lambda: tuple(sorted(
             tuple(sorted(R.normals[i] for i in f.facet_indices))
             for f in R.faces_of_dim(0)
-        )
+        )))
 
     return cones(P) == cones(Q)
 

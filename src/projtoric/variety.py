@@ -51,13 +51,18 @@ def check_hypotheses(P, q):
     """Report whether the pair (P, q) supports the code construction.
 
     Never raises on a failing polytope; the report carries the failure.
+    P keeps the crowded vertices and determinants, which q does not fix;
+    each call validates q, applies % p and returns a new report.
     """
-    p, _ = prime_power(q)
-    cones = [f.facet_indices for f in P.faces_of_dim(0)]  # in vertex order
-    crowded = tuple(v for v, f in zip(P.vertices, cones) if len(f) > P.dim)
+    def build():  # the vertices on more than dim facets, else each |det|
+        cones = [f.facet_indices for f in P.faces_of_dim(0)]  # in vertex order
+        crowded = tuple(v for v, f in zip(P.vertices, cones) if len(f) > P.dim)
+        return crowded, None if crowded else tuple(
+            abs(determinant([list(P.normals[i]) for i in f])) for f in cones)
+    p, _ = prime_power(q)  # validates q, which the kept table never sees
+    crowded, dets = P.kept("vertex_determinants", None, build)
     if crowded:
         return HypothesisReport(q, p, False, None, crowded)
-    dets = tuple(abs(determinant([list(P.normals[i]) for i in f])) for f in cones)
     offenders = tuple(v for v, d in zip(P.vertices, dets) if d % p == 0)
     return HypothesisReport(q, p, True, dets, offenders)
 
@@ -67,10 +72,8 @@ def require_hypotheses(P, q):
     report = check_hypotheses(P, q)
     if not report.simple:
         v = report.offenders[0]
-        f = P.faces_of_dim(0)[P.vertices.index(v)]
-        raise HypothesisError(
-            f"polytope is not simple: vertex {v} lies on {len(f.facet_indices)} facets"
-        )
+        n = len(P.faces_of_dim(0)[P.vertices.index(v)].facet_indices)
+        raise HypothesisError(f"polytope is not simple: vertex {v} lies on {n} facets")
     if not report.ok:
         raise HypothesisError(
             f"characteristic {report.characteristic} divides the vertex "
@@ -169,7 +172,7 @@ def build_flags(P, reverse=False):
     A chain from a vertex holds no other vertex, so every vertex starts
     one. The reverse sweep generally yields a different cover;
     comparing the two checks that downstream results do not depend on
-    the choice.
+    the choice. P keeps each cover, and every call returns a new list.
 
     On a polygon the cover is the boundary walk from the first vertex
     towards its smaller neighbour (larger, with reverse), one flag per
@@ -181,6 +184,11 @@ def build_flags(P, reverse=False):
     """
     if not P.is_simple():
         raise HypothesisError("flags require a simple polytope")
+    # keyed with the type, as sorted refuses reverse=1.0, which == True
+    return list(P.kept("flag_covers", (reverse, type(reverse)), lambda: _cover(P, reverse)))
+
+
+def _cover(P, reverse):
     faces = P.faces
     inside = face_incidence(faces)
     down, up = inside.T.tolist(), inside.tolist()  # down[b][a] == up[a][b]: a lies in b
@@ -200,7 +208,7 @@ def build_flags(P, reverse=False):
         chain = [chain[d] for d in range(P.dim + 1)]
         covered[chain] = True
         flags.append(flag_for_chain(P, [faces[i] for i in chain]))
-    return flags
+    return tuple(flags)
 
 
 def flag_assignment(P, flags):

@@ -4,7 +4,8 @@ The lattice references of reference.py are the scan and grouping the
 package used before they moved onto arrays. Lattice points, face
 buckets, class counts, representatives, surjectivity, the dilate factor
 and the bounds must all come out identical. Each polytope builds its
-class table once per q, and a dilate builds its own. The dilate search
+class table once per q, and every table it keeps once per key, and a
+dilate builds its own. The dilate search
 keeps the dilates it reads and the one it proves surjective on P, so
 each factor is scanned once and a reused polytope certifies as a fresh
 one does.
@@ -30,11 +31,13 @@ from projtoric.code import (
     bounds_over_orders,
     dimension,
     find_surjective_dilate,
+    generator_matrix,
     is_surjective,
     projective_reduction,
 )
+from projtoric.gf import FieldError
 from projtoric.polytope import Polytope, PolytopeError, offset_difference, same_normal_fan
-from projtoric.variety import count_rational_points
+from projtoric.variety import Flag, build_flags, check_hypotheses, count_rational_points
 
 from conftest import anchored
 from test_acceptance import random_3d_corpus
@@ -351,19 +354,185 @@ def test_each_polytope_builds_one_class_table_per_q(monkeypatch, toy_triangle):
     assert [(Q is P, Q is B, q) for Q, q in builds] == [(True, False, 4), (False, True, 4)]
 
 
+def counting_builds(monkeypatch):
+    """The (polytope, table, key) of each entry Polytope.kept builds from
+    here on, in order, each polytope kept alive."""
+    builds, kept = [], Polytope.kept
+
+    def counting(P, table, key, build):
+        if key not in P.__dict__.get(table, {}):
+            builds.append((P, table, key))
+        return kept(P, table, key, build)
+
+    monkeypatch.setattr(Polytope, "kept", counting)
+    return builds
+
+
+KEPT = {
+    "class_tables", "representatives", "lower_bounds", "dilates",
+    "vertex_determinants", "flag_covers", "vertex_cones",
+}
+
+
+def certify_and_build(P, q):
+    """Everything that keeps a table on P: a certify pass, the matrix and
+    both flag covers. Returns the searched dilate."""
+    assert check_hypotheses(P, q).ok
+    dimension(P, q)
+    B = P.dilate(find_surjective_dilate(P, q, 4 * q))
+    bounds_over_orders(P, B, q)
+    generator_matrix(P, q)
+    build_flags(P, reverse=True)
+    return B
+
+
+def test_each_kept_table_is_built_once_per_key(monkeypatch):
+    builds = counting_builds(monkeypatch)
+    for shape, q in (("toy", 8), ("hex", 9), ("prism", 7)):
+        P = Polytope.from_vertices(CERTIFY_SHAPES[shape])
+        B = certify_and_build(P, q)
+        first = len(builds)
+        assert certify_and_build(P, q) is B
+        assert len(builds) == first, shape  # the second pass builds nothing
+        orders = code.stock_orders(P.dim)
+        assert {(t, k) for Q, t, k in builds if Q is P} >= {
+            ("class_tables", q), ("lower_bounds", q), ("vertex_determinants", None),
+            ("flag_covers", (False, bool)), ("flag_covers", (True, bool)),
+            ("vertex_cones", None), *(("representatives", (q, o)) for o in orders),
+        }
+        assert {(t, k) for Q, t, k in builds if Q is B} == {
+            ("class_tables", q), ("vertex_cones", None),
+            *(("representatives", (q, o)) for o in orders),
+        }
+    keys = [(id(Q), t, k) for Q, t, k in builds]
+    assert len(set(keys)) == len(keys)
+    assert {t for _, t, _ in builds} == KEPT
+
+
+def frozen(value):
+    """Whether nothing in a kept value can be written in place."""
+    if isinstance(value, np.ndarray):
+        return not value.flags.writeable
+    if isinstance(value, tuple):
+        return all(map(frozen, value))
+    return value is None or isinstance(value, (int, Polytope, Flag))  # frozen dataclasses
+
+
+def test_each_kept_table_is_read_only():
+    P = Polytope.from_vertices(CERTIFY_SHAPES["prism"])
+    B = certify_and_build(P, 7)
+    for Q in (P, B):
+        for table in KEPT & set(Q.__dict__):
+            assert all(map(frozen, Q.__dict__[table].values())), table
+    for reps in B.__dict__["representatives"].values():
+        with pytest.raises(ValueError, match="read-only"):
+            reps[0] = 0
+
+
+def test_a_dilate_builds_its_own_tables_and_shares_only_faces(toy_triangle):
+    P, q = toy_triangle, 4
+    certify_and_build(P, q)
+    D = P.dilate(max(P.__dict__["dilates"]) + 1)  # a new polytope, kept nowhere
+    assert set(D.__dict__) == {"dim", "vertices", "normals", "offsets", "faces"}
+    assert D.faces is P.faces
+    assert is_surjective(D, P, q) and check_hypotheses(D, q).ok
+    dimension(D, q)
+    bounds_over_orders(P, D, q)
+    build_flags(D)
+    for table in KEPT - {"dilates", "lower_bounds"}:
+        mine, base = D.__dict__[table], P.__dict__[table]
+        assert mine is not base and mine.keys() <= base.keys(), table
+        assert not any(mine[k] is base[k] for k in mine), table
+    for order in ORDERS_2D:
+        assert projective_reduction(D, q, order).representatives.tolist() == (
+            ref_projective_reduction(D, q, order)
+        )
+
+
+def test_orders_and_fields_interleaved_on_one_polytope():
+    P = Polytope.from_vertices(CERTIFY_SHAPES["prism"]).dilate(3)
+    orders = [
+        OrderSpec.lex(),
+        OrderSpec.grlex(),
+        OrderSpec.permlex((2, 0, 1)),
+        OrderSpec.wlex((1, -2, 3)),
+    ]
+    cases = [(q, order) for q in (3, 5, 4) for order in orders]
+    expected = {(q, order): ref_projective_reduction(P, q, order) for q, order in cases}
+    for q, order in cases[::-1] + cases[1::2] + cases + cases[::3]:
+        assert projective_reduction(P, q, order).representatives.tolist() == expected[q, order]
+    assert set(P.__dict__["representatives"]) == set(cases)
+
+
+def test_build_flags_returns_a_new_list_of_the_kept_cover():
+    P = Polytope.from_vertices(CERTIFY_SHAPES["prism"])
+    fresh = Polytope(P.dim, P.vertices, P.normals, P.offsets)
+    first = build_flags(P)
+    assert first == build_flags(fresh)
+    cover = list(first)
+    first.clear()
+    first.append(None)
+    second = build_flags(P)
+    assert second is not first and second == cover
+    reverse = build_flags(P, reverse=True)
+    assert reverse != cover and reverse == build_flags(fresh, reverse=True)
+    assert build_flags(P, reverse=True) is not reverse
+    for bad in (1.0, 0.0, None):  # 1.0 == True and 0.0 == False, yet sorted refuses them
+        for Q in (fresh, P):
+            with pytest.raises(TypeError):
+                build_flags(Q, reverse=bad)
+
+
+@pytest.mark.parametrize("bad", [5.0, np.int64(5), True], ids=["float", "int64", "bool"])
+def test_kept_tables_refuse_what_a_fresh_polytope_refuses(toy_triangle, bad):
+    # 5.0 and np.int64(5) hash and compare as 5 does, so a table looked up
+    # before its key is validated would answer them for (P, 5)
+    P = toy_triangle
+    fresh = Polytope(P.dim, P.vertices, P.normals, P.offsets)
+    assert check_hypotheses(P, 5).ok and dimension(P, 5) == 5
+    bounds_over_orders(P, P.dilate(find_surjective_dilate(P, 5, 20)), 5)
+    calls = {
+        "check_hypotheses": lambda R: check_hypotheses(R, bad),
+        "dimension": lambda R: dimension(R, bad),
+        "find_surjective_dilate": lambda R: find_surjective_dilate(R, bad, 20),
+        "bounds_over_orders": lambda R: bounds_over_orders(R, R.dilate(2), bad),
+        "projective_reduction": lambda R: projective_reduction(R, bad),
+        "is_surjective": lambda R: is_surjective(R.dilate(2), R, bad),
+    }
+    for name, call in calls.items():
+        messages = []
+        for R in (fresh, P):
+            with pytest.raises(FieldError) as refused:
+                call(R)
+            messages.append(str(refused.value))
+        assert messages[0] == messages[1], name
+
+
 @pytest.mark.parametrize("rows", [1, 2, 3])
 def test_survivor_counts_in_chunks_match_the_row_loop(monkeypatch, toy_triangle, rows):
-    P, q = toy_triangle, 4
-    B = P.dilate(find_surjective_dilate(P, q, 10))
-    region = offset_difference(B, P)
-    for order in ORDERS_2D:
-        small, expected = ref_counts(P, B, q, order)
-        large = [min(g, key=lambda m: ref_key(order, m)) for g in ref_groups(B, q)]
-        # CAP sized for `rows` rows of small per chunk, fewer than it has
-        monkeypatch.setattr(code, "CAP", rows * len(large) * len(region[0]))
-        assert rows < len(small)
-        assert _survivor_counts(region, np.array(small), np.array(large)).tolist() == expected
-        assert bounds_over_orders(P, B, q, [order])[0].counts.tolist() == expected
+    # the toy triangle over F4, and the prism over F7, whose region has 5 facets
+    prism = Polytope.from_vertices(CERTIFY_SHAPES["prism"])
+    chunks, count = [], np.count_nonzero
+
+    def counting(*args, **kwargs):
+        chunks.append(args[0].shape)
+        return count(*args, **kwargs)
+
+    monkeypatch.setattr(np, "count_nonzero", counting)
+    for P, q, orders in ((toy_triangle, 4, ORDERS_2D), (prism, 7, [OrderSpec.lex()])):
+        B = P.dilate(find_surjective_dilate(P, q, 4 * q))
+        region = offset_difference(B, P)
+        for order in orders:
+            small, expected = ref_counts(P, B, q, order)
+            large = [min(g, key=lambda m: ref_key(order, m)) for g in ref_groups(B, q)]
+            # a chunk is CAP // len(large) rows of small, here `rows`, fewer than it has
+            monkeypatch.setattr(code, "CAP", rows * len(large))
+            chunks.clear()
+            assert _survivor_counts(region, np.array(small), np.array(large)).tolist() == expected
+            assert len(chunks) == -(-len(small) // rows) > 1
+            assert all(r <= rows and r * n <= code.CAP for r, n in chunks)
+            assert bounds_over_orders(P, B, q, [order])[0].counts.tolist() == expected
+    assert len(region[0]) == 5
 
 
 def test_kernel_does_not_import_numpy_ma():
@@ -462,8 +631,8 @@ def test_a_failed_search_keeps_only_the_dilates_its_lower_bound_reads(
     _dilate_lower_bound(Q, q)
     for _ in range(2):
         assert find_surjective_dilate(P, q, cap) is None
-        kept = P.__dict__["dilates"]
-        assert sorted(kept) == sorted(Q.__dict__["dilates"])
+        kept = P.__dict__.get("dilates", {})  # no table when L reads P alone
+        assert sorted(kept) == sorted(Q.__dict__.get("dilates", {}))
         assert len(kept) <= P.dim + 1 and all(2 <= c <= P.dim + 1 for c in kept)
         assert not any(R is D for R in rejected for D in kept.values())
     assert len(rejected) == 2 * rejections
