@@ -10,7 +10,7 @@ oracle module re-derives the same quantities by brute force for
 cross-checking at small sizes.
 """
 
-from .intlat import SingularMatrixError, hnf_lower, snf_invariant_factors
+from .intlat import snf_invariant_factors
 from .polytope import Polytope, PolytopeError, offset_difference, same_normal_fan
 from .gf import GF, FieldError
 from .variety import (
@@ -60,7 +60,6 @@ __all__ = [
     "Polytope",
     "PolytopeError",
     "ReductionSet",
-    "SingularMatrixError",
     "SurjectivityError",
     "best_bound_over_orders",
     "bounds_over_orders",
@@ -73,7 +72,6 @@ __all__ = [
     "flag_assignment",
     "flag_for_chain",
     "generator_matrix",
-    "hnf_lower",
     "is_surjective",
     "min_distance_exhaustive",
     "min_weight_random_upper",

@@ -4,18 +4,15 @@ Matrices are nested sequences of Python ints and results are plain
 lists of lists of exact integers; nothing touches floating point.
 One elimination serves every question: unimodular column operations
 over Z bring A to its Hermite form H = A @ T, |det T| = 1. The pivot
-columns of H give the rank, for the face lattice; det T times the
-diagonal of H gives the determinant, for the vertex determinants; H
-itself straightens the flags; and, alternated on a matrix and its
-transpose, it gives the Smith form, for the Picard invariants. The
-hull's minors are the int64 kernel of polytope.py.
+columns of H give the rank, for the checks of a facet document; det T
+times the diagonal of H gives the determinant, for the vertex
+determinants; H itself straightens the flags; and, alternated on a
+matrix and its transpose, it gives the Smith form, for the Picard
+invariants. The hull itself is the double description of polytope.py,
+also in Python ints.
 """
 
 from math import gcd, prod
-
-
-class SingularMatrixError(ValueError):
-    """Raised when a nonsingular square matrix is required."""
 
 
 def identity(n):
@@ -89,27 +86,6 @@ def determinant(A):
         raise ValueError("square matrix required")
     H, sign = _hermite(A)
     return sign * prod(H[i][i] for i in range(n))
-
-
-def hnf_lower(A):
-    """Lower-triangular Hermite normal form by unimodular column operations.
-
-    Returns (H, T) with A @ T == H, |det T| == 1, H lower triangular with
-    positive diagonal and 0 <= H[i][j] < H[i][i] for j < i. The canonical
-    form makes both H and T unique for nonsingular A.
-
-    The form of A stacked on the identity is H stacked on T. A's rows
-    take all rank A pivots, leaving H[r][r] = 0 for rank r < n.
-
-    Raises SingularMatrixError when A is singular.
-    """
-    n = len(A)
-    if n == 0 or any(len(row) != n for row in A):
-        raise ValueError("square matrix required")
-    HT, _ = _hermite([*A, *identity(n)])
-    if not all(HT[i][i] for i in range(n)):
-        raise SingularMatrixError("matrix is singular")
-    return HT[:n], HT[n:]
 
 
 def snf_invariant_factors(A):

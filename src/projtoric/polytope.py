@@ -12,14 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, islice
-from math import factorial, gcd
+from itertools import chain
+from math import gcd
 
 import numpy as np
 
 from .intlat import rank
-
-_CHUNK = 1 << 14  # entries of one product of the hull kernel
 
 
 class PolytopeError(ValueError):
@@ -36,53 +34,57 @@ def _affine_rank(points):
     return rank(diffs)
 
 
-def _rows(head, tail):
-    """The int64 rows [h | t] of the hull kernel, h in Z^n from head and t
-    from tail, for stacks of n rows or of n - 1 heads.
-
-    With |h_j| <= B and |t| <= S, S >= 1, a maximal minor of n rows, and
-    each partial sum of its cofactor expansion, is at most n! products
-    of n entries, one at most from the last column: n! B^(n-1) max(B, S).
-    The one product it feeds, with a row [h | t], is at most
-    n B n! B^(n-1) S + S n! B^n = (n+1)! B^n S, and that of a kernel of
-    n - 1 heads at most n! B^n. Raises PolytopeError unless
-    (n+1)! B^n S < 2^63, so int64 holds every value."""
-    n = len(head[0])
-    B = max(map(abs, chain.from_iterable(head)))
-    S = max(1, *map(abs, tail))
-    if factorial(n + 1) * B**n * S >> 63:
-        raise PolytopeError("coordinates or offsets past the int64 bound of the hull kernel")
-    return np.array([[*h, t] for h, t in zip(head, tail)], dtype=np.int64)
+def _combine(a, v, b, w):
+    """a v - b w over the gcd of its entries."""
+    c = [a * x - b * y for x, y in zip(v, w)]
+    g = gcd(*c)
+    return tuple(x // g for x in c)
 
 
-def _kernels(stacks):
-    """The primitive kernel vector of each stack of k int64 rows in
-    Z^(k+1): component j is (-1)^j times the maximal minor without
-    column j, over the gcd of the components. The minors come from
-    cofactor expansion along the rows, last row first, over every column
-    subset; a stack of rank below k gives 0."""
-    m, k, w = stacks.shape
-    minors = {(): np.ones(m, np.int64)}
-    for r in range(k - 1, -1, -1):
-        minors = {
-            cols: sum(
-                (-1) ** i * stacks[:, r, c] * minors[cols[:i] + cols[i + 1:]]
-                for i, c in enumerate(cols)
-            )
-            for cols in combinations(range(w), k - r)
-        }
-    K = np.column_stack([(-1) ** j * minors[(*range(j), *range(j + 1, w))] for j in range(w)])
-    return K // np.maximum(np.gcd.reduce(K, axis=1), 1)[:, None]
+def _extreme_rays(rows):
+    """(rays, lineality) of the cone {y : <r, y> >= 0 for every row r} of
+    integer rows of one width w, by double description (Motzkin et al.
+    1953, as in Fukuda and Prodon 1996), exactly in Python ints.
 
-
-def _subset_kernels(rows, k):
-    """(kernels, products), chunk by chunk, over the k-subsets of the
-    rows: the kernel of each subset and its product with every row."""
-    subsets = combinations(range(len(rows)), k)
-    step = max(1, _CHUNK // len(rows))
-    while chunk := list(islice(subsets, step)):
-        K = _kernels(rows[np.array(chunk, dtype=np.intp).reshape(len(chunk), k)])
-        yield K, K @ rows.T
+    rays lists each primitive extreme ray as (y, mask), bit i of mask set
+    when row i is tight at y; lineality is a basis of {y : every <r, y>
+    = 0}, empty when the cone is pointed, and a ray is unique up to adding
+    a lineality vector. The cone starts as R^w, all lineality. A row that
+    some lineality vector e meets, with <r, e> = s > 0 after a sign
+    change, moves the other vectors along e onto the row's hyperplane and
+    becomes the ray e, tight at every earlier row. A row that meets no
+    lineality vector keeps the rays on its side and joins each adjacent
+    pair across it, <r, y+> > 0 > <r, y->, in <r, y+> y- - <r, y-> y+. Two
+    rays are adjacent when no third ray is tight at every row tight at
+    both; a 2-face has tight rows of rank w - 2 - dim lineality, so a pair
+    sharing fewer tight rows is passed over first."""
+    w = len(rows[0])
+    lineality = [tuple(int(i == j) for j in range(w)) for i in range(w)]
+    rays = []
+    for i, r in enumerate(rows):
+        bit = 1 << i
+        dots = [_dot(r, e) for e in lineality]
+        if any(dots):
+            k = next(k for k, d in enumerate(dots) if d)
+            s, e = dots.pop(k), lineality.pop(k)
+            if s < 0:
+                s, e = -s, tuple(-x for x in e)
+            lineality = [_combine(s, v, d, e) for v, d in zip(lineality, dots)]
+            rays = [(_combine(s, v, _dot(r, v), e), m | bit) for v, m in rays]
+            rays.append((e, bit - 1))
+            continue
+        dots = [_dot(r, v) for v, _ in rays]
+        masks = [m for _, m in rays]
+        need = w - 2 - len(lineality)
+        joined = [
+            (_combine(dp, rays[q][0], dq, rays[p][0]), z | bit)
+            for p, dp in enumerate(dots) if dp > 0
+            for q, dq in enumerate(dots) if dq < 0
+            for z in (masks[p] & masks[q],)
+            if z.bit_count() >= need and sum(m & z == z for m in masks) == 2
+        ]
+        rays = [(v, m | bit if d == 0 else m) for (v, m), d in zip(rays, dots) if d >= 0] + joined
+    return rays, lineality
 
 
 def _as_lattice_point(p, n=None):
@@ -126,36 +128,35 @@ class Polytope:
         must be full-dimensional in the ambient space.
 
         The points move to the first one as rows [p - first | 1]. The
-        kernel (u, c) of n of these rows is a primitive normal u with
-        <p - first, u> + c = 0 on the n points, and it gives the facet
-        u or -u when every point lies on one side. A point is a vertex
-        when no other point's set of tight facets contains its own: a
-        vertex's tight facets meet in the vertex alone, and a non-vertex
-        lies inside a face of dimension >= 1 whose vertices, input
-        points, each lie on every facet the point lies on.
+        extreme rays of {(u, c) : <p - first, u> + c >= 0 at every point}
+        are the facets, primitive inner normals u with c the largest
+        -<p - first, u>, and its lineality is {0} exactly when the hull is
+        full-dimensional. A point is a vertex when no other point's set
+        of tight facets contains its own: a vertex's tight facets meet in
+        the vertex alone, and a non-vertex lies inside a face of dimension
+        >= 1 whose vertices, input points, each lie on every facet the
+        point lies on.
         """
         pts = sorted({_as_lattice_point(p) for p in points})
         if len({len(p) for p in pts}) != 1:
             raise PolytopeError("no points, or points of mixed dimensions")
         n = len(pts[0])
-        if _affine_rank(pts) != n:
-            raise PolytopeError("hull is not full-dimensional")
         first = pts[0]
-        rows = _rows([[x - y for x, y in zip(p, first)] for p in pts], [1] * len(pts))
-        found = set()
-        for K, slack in _subset_kernels(rows, n):
-            found.update(map(tuple, K[(slack >= 0).all(axis=1)].tolist()))
-            found.update(map(tuple, (-K[(slack <= 0).all(axis=1)]).tolist()))
-        found.discard((0,) * (n + 1))  # from n points that span no hyperplane
-        facets = sorted(found)
-        normals = tuple(f[:n] for f in facets)
-        offsets = tuple(f[n] - _dot(f[:n], first) for f in facets)
-        tight = rows @ np.array(facets, dtype=np.int64).T == 0
-        vertex = tight.sum(axis=1) >= n  # a vertex lies on n facets at least
-        tight = tight[vertex].astype(np.int64)
-        shared = tight @ tight.T  # facets tight at both points
-        vertex[vertex] = (shared == shared.diagonal()[:, None]).sum(axis=1) == 1
-        return cls(n, tuple(p for p, v in zip(pts, vertex) if v), normals, offsets)
+        rays, lineality = _extreme_rays([[*(x - y for x, y in zip(p, first)), 1] for p in pts])
+        if lineality:
+            raise PolytopeError("hull is not full-dimensional")
+        rays.sort()
+        normals = tuple(f[:n] for f, _ in rays)
+        offsets = tuple(f[n] - _dot(f[:n], first) for f, _ in rays)
+        tight = [
+            sum(1 << j for j, (_, m) in enumerate(rays) if m >> i & 1) for i in range(len(pts))
+        ]
+        on_n = [t for t in tight if t.bit_count() >= n]  # a vertex lies on n facets at least
+        vertices = tuple(
+            p for p, t in zip(pts, tight)
+            if t.bit_count() >= n and sum(s & t == t for s in on_n) == 1
+        )
+        return cls(n, vertices, normals, offsets)
 
     @classmethod
     def from_vrep_hrep(cls, vertices, normals, offsets):
@@ -163,11 +164,12 @@ class Polytope:
 
         normals[i]/offsets[i] describe the inequality <m, u> >= -a of
         facet i. The system moves to the first listed vertex v as rows
-        [u | a + <v, u>]. It must be bounded: no kernel of n - 1 normals
-        lies on one side of every normal. Its vertices, y/t + v for the
-        kernels (y, t), t > 0, of n rows inside every inequality, must be
-        lattice points and exactly the listed ones, and every inequality
-        must be tight on an (n-1)-dimensional set.
+        [u | a + <v, u>], and the row [0 | 1] bounds t >= 0. The extreme
+        rays (y, t) of that cone are the vertices y/t + v, t > 0, and the
+        directions y of the set's unbounded edges, t = 0; the normals span,
+        so the cone is pointed. The set must be bounded, its vertices must
+        be lattice points and exactly the listed ones, and every
+        inequality must be tight on an (n-1)-dimensional set.
         """
         verts = [_as_lattice_point(v) for v in vertices]
         if len(set(verts)) != len(verts):
@@ -190,19 +192,15 @@ class Polytope:
         if rank(normals) != n:
             raise PolytopeError("facet normals do not span the ambient space")
         first = verts[0]
-        rows = _rows(normals, [a + _dot(first, u) for u, a in zip(normals, offsets)])
-        for K, product in _subset_kernels(rows[:, :n], n - 1):
-            if (K.any(axis=1) & ((product >= 0).all(axis=1) | (product <= 0).all(axis=1))).any():
-                raise PolytopeError("inequalities describe an unbounded set")
-        found = set()
-        for K, product in _subset_kernels(rows, n):
-            sign = np.sign(K[:, n:])  # t >= 0 from here on
-            K, product = K * sign, product * sign
-            for *y, t in K[(K[:, n] > 0) & (product >= 0).all(axis=1)].tolist():
-                if t > 1:
-                    point = tuple(t * v + x for v, x in zip(first, y))
-                    raise PolytopeError(f"inequality system has non-lattice vertex {point}/{t}")
-                found.add(tuple(v + x for v, x in zip(first, y)))
+        rows = [[*u, a + _dot(first, u)] for u, a in zip(normals, offsets)]
+        rays = [y for y, _ in _extreme_rays([*rows, [0] * n + [1]])[0]]
+        if any(y[n] == 0 for y in rays):
+            raise PolytopeError("inequalities describe an unbounded set")
+        if odd := [y for y in rays if y[n] > 1]:
+            *y, t = min(odd)
+            point = tuple(t * v + x for v, x in zip(first, y))
+            raise PolytopeError(f"inequality system has non-lattice vertex {point}/{t}")
+        found = {tuple(v + x for v, x in zip(first, y)) for y in rays}
         if extra := set(verts) - found:
             raise PolytopeError(f"listed point {min(extra)} is not a vertex")
         if missing := found - set(verts):
@@ -288,35 +286,36 @@ class Polytope:
 
     @cached_property
     def faces(self):
-        """Every face of the polytope, the polytope itself included.
+        """Every face of the polytope, the polytope itself included,
+        ordered by decreasing dimension, then by vertex index tuple.
 
-        Faces are computed as the intersection closure of the facet
-        tight-vertex sets and ordered by decreasing dimension, then by
-        vertex index tuple.
+        The faces come from the vertex-facet incidence level by level
+        (Kaibel and Pfetsch 2002), with no rank computation: the (d-1)-faces
+        are the inclusion-maximal, proper, nonempty intersections of a
+        d-face's vertex set with the facets' vertex sets.
         """
-        tight_sets = [
-            frozenset(
-                i for i, v in enumerate(self.vertices) if _dot(v, u) == -a
-            )
+        tight = [
+            sum(1 << i for i, v in enumerate(self.vertices) if _dot(v, u) == -a)
             for u, a in zip(self.normals, self.offsets)
         ]
-        full = frozenset(range(len(self.vertices)))
-        found = {full}
-        frontier = [full]
-        while frontier:
-            s = frontier.pop()
-            for t in tight_sets:
-                x = s & t
-                if x and x not in found:
-                    found.add(x)
-                    frontier.append(x)
-        faces = []
-        for s in found:
-            idx = tuple(sorted(s))
-            fdim = _affine_rank([self.vertices[i] for i in idx])
-            fidx = tuple(f for f, t in enumerate(tight_sets) if s <= t)
-            faces.append(Face(idx, fidx, fdim))
-        faces.sort(key=lambda f: (-f.dim, f.vertex_indices))
+        faces, level = [], {(1 << len(self.vertices)) - 1}
+        for d in range(self.dim, -1, -1):
+            faces += sorted(
+                (
+                    Face(
+                        tuple(i for i in range(len(self.vertices)) if s >> i & 1),
+                        tuple(f for f, t in enumerate(tight) if s & t == s),
+                        d,
+                    )
+                    for s in level
+                ),
+                key=lambda f: f.vertex_indices,
+            )
+            below = set()
+            for s in level:
+                cuts = {s & t for t in tight} - {0, s}
+                below.update(c for c in cuts if not any(c != e and c & e == c for e in cuts))
+            level = below
         return tuple(faces)
 
     def faces_of_dim(self, d):

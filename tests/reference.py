@@ -21,12 +21,17 @@ ref_face_incidence is face inclusion as build_flags tested it before
 the incidence table: one face lies in another when its vertex index
 set is a subset of the other's.
 
-ref_hull is the convex hull as Polytope.from_vertices built it before
-its int64 kernel: one Python-int kernel_vector and rank per n-subset of
-the points, and one rank per point for the vertex test. It reads
-nothing of projtoric.intlat, so it checks the hull against other
-arithmetic than the package's: kernel_vector's minors are Leibniz sums
-(_leibniz) and ref_rank is Gaussian elimination over Fraction.
+ref_faces is the face lattice as Polytope.faces found it before it read
+the levels off the incidence: the intersection closure of the facets'
+vertex sets, with one Fraction rank per face for its dimension.
+
+ref_hull is the convex hull by subsets, as Polytope.from_vertices built
+it before its double description: one Python-int kernel_vector and rank
+per n-subset of the points, and one rank per point for the vertex test.
+It reads nothing of projtoric.intlat, so it checks the hull against
+another algorithm and other arithmetic than the package's: kernel_vector's
+minors are Leibniz sums (_leibniz) and ref_rank is Gaussian elimination
+over Fraction.
 """
 
 from collections import defaultdict
@@ -169,6 +174,31 @@ def ref_toric_reduction(points, q, order):
 def ref_face_incidence(faces):
     """table[a][b]: the vertices of faces[a] are vertices of faces[b]."""
     return [[set(a.vertex_indices) <= set(b.vertex_indices) for b in faces] for a in faces]
+
+
+def ref_faces(P):
+    """P.faces as the package found them before the face lattice was read
+    level by level: the intersection closure of the facets' vertex sets,
+    each face's dimension the rank of its vertex differences, sorted by
+    decreasing dimension, then by vertex index tuple, as
+    (vertex_indices, facet_indices, dim)."""
+    tight = [
+        frozenset(i for i, v in enumerate(P.vertices) if sum(x * y for x, y in zip(v, u)) == -a)
+        for u, a in zip(P.normals, P.offsets)
+    ]
+    found, frontier = set(), [frozenset(range(len(P.vertices)))]
+    while frontier:
+        s = frontier.pop()
+        if s not in found:
+            found.add(s)
+            frontier.extend(s & t for t in tight if s & t)
+    faces = []
+    for s in found:
+        idx = tuple(sorted(s))
+        base = P.vertices[idx[0]]
+        dim = ref_rank([[x - b for x, b in zip(P.vertices[i], base)] for i in idx[1:]])
+        faces.append((idx, tuple(f for f, t in enumerate(tight) if s <= t), dim))
+    return sorted(faces, key=lambda f: (-f[2], f[0]))
 
 
 def _leibniz(S):

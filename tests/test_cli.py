@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import time
+from itertools import product
 from math import isqrt
 
 import pytest
@@ -564,16 +566,43 @@ def test_coordinates_past_int64_exit_two(capsys, tmp_path, command):
     assert "invalid input" in err and "int64" in err
 
 
-def test_hull_int64_bound_is_sharp(capsys, tmp_path):
-    # the points move to the first one as rows [p - first | 1], so 2D
-    # asks 3! B^2 < 2^63 of the largest coordinate difference B
+def test_hull_int64_bound_is_sharp(tmp_path):
+    # the points move to the first one as rows [p - first | 1], and 2D once
+    # asked 3! B^2 < 2^63 of the largest coordinate difference B; the hull
+    # works in Python ints, so the document at B + 1 loads as the one at B
+    # (loaded only: a subcommand would scan a box of about 10^18 points)
     b = isqrt((2**63 - 1) // 6)
-    below = Polytope.from_vertices([(0, 0), (b, 0), (0, b)])
-    assert (below.normals, below.offsets) == (((-1, -1), (0, 1), (1, 0)), (b, 0, 0))
-    path = write_doc(tmp_path, "at.json", vertices=[[0, 0], [b + 1, 0], [0, b + 1]], q=3)
-    code, out, err = run(capsys, "info", "--polytope", path)
-    assert (code, out) == (2, "")
-    assert "invalid input" in err and "int64" in err
+    for edge in (b, b + 1):
+        path = write_doc(tmp_path, "at.json", vertices=[[0, 0], [edge, 0], [0, edge]], q=3)
+        P, _ = cli.load_document(path)
+        assert (P.normals, P.offsets) == (((-1, -1), (0, 1), (1, 0)), (edge, 0, 0))
+
+
+@pytest.mark.parametrize("command", ["info", "matrix", "dim", "bound", "verify", "subcode"])
+def test_hull_past_int64_exits_without_traceback(capsys, tmp_path, command):
+    # the hull builds, with normal entries up to a^2 = 2^64, and every
+    # path after it refuses cleanly; the lattice scan's int64 guard
+    # refuses the scan
+    a = 2**32
+    path = write_doc(tmp_path, "big.json", vertices=[[0, 0, 0], [a, 1, 0], [0, a, 1], [1, 0, a]], q=3)
+    assert max(abs(x) for u in cli.load_document(path)[0].normals for x in u) >= 2**64
+    code, out, err = run(capsys, command, "--polytope", path)
+    assert code in (0, 2, 3)
+    if command == "dim":
+        assert (code, out) == (2, "")
+        assert "invalid input" in err and "exceeds int64" in err
+
+
+def test_six_cube_info_document(capsys, tmp_path):
+    # 64 points and 729 faces; the time bound catches a hull that
+    # enumerates the C(64, 6) subsets of the points, which takes minutes
+    path = write_doc(tmp_path, "cube6.json", vertices=[list(p) for p in product((0, 1), repeat=6)], q=3)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "info", "--polytope", path)
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert "faces by dimension: 0:64 1:192 2:240 3:160 4:60 5:12 6:1\n" in out
+    assert "\nn = 4096\nk = 64\n" in out
 
 
 @pytest.mark.parametrize("case", VREP_REJECTIONS)

@@ -7,32 +7,31 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference import _leibniz, ref_rank
-from projtoric.intlat import (
-    SingularMatrixError,
-    _hermite,
-    determinant,
-    hnf_lower,
-    identity,
-    rank,
-    snf_invariant_factors,
-)
+from projtoric.intlat import _hermite, determinant, identity, rank, snf_invariant_factors
+
+
+def hnf(A):
+    """(H, T) with A @ T = H, the lower Hermite form of a square A and its
+    transform, read off one elimination of A stacked on the identity."""
+    HT, _ = _hermite([*A, *identity(len(A))])
+    return HT[: len(A)], HT[len(A):]
 
 
 def test_hnf_frozen_example():
-    H, T = hnf_lower([[-1, -3], [-2, 1]])
+    H, T = hnf([[-1, -3], [-2, 1]])
     assert H == [[1, 0], [2, 7]]
     assert T == [[-1, -3], [0, 1]]
     assert (np.array([[-1, -3], [-2, 1]]) @ T).tolist() == H
 
 
 def test_hnf_identity_fixed_point():
-    H, T = hnf_lower(identity(3))
+    H, T = hnf(identity(3))
     assert H == identity(3)
     assert T == identity(3)
 
 
 def test_hnf_already_lower():
-    H, T = hnf_lower([[2, 0], [1, 3]])
+    H, T = hnf([[2, 0], [1, 3]])
     assert H == [[2, 0], [1, 3]]
     assert T == identity(2)
 
@@ -55,7 +54,7 @@ def test_hnf_canonical_form_is_unique():
             continue
         found.append((H, T))
     assert len(found) == 1
-    expect = hnf_lower(A)
+    expect = hnf(A)
     assert found[0] == (list(expect[0]), list(expect[1]))
 
 
@@ -71,12 +70,12 @@ square_matrix = st.integers(2, 3).flatmap(
 @settings(deadline=None, max_examples=150)
 @given(square_matrix)
 def test_hnf_properties_on_random_matrices(A):
-    if determinant(A) == 0:
-        with pytest.raises(SingularMatrixError):
-            hnf_lower(A)
-        return
     n = len(A)
-    H, T = hnf_lower(A)
+    H, T = hnf(A)
+    if determinant(A) == 0:
+        # A's rows take rank A < n pivots, so the last column of H is zero
+        assert not any(row[n - 1] for row in H)
+        return
     assert (np.array(A, dtype=object) @ np.array(T, dtype=object)).tolist() == H
     assert determinant(T) in (1, -1)
     for i in range(n):
@@ -93,7 +92,7 @@ def test_determinant_matches_hnf_diagonal(A):
     d = determinant(A)
     if d == 0:
         return
-    H, _ = hnf_lower(A)
+    H, _ = hnf(A)
     prod = 1
     for i in range(len(A)):
         prod *= H[i][i]
@@ -182,11 +181,6 @@ def test_snf_rejects_rank_deficient():
         snf_invariant_factors([[1, 2], [2, 4]])
     with pytest.raises(ValueError):
         snf_invariant_factors([[1, 2, 3]])
-
-
-def test_hnf_rejects_singular():
-    with pytest.raises(SingularMatrixError):
-        hnf_lower([[1, 1], [1, 1]])
 
 
 def _low_rank(rng, m, n, bound):
@@ -294,9 +288,9 @@ def test_hermite_sign_is_the_determinant_of_its_transform():
 
 
 def test_rank_matches_fraction_elimination_on_point_differences():
-    # the hull's rank calls: differences of up to 40 points in dimension
-    # n <= 3 that span a point, a line, a plane or space, now and then
-    # with one stray point off that span
+    # the rank calls of a facet document's checks: differences of up to
+    # 40 points in dimension n <= 3 that span a point, a line, a plane or
+    # space, now and then with one stray point off that span
     rng = random.Random(29)
     for _ in range(300):
         n = rng.randint(1, 3)

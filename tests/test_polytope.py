@@ -1,7 +1,8 @@
 import json
 import random
 import re
-from math import factorial, gcd
+from itertools import chain, product
+from math import gcd
 
 import numpy as np
 import pytest
@@ -10,14 +11,13 @@ from hypothesis import given, settings, strategies as st
 from projtoric.polytope import (
     Polytope,
     PolytopeError,
-    _kernels,
     face_incidence,
     offset_difference,
     same_normal_fan,
 )
 from projtoric.cli import load_document
 from projtoric.oracle import _monotone_chains
-from reference import kernel_vector, ref_contains, ref_face_incidence, ref_hull
+from reference import kernel_vector, ref_contains, ref_face_incidence, ref_faces, ref_hull
 from test_acceptance import random_3d_corpus
 from test_code import DATA
 from test_high_dim import high_dim_corpus
@@ -186,16 +186,16 @@ def test_from_vertices_drops_a_non_vertex_on_n_facets():
 
 def test_from_vertices_rejects_high_dimension():
     # dimension 4 and up is built (see the 4-cube above), but a 4-cube
-    # lying in a hyperplane of Z^5 is not full-dimensional, and a 5-simplex
-    # with edges 2^13 has 6! B^5 past 2^63, beyond the int64 hull kernel
+    # lying in a hyperplane of Z^5 is not full-dimensional; a 5-simplex
+    # with edges 2^13, once past an int64 rule of the hull, builds
     flat = [(a, b, c, d, 0) for a in (0, 1) for b in (0, 1) for c in (0, 1) for d in (0, 1)]
     with pytest.raises(PolytopeError, match="not full-dimensional"):
         Polytope.from_vertices(flat)
-    simplex = [tuple(2**13 * int(i == j) for j in range(5)) for i in range(5)] + [(0,) * 5]
-    with pytest.raises(PolytopeError, match="int64 bound"):
-        Polytope.from_vertices(simplex)
-    small = [tuple(2**8 * int(i == j) for j in range(5)) for i in range(5)] + [(0,) * 5]
-    assert len(Polytope.from_vertices(small).vertices) == 6
+    for edge in (2**8, 2**13):
+        simplex = [tuple(edge * int(i == j) for j in range(5)) for i in range(5)] + [(0,) * 5]
+        P = Polytope.from_vertices(simplex)
+        assert len(P.vertices) == len(P.normals) == 6
+        assert P.offsets == (edge,) + (0,) * 5
 
 
 def test_from_vertices_rejects_degenerate_input():
@@ -418,22 +418,6 @@ def test_kernel_vector_degenerate_cases():
         kernel_vector([(1, 2, 3)], 3)
 
 
-def test_kernels_match_kernel_vector():
-    # stacks of k rows in Z^(k+1) for k = 0..4; from k = 2 on a fifth of
-    # them repeat their first row, and rank-deficient stacks give 0
-    rng = random.Random(0)
-    for k in range(5):
-        stacks = [[[rng.randint(-3, 3) for _ in range(k + 1)] for _ in range(k)] for _ in range(200)]
-        for rows in stacks[::5]:
-            rows[-1:] = rows[:1]
-        got = _kernels(np.array(stacks, dtype=np.int64).reshape(200, k, k + 1)).tolist()
-        for rows, v in zip(stacks, got):
-            try:
-                assert v == kernel_vector(rows, k + 1)
-            except ValueError:
-                assert v == [0] * (k + 1)
-
-
 FIXTURES = ("segment01", "toy_triangle", "quadrilateral", "unit_square", "hirzebruch", "cube")
 
 
@@ -479,6 +463,21 @@ def test_from_vertices_matches_reference_hull_on_draws():
     assert built > 300
 
 
+def test_faces_match_reference_lattice(request):
+    # the draws include non-simple hulls, where a face's cut by one facet
+    # can be a face two dimensions down (a square pyramid's apex)
+    hulls = [Polytope.from_vertices(pts) for pts in hull_inputs(request)]
+    for pts in hull_draws():
+        try:
+            hulls.append(Polytope.from_vertices(pts))
+        except PolytopeError:
+            pass
+    hulls += [Polytope.from_vertices([(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 1)])]
+    assert not all(P.is_simple() for P in hulls)
+    for P in hulls:
+        assert [(f.vertex_indices, f.facet_indices, f.dim) for f in P.faces] == ref_faces(P)
+
+
 def test_vrep_hrep_rebuilds_every_hull(request):
     hulls = [Polytope.from_vertices(pts) for pts in hull_inputs(request)]
     for pts in hull_draws(count=300):
@@ -487,19 +486,9 @@ def test_vrep_hrep_rebuilds_every_hull(request):
         except PolytopeError:
             pass
     hulls.append(box4((-1, 0, -2, 0), (1, 2, 0, 1)))
-    refused = 0
     for P in hulls:
         for step in (1, -1):
-            try:
-                Q = Polytope.from_vrep_hrep(P.vertices[::step], P.normals[::step], P.offsets[::step])
-            except PolytopeError as e:
-                # normals of 4D and 5D hulls reach entries of some hundreds,
-                # and (n+1)! B^n S then passes 2^63 for some first vertices
-                assert P.dim >= 4 and "int64" in str(e)
-                refused += 1
-                continue
-            assert Q == P
-    assert refused <= 21
+            assert Polytope.from_vrep_hrep(P.vertices[::step], P.normals[::step], P.offsets[::step]) == P
 
 
 UNIT_SQUARE_FACETS = ([(1, 0), (0, 1), (-1, 0), (0, -1)], [0, 0, 1, 1])
@@ -542,25 +531,42 @@ def test_vrep_hrep_rejections(case):
 
 
 def test_vrep_hrep_int64_bound_is_sharp():
-    # rows [u | a] with |u| <= 1 and |a| <= b ask 3! b < 2^63 in 2D
-    b = (2**63 - 1) // 6
-    P = Polytope.from_vrep_hrep([(0, 0), (b, 0), (0, b)], [(1, 0), (0, 1), (-1, -1)], [0, 0, b])
-    assert (P.normals, P.offsets) == (((-1, -1), (0, 1), (1, 0)), (b, 0, 0))
-    with pytest.raises(PolytopeError, match="int64"):
-        Polytope.from_vrep_hrep(
-            [(0, 0), (b + 1, 0), (0, b + 1)], [(1, 0), (0, 1), (-1, -1)], [0, 0, b + 1]
-        )
+    # rows [u | a] with |u| <= 1 and |a| <= b once asked 3! b < 2^63 in 2D;
+    # the hull works in Python ints, so b + 1 builds as b does
+    for b in ((2**63 - 1) // 6, (2**63 - 1) // 6 + 1):
+        P = Polytope.from_vrep_hrep([(0, 0), (b, 0), (0, b)], [(1, 0), (0, 1), (-1, -1)], [0, 0, b])
+        assert (P.normals, P.offsets) == (((-1, -1), (0, 1), (1, 0)), (b, 0, 0))
+        assert P.vertices == ((0, 0), (0, b), (b, 0))
 
 
 @pytest.mark.parametrize("n,b", [(4, 16650), (5, 1665)])
 def test_from_vertices_int64_bound_is_sharp(n, b):
-    # rows [p - first | 1] with |p - first| <= b ask (n+1)! b^n < 2^63
-    assert factorial(n + 1) * b**n < 2**63 <= factorial(n + 1) * (b + 1) ** n
+    # rows [p - first | 1] with |p - first| <= b once asked (n+1)! b^n < 2^63;
+    # the hull works in Python ints, so b + 1 builds as b does
     units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    P = Polytope.from_vertices([(0,) * n] + [tuple(b * x for x in u) for u in units])
-    assert (P.normals, P.offsets) == ((((-1,) * n), *units[::-1]), (b,) + (0,) * n)
-    with pytest.raises(PolytopeError, match="int64"):
-        Polytope.from_vertices([(0,) * n] + [tuple((b + 1) * x for x in u) for u in units])
+    for edge in (b, b + 1):
+        P = Polytope.from_vertices([(0,) * n] + [tuple(edge * x for x in u) for u in units])
+        assert (P.normals, P.offsets) == ((((-1,) * n), *units[::-1]), (edge,) + (0,) * n)
+        assert len(P.vertices) == n + 1
+
+
+@pytest.mark.parametrize("a", [400, 1000])
+def test_vrep_hrep_builds_large_3d_facet_documents(a):
+    # normals reach a^2 and moved offsets a + 1: past the old int64 rule
+    # (n+1)! B^n S of the hull, which refused both
+    pts = [(0, 0, 0), (a, 1, 0), (0, a, 1), (1, 0, a)]
+    P = Polytope.from_vertices(pts)
+    assert max(map(abs, chain(*P.normals))) >= a * a - a
+    assert Polytope.from_vrep_hrep(pts, P.normals, P.offsets) == P
+    assert Polytope.from_vrep_hrep(pts[::-1], P.normals[::-1], P.offsets[::-1]) == P
+
+
+def test_seven_cube_hull():
+    # the double description walks the facets of each partial hull, not
+    # the C(128, 7) subsets of the points
+    P = Polytope.from_vertices(list(product((0, 1), repeat=7)))
+    assert len(P.normals) == 14 and len(P.vertices) == 128
+    assert set(P.normals) == {tuple(s * int(i == j) for j in range(7)) for i in range(7) for s in (1, -1)}
 
 
 def test_face_incidence_matches_vertex_inclusion(polygon_corpus):
