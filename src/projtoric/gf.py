@@ -12,7 +12,7 @@ vaddmatmul works on base-p digits instead.
 
 from __future__ import annotations
 
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import accumulate
 from math import isqrt
 
@@ -40,9 +40,16 @@ def _factorize(n):
 
 
 def prime_power(q):
-    """Decompose q as p**k with p prime; raises FieldError otherwise."""
+    """Decompose q as p**k with p prime; raises FieldError otherwise.
+    The type and range are checked on every call, before the memo that
+    keeps each factorisation: 4.0 and True hash as 4 and 1 do."""
     if not isinstance(q, int) or q < 2:
         raise FieldError(f"field size must be an integer >= 2, got {q!r}")
+    return _prime_power(int(q))
+
+
+@lru_cache(maxsize=1024)
+def _prime_power(q):
     fac = _factorize(q)
     if len(fac) != 1:
         raise FieldError(f"{q} is not a prime power")

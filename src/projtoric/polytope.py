@@ -169,7 +169,10 @@ class Polytope:
         directions y of the set's unbounded edges, t = 0; the normals span,
         so the cone is pointed. The set must be bounded, its vertices must
         be lattice points and exactly the listed ones, and every
-        inequality must be tight on an (n-1)-dimensional set.
+        inequality must be tight on a facet. Once the system is known to
+        describe P, every facet of P is one of its rows, so a row is a
+        facet exactly when the set of vertices tight on it, read off the
+        rays' masks, is nonempty and no other row's strictly contains it.
         """
         verts = [_as_lattice_point(v) for v in vertices]
         if len(set(verts)) != len(verts):
@@ -193,7 +196,10 @@ class Polytope:
             raise PolytopeError("facet normals do not span the ambient space")
         first = verts[0]
         rows = [[*u, a + _dot(first, u)] for u, a in zip(normals, offsets)]
-        rays = [y for y, _ in _extreme_rays([*rows, [0] * n + [1]])[0]]
+        rays, _ = _extreme_rays([*rows, [0] * n + [1]])
+        tight = [sum(1 << j for j, (_, m) in enumerate(rays) if m >> i & 1)
+                 for i in range(len(rows))]  # the rays tight on each row
+        rays = [y for y, _ in rays]
         if any(y[n] == 0 for y in rays):
             raise PolytopeError("inequalities describe an unbounded set")
         if odd := [y for y in rays if y[n] > 1]:
@@ -205,9 +211,8 @@ class Polytope:
             raise PolytopeError(f"listed point {min(extra)} is not a vertex")
         if missing := found - set(verts):
             raise PolytopeError(f"vertex {min(missing)} missing from the vertex list")
-        for u, a in zip(normals, offsets):
-            tight = [v for v in verts if _dot(v, u) == -a]
-            if not tight or _affine_rank(tight) != n - 1:
+        for u, a, t in zip(normals, offsets, tight):
+            if not t or any(s & t == t != s for s in tight):
                 raise PolytopeError(f"inequality {u} >= {-a} is not a facet")
         normals, offsets = zip(*sorted(zip(normals, offsets)))  # the normals are distinct
         return cls(n, tuple(sorted(verts)), normals, offsets)

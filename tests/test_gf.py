@@ -28,6 +28,19 @@ def test_prime_power_decomposition():
             prime_power(bad)
 
 
+def test_prime_power_checks_the_type_before_its_memo(monkeypatch):
+    # 4.0 hashes as 4 and True as 1, so a memo asked before the checks
+    # would answer them with a cached factorisation or a TypeError
+    assert prime_power(4) == (2, 2) and prime_power(2) == (2, 1)
+    for bad in (4.0, 2.0, True, [4], {4: 1}):
+        with pytest.raises(FieldError, match="must be an integer"):
+            prime_power(bad)
+    # a repeated q is factored once
+    monkeypatch.setattr(gf, "_factorize", lambda n: pytest.fail(f"{n} factored again"))
+    assert prime_power(4) == (2, 2)
+    assert field_size(4) == 4
+
+
 def test_size_cap():
     with pytest.raises(FieldError):
         GF(2**17)

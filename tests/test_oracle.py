@@ -27,7 +27,7 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 
 import projtoric.oracle
 from projtoric.cli import load_document
-from projtoric.code import generator_matrix
+from projtoric.code import best_bound_over_orders, dimension, find_surjective_dilate, generator_matrix
 from projtoric.gf import GF
 from projtoric.oracle import (
     LEAF,
@@ -43,9 +43,11 @@ from projtoric.oracle import (
     row_basis,
 )
 from projtoric.polytope import Polytope, PolytopeError
+from projtoric.variety import HypothesisError
 
 from reference import add, mul, ref_random_coefficients, sub
 from test_acceptance import random_3d_corpus
+from test_high_dim import high_dim_corpus
 from test_code import DATA, PINNED_MATRICES
 
 
@@ -524,6 +526,182 @@ def test_exhaustive_stops_at_weight_one(monkeypatch):
     basis[0, 1] = 1  # now weight 2 everywhere, and both tails run
     assert _exhaustive(basis, GF(2)) == 2
     assert rows == [2, 1]
+
+
+def brouwer_zimmermann(basis, field):
+    """The number of information sets and the distance that the
+    Brouwer-Zimmermann search alone returns on an echelon basis, whatever
+    the selection in min_distance_exhaustive would run."""
+    forms = list(projtoric.oracle._forms(np.asarray(basis, np.uint16), field))
+    best = min(1 + int(np.count_nonzero(H, axis=0).min()) for H in forms)
+    return len(forms), projtoric.oracle._brouwer_zimmermann(forms, best, field)
+
+
+def columned_entries(rng, field, k, n):
+    """k x n entries whose columns are random, zero, copies of earlier
+    ones or multiples of them, in a shuffled order."""
+    q, cols = field.q, []
+    for _ in range(n):
+        kind = rng.random()
+        if cols and kind < 0.2:
+            cols.append(list(rng.choice(cols)))
+        elif cols and kind < 0.35:
+            c = 1 + rng.randrange(q - 1)  # a multiple, scalar arithmetic
+            cols.append([mul(field, c, x) for x in rng.choice(cols)])
+        elif kind < 0.45:
+            cols.append([0] * k)
+        else:
+            cols.append([rng.randrange(q) for _ in range(k)])
+    rng.shuffle(cols)
+    return [list(row) for row in zip(*cols)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+def test_brouwer_zimmermann_matches_reference(q):
+    # small codes with zero, repeated and proportional columns, over one
+    # information set and over several: the search alone, forced on them,
+    # returns the distance of every word weighed by scalar arithmetic
+    field, rng, sets = GF(q), random.Random(100 + q), set()
+    kmax = max(k for k in range(1, 10) if q ** k <= 600)
+    done = 0
+    while done < 14:
+        k = rng.randrange(2, kmax + 1)
+        basis = row_basis(columned_entries(rng, field, k, rng.randrange(k + 1, 4 * k + 4)), field)
+        if len(basis) < 2 or len(basis) == basis.shape[1]:
+            continue
+        done += 1
+        m, d = brouwer_zimmermann(basis, field)
+        sets.add(min(m, 2))
+        assert d == exhaustive_reference(basis.tolist(), field), (q, basis.tolist())
+    assert sets == {1, 2}  # m = 1 and m >= 2 both met
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+def test_distance_takes_either_search_on_random_codes(monkeypatch, q):
+    # codes past one head block, every one of them put through the
+    # Brouwer-Zimmermann path (a zero word cost), against the
+    # meet-in-the-middle search on the same basis
+    monkeypatch.setattr(projtoric.oracle, "BZ_WORD_COST", 0)
+    ran, bz = [], projtoric.oracle._brouwer_zimmermann
+    monkeypatch.setattr(projtoric.oracle, "_brouwer_zimmermann",
+                        lambda *a: ran.append(1) or bz(*a))
+    field, rng = GF(q), random.Random(200 + q)
+    k0 = next(k for k in range(1, 20) if (q ** k - 1) // (q - 1) > 4096)
+    for _ in range(6):
+        k = rng.randrange(k0, k0 + 2)
+        basis = row_basis(columned_entries(rng, field, k, rng.randrange(2 * k, 4 * k)), field)
+        if (q ** len(basis) - 1) // (q - 1) > 4096:
+            assert min_distance_exhaustive(basis, field) == _exhaustive(basis, field), q
+    assert ran
+
+
+def test_distance_agrees_with_meet_in_the_middle_on_every_suite(monkeypatch, polygon_corpus):
+    # the 200-polygon corpus, the 3D suite, the 4D/5D suite and the data
+    # documents: wherever q^k <= 2^24, whichever search runs, the distance
+    # is the meet-in-the-middle's
+    runs, bz = [], projtoric.oracle._brouwer_zimmermann
+    monkeypatch.setattr(projtoric.oracle, "_brouwer_zimmermann", lambda *a: runs.append(1) or bz(*a))
+    suites = {
+        "corpus": polygon_corpus,
+        "3D": random_3d_corpus(24, seed=3),
+        "4D/5D": [(P, q) for _, P, q, _ in high_dim_corpus()],
+        "data": [(P, doc["q"]) for P, doc in map(load_document, sorted(DATA.glob("*.json")))],
+    }
+    checked = dict.fromkeys(suites, 0)
+    for name, cases in suites.items():
+        for P, q in cases:
+            field = GF(q)
+            try:
+                codes = generator_matrix(P, field).codes
+            except HypothesisError:  # the quadrilateral over its own F7
+                continue
+            basis = row_basis(codes, field)
+            if q ** len(basis) <= 1 << 24:
+                checked[name] += 1
+                assert min_distance_exhaustive(basis, field) == _exhaustive(basis, field), (name, P, q)
+    assert checked == {"corpus": 51, "3D": 21, "4D/5D": 12, "data": 4}
+    assert len(runs) == 18  # the Brouwer-Zimmermann search ran on these
+
+
+def corpus_case(polygon_corpus, i):
+    P, q = polygon_corpus[i]
+    field = GF(q)
+    return row_basis(generator_matrix(P, field).codes, field), field
+
+
+def test_stop_rule_cuts_the_work_on_p069(monkeypatch, polygon_corpus):
+    # corpus polygon 69 over F7: k = 8, n = 57, d = 18 over five disjoint
+    # information sets. The meet-in-the-middle search weighs all 960,800
+    # normalised messages; the bound 5 (w + 1) + j proves d after round 3
+    # of three sets, fewer than 7,000 words
+    basis, field = corpus_case(polygon_corpus, 69)
+    assert basis.shape == (8, 57) and field.q == 7
+    formed, vaddmatmul = [0], GF.vaddmatmul
+
+    def counted(self, c, a, b):
+        formed[0] += np.shape(b)[1] if np.ndim(c) == 0 else 0  # the words are b's columns
+        return vaddmatmul(self, c, a, b)
+
+    monkeypatch.setattr(GF, "vaddmatmul", counted)
+    monkeypatch.setattr(projtoric.oracle, "_exhaustive", lambda *a: pytest.fail("meet in the middle"))
+    assert min_distance_exhaustive(basis, field) == 18
+    assert 0 < formed[0] + 5 * 8 < (7 ** 8 - 1) // 6 // 20
+
+
+def test_distance_chooses_its_search(monkeypatch, polygon_corpus, cube):
+    # which search runs is read off the code: all messages in one head
+    # block, or a projection that reaches 1/BZ_WORD_COST of them, first
+    # with n // k sets and then with the real ones, runs the meet in the
+    # middle; a basis row of weight 1, or a lightest row within the
+    # bound, ends the search before either
+    calls = []
+    for name in ("_systematic", "_exhaustive", "_brouwer_zimmermann"):
+        real = getattr(projtoric.oracle, name)
+        monkeypatch.setattr(projtoric.oracle, name,
+                            lambda *a, name=name, real=real: calls.append(name) or real(*a))
+
+    def path(basis, field):
+        calls.clear()
+        d = min_distance_exhaustive(basis, field)
+        return d, calls.count("_systematic"), [c for c in calls if c != "_systematic"]
+
+    # p069: 8 x 57 over F7, five sets and a sixth tried
+    assert path(*corpus_case(polygon_corpus, 69)) == (18, 6, ["_brouwer_zimmermann"])
+    # p007: five sets make 449,440 words out of 960,800 messages
+    assert path(*corpus_case(polygon_corpus, 7)) == (28, 6, ["_exhaustive"])
+    # the cube over F3: 3,280 messages fit one head block
+    field = GF(3)
+    assert path(row_basis(generator_matrix(cube, field).codes, field), field) == (27, 0, ["_exhaustive"])
+    # p088: a basis row of weight 1
+    assert path(*corpus_case(polygon_corpus, 88)) == (1, 0, [])
+    # 3D suite case 3: 8 x 186 over F5, 23 sets would still form more
+    # than 1/BZ_WORD_COST of the messages
+    P, q = random_3d_corpus(24, seed=3)[3]
+    basis = row_basis(generator_matrix(P, GF(q)).codes, GF(q))
+    assert path(basis, GF(q)) == (100, 1, ["_exhaustive"])
+
+
+# [0, a_1] x ... x [0, a_N] over F_q, a_i <= q: the code is a product of
+# extended Reed-Solomon codes, k = prod(a_i + 1) and d = prod(q + 1 - a_i)
+BOXES = [(q, (a, b)) for q in (2, 3, 4, 5, 7) for a in range(1, q + 1) for b in range(1, q + 1)]
+BOXES += [(q, sides) for q in (3, 4) for sides in product(range(1, q + 1), repeat=3)]
+
+
+def test_box_distances_match_their_closed_form():
+    exact = 0
+    for q, sides in BOXES:
+        P = Polytope.from_vertices(list(product(*[(0, a) for a in sides])))
+        field = GF(q)
+        k = reduce(lambda x, a: x * (a + 1), sides, 1)
+        d = reduce(lambda x, a: x * (q + 1 - a), sides, 1)
+        codes = generator_matrix(P, field).codes
+        assert dimension(P, field) == rank_gf(codes, field) == k, (q, sides)
+        lam = find_surjective_dilate(P, field, 4 * q)
+        assert best_bound_over_orders(P, P.dilate(lam), field)[0] <= d, (q, sides)
+        if q ** k <= 1 << 22:
+            exact += 1
+            assert min_distance_exhaustive(codes, field) == d, (q, sides)
+    assert len(BOXES) == 194 and exact == 34  # 29 boxes in 2D, 5 in 3D
 
 
 def test_random_coefficients_match_scalar_draws():

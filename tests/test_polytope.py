@@ -520,6 +520,16 @@ VREP_REJECTIONS = {
         [(0, 0), (1, 0), (0, 1), (2, 2)], *UNIT_SQUARE_FACETS,
         "listed point (2, 2) is not a vertex",
     ),
+    # the system describes the square, but one row is tight at a vertex
+    # only, and another nowhere
+    "inequality tight at a vertex": (
+        [(0, 0), (1, 0), (0, 1), (1, 1)], UNIT_SQUARE_FACETS[0] + [(1, 1)], UNIT_SQUARE_FACETS[1] + [0],
+        "inequality (1, 1) >= 0 is not a facet",
+    ),
+    "inequality tight nowhere": (
+        [(0, 0), (1, 0), (0, 1), (1, 1)], UNIT_SQUARE_FACETS[0] + [(1, 2)], UNIT_SQUARE_FACETS[1] + [1],
+        "inequality (1, 2) >= -1 is not a facet",
+    ),
 }
 
 
