@@ -225,7 +225,7 @@ def _class_table(P, q):
 
 
 def _representatives(P, q, order):
-    """Read-only indices of each class's order-minimal lattice point, the
+    """Read-only int64 array of each class's order-minimal lattice point, the
     least rank over its run of perm, by face, then in the order; kept on P per
     (q, order). Orders are total, so nothing ties; the points are lex sorted."""
     def build():
@@ -236,9 +236,9 @@ def _representatives(P, q, order):
             by_rank = np.lexsort(order.columns(P.lattice_scan[0]).T[::-1])
             least = np.minimum.reduceat(np.argsort(by_rank)[perm], starts)
             reps = by_rank[least]
-        reps = reps[np.lexsort((least, P.lattice_point_faces[reps]))]
-        reps.flags.writeable = False
-        return reps
+        points = P.lattice_scan[0][reps[np.lexsort((least, P.lattice_point_faces[reps]))]]
+        points.flags.writeable = False
+        return points
     return P.kept("representatives", (q, order), build)
 
 
@@ -248,9 +248,7 @@ def projective_reduction(P, field, order=None):
     are congruent mod q-1, and each class is represented by its
     order-minimal member. They are listed by face, then in the order."""
     order = OrderSpec.lex() if order is None else order
-    listed = P.lattice_scan[0][_representatives(P, field_size(field), order)]
-    listed.flags.writeable = False
-    return ReductionSet(order, listed)
+    return ReductionSet(order, _representatives(P, field_size(field), order))
 
 
 def dimension(P, field):
@@ -307,18 +305,30 @@ def find_surjective_dilate(P, field, lambda_max=16):
     k <= k' and relint(c(F - v)) holds a lattice point for c = dim F + 1:
     the sum of c affinely independent vertices of F, minus cv. Past lam = 1
     a negative facet offset a fails is_surjective, as lam*a < a. P keeps L
-    per q and the surjective lam*P for P.dilate(lam); no failure, no lam.
+    per q and the surjective lam*P for P.dilate(lam). It keeps lam itself per
+    q too, the proof that lam*P is surjective over (P, q): a later call
+    returns it whenever lam <= lambda_max, and None otherwise, which is exact
+    as lam is the least surjective factor >= L. A failure keeps no lam.
     lambda_max must be an int >= 1, not a bool."""
     if isinstance(lambda_max, bool) or not isinstance(lambda_max, int) or lambda_max < 1:
         raise ValueError(f"lambda_max must be an int >= 1, got {lambda_max!r}")
-    top = lambda_max if min(P.offsets) >= 0 else min(lambda_max, 1)
     q = field_size(field)
+    if (lam := P.__dict__.get("surjective_factors", {}).get(q)) is not None:
+        return lam if lam <= lambda_max else None
+    top = lambda_max if min(P.offsets) >= 0 else min(lambda_max, 1)
     for lam in range(P.kept("lower_bounds", q, lambda: _dilate_lower_bound(P, q)), top + 1):
         if is_surjective(B := P.dilate(lam), P, field):
             if B is not P:
                 P.kept("dilates", lam, lambda: B)
-            return lam
+            return P.kept("surjective_factors", q, lambda: lam)
     return None
+
+
+def _proven(Pbig, P, q):
+    """Whether find_surjective_dilate proved Pbig, this very object, surjective
+    over (P, q): any other polytope, a fresh lam*P among them, is unproven."""
+    lam = P.__dict__.get("surjective_factors", {}).get(q)
+    return lam is not None and Pbig is P.dilate(lam)
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,15 +346,13 @@ class BoundDetails:
 
 def _survivor_counts(region, small, large):
     """For each row m of small, the number of rows of large whose difference
-    from m satisfies every inequality of region = (normals, offsets), facet
-    by facet: per chunk of small, one boolean of at most CAP entries each."""
+    from m satisfies every inequality of region = (normals, offsets): per
+    chunk of small, one facets x chunk x large compare of at most CAP entries."""
     normals, offsets = region
     values, floors = normals @ large.T, normals @ small.T - offsets[:, None]
-    step, counts = max(1, CAP // len(large)), []
+    step, counts = max(1, CAP // (len(large) * len(normals))), []
     for i in range(0, len(small), step):
-        inside = values[0] >= floors[0, i:i + step, None]
-        for v, f in zip(values[1:], floors[1:, i:i + step, None]):
-            inside &= v >= f
+        inside = (values[:, None, :] >= floors[:, i:i + step, None]).all(axis=0)
         counts.append(np.count_nonzero(inside, axis=1))
     return np.concatenate(counts)
 
@@ -356,19 +364,19 @@ def bounds_over_orders(P, Pbig, field, orders=None):
     whose difference from m satisfies every offset-difference
     inequality; the minimum count bounds the minimum distance from
     below. Only the representative choice varies with the order.
-    Raises SurjectivityError unless Pbig is surjective over P.
+    Raises SurjectivityError unless Pbig is surjective over P; the dilate
+    that find_surjective_dilate proved for (P, q) is not checked again.
     """
     q = field_size(field)
     orders = stock_orders(P.dim) if orders is None else list(orders)
     if not orders:
         raise ValueError("empty order list")
-    if not is_surjective(Pbig, P, field):
+    if not (_proven(Pbig, P, q) or is_surjective(Pbig, P, q)):
         raise SurjectivityError("enlarged polytope is not surjective over the base")
     region, details = offset_difference(Pbig, P), []
     for order in orders:
         reduced = projective_reduction(P, q, order).representatives
-        large = Pbig.lattice_scan[0][_representatives(Pbig, q, order)]
-        counts = _survivor_counts(region, reduced, large)
+        counts = _survivor_counts(region, reduced, _representatives(Pbig, q, order))
         details.append(BoundDetails(int(counts.min()), order, reduced, counts))
     return tuple(details)
 

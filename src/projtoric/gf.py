@@ -225,7 +225,8 @@ class GF:
         modulus), whose product with b's digits, plus c's, is reduced mod
         p. Sums stay below t k (p-1)^2 + p: exact in float32 below 2^24,
         in float64 below 2^53. Chunks of terms, rows and columns keep each
-        float temporary within CAP entries."""
+        float temporary within CAP entries. For prime q a code is its own one
+        digit, so nothing is shifted or folded."""
         p, k = self.p, self.k
         (m, t), w = a.shape, b.shape[1]
         bound = t * k * (p - 1) ** 2 + p
@@ -241,14 +242,19 @@ class GF:
             for r in range(0, len(x), rc):
                 planes = self._planes(x[r:r + rc, s:s + tc], dt)
                 rows, terms = planes.shape[1:]
-                shifted = np.fmod(self._shifts.astype(dt) @ planes.reshape(k, -1), p)  # exact
-                shifted = shifted.reshape(k, k, rows, terms).swapaxes(1, 2).reshape(k * rows, -1)
+                if k == 1:  # prime q: the one digit shift is the identity
+                    shifted = planes[0]
+                else:
+                    shifted = np.fmod(self._shifts.astype(dt) @ planes.reshape(k, -1), p)  # exact
+                    shifted = shifted.reshape(k, k, rows, terms).swapaxes(1, 2)
+                    shifted = shifted.reshape(k * rows, -1)
                 for j in range(0, y.shape[1], wc):
                     part = out[r:r + rc, j:j + wc]
                     sums = shifted @ self._planes(y[s:s + tc, j:j + wc], dt).reshape(k * terms, -1)
                     digits = (sums.reshape(k, rows, -1) + self._planes(part, dt)).astype(it)
                     digits -= digits // p * p  # floor division by p is far faster than %
-                    part[...] = reduce(lambda acc, digit: acc * p + digit, digits[::-1])
+                    part[...] = digits[0] if k == 1 else reduce(
+                        lambda acc, digit: acc * p + digit, digits[::-1])
         return res
 
     def _planes(self, codes, dt):

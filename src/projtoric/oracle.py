@@ -215,7 +215,8 @@ def _systematic(G, cols, field):
     cols in turn that is nonzero on a row not yet a pivot row takes the
     first such row, scaled to 1, as its pivot and is cleared in every
     other row. Returns the k pivot columns, or None when cols hold fewer
-    (G is then part way)."""
+    (G is then part way). For prime q a row update is one int64
+    multiply-add reduced by floor division, as in _loop."""
     free, pivots, p = list(range(len(G))), [], field.p
     for c in cols:
         col = G[:, c].tolist()
@@ -223,8 +224,13 @@ def _systematic(G, cols, field):
             continue
         inv, col[r] = field.inv(col[r]), 0
         if rows := [i for i in range(len(col)) if col[i]]:  # the rows to clear at c
-            scale = field.vmul(np.array(col)[rows], field.vmul(inv, p - 1))  # -col[i] inv
-            G[rows] = field.vadd(G[rows], field.vmul(scale[:, None], G[r]))
+            if field.k == 1:
+                update = np.array(col, np.int64)[rows, None] * (p - inv) * G[r] + G[rows]
+                update -= update // p * p
+                G[rows] = update
+            else:
+                scale = field.vmul(np.array(col)[rows], field.vmul(inv, p - 1))  # -col[i] inv
+                G[rows] = field.vadd(G[rows], field.vmul(scale[:, None], G[r]))
         G[r] = field.vmul(G[r], inv)
         free.remove(r)
         pivots.append(c)

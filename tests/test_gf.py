@@ -350,6 +350,24 @@ def scalar_vaddmatmul(F, c, a, b):
     return out
 
 
+@pytest.mark.parametrize("q,t", [(2, 17), (3, 17), (7, 30), (257, 255), (257, 256), (65521, 3)])
+@pytest.mark.parametrize("cap", [gf.CAP, 97])
+def test_vaddmatmul_over_a_prime_field_takes_no_shift(q, t, cap, monkeypatch):
+    # prime q multiplies the codes themselves; (257, 255) is the last float32
+    # case, (257, 256) and 65521 run in float64, and the largest codes give
+    # the largest sums
+    monkeypatch.setattr(gf, "CAP", cap)
+    F, rng = GF(q), np.random.default_rng(q + t)
+    float64 = t * (q - 1) ** 2 + q >= 1 << 24
+    assert float64 == ((q, t) in ((257, 256), (65521, 3)))
+    for m, w in ((3, 40), (40, 3), (1, 2)):
+        for a, b in ((rng.integers(0, q, (m, t)), rng.integers(0, q, (t, w))),
+                     (np.full((m, t), q - 1), np.full((t, w), q - 1))):
+            for c in (0, rng.integers(0, q, w), np.full((m, w), q - 1)):
+                got = F.vaddmatmul(c, a, b)
+                assert got.tolist() == scalar_vaddmatmul(F, c, a, b), (m, w)
+
+
 @pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 256])
 @pytest.mark.parametrize("cap", [gf.CAP, 97])
 def test_vaddmatmul_expands_either_operand(q, cap, monkeypatch):

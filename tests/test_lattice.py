@@ -24,6 +24,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from projtoric import code
 from projtoric.code import (
     OrderSpec,
+    SurjectivityError,
     _class_table,
     _dilate_lower_bound,
     _rows,
@@ -35,7 +36,7 @@ from projtoric.code import (
     is_surjective,
     projective_reduction,
 )
-from projtoric.gf import FieldError
+from projtoric.gf import GF, FieldError
 from projtoric.polytope import Polytope, PolytopeError, offset_difference, same_normal_fan
 from projtoric.variety import Flag, build_flags, check_hypotheses, count_rational_points
 
@@ -369,7 +370,7 @@ def counting_builds(monkeypatch):
 
 
 KEPT = {
-    "class_tables", "representatives", "lower_bounds", "dilates",
+    "class_tables", "representatives", "lower_bounds", "dilates", "surjective_factors",
     "vertex_determinants", "flag_covers", "vertex_cones",
 }
 
@@ -396,7 +397,8 @@ def test_each_kept_table_is_built_once_per_key(monkeypatch):
         assert len(builds) == first, shape  # the second pass builds nothing
         orders = code.stock_orders(P.dim)
         assert {(t, k) for Q, t, k in builds if Q is P} >= {
-            ("class_tables", q), ("lower_bounds", q), ("vertex_determinants", None),
+            ("class_tables", q), ("lower_bounds", q), ("surjective_factors", q),
+            ("vertex_determinants", None),
             ("flag_covers", (False, bool)), ("flag_covers", (True, bool)),
             ("vertex_cones", None), *(("representatives", (q, o)) for o in orders),
         }
@@ -439,7 +441,7 @@ def test_a_dilate_builds_its_own_tables_and_shares_only_faces(toy_triangle):
     dimension(D, q)
     bounds_over_orders(P, D, q)
     build_flags(D)
-    for table in KEPT - {"dilates", "lower_bounds"}:
+    for table in KEPT - {"dilates", "lower_bounds", "surjective_factors"}:
         mine, base = D.__dict__[table], P.__dict__[table]
         assert mine is not base and mine.keys() <= base.keys(), table
         assert not any(mine[k] is base[k] for k in mine), table
@@ -525,12 +527,14 @@ def test_survivor_counts_in_chunks_match_the_row_loop(monkeypatch, toy_triangle,
         for order in orders:
             small, expected = ref_counts(P, B, q, order)
             large = [min(g, key=lambda m: ref_key(order, m)) for g in ref_groups(B, q)]
-            # a chunk is CAP // len(large) rows of small, here `rows`, fewer than it has
-            monkeypatch.setattr(code, "CAP", rows * len(large))
+            # a chunk is CAP // (len(large) * facets) rows of small, here `rows`,
+            # fewer than it has
+            facets = len(region[0])
+            monkeypatch.setattr(code, "CAP", rows * len(large) * facets)
             chunks.clear()
             assert _survivor_counts(region, np.array(small), np.array(large)).tolist() == expected
             assert len(chunks) == -(-len(small) // rows) > 1
-            assert all(r <= rows and r * n <= code.CAP for r, n in chunks)
+            assert all(r <= rows and r * n * facets <= code.CAP for r, n in chunks)
             assert bounds_over_orders(P, B, q, [order])[0].counts.tolist() == expected
     assert len(region[0]) == 5
 
@@ -583,10 +587,16 @@ def recording_surjectivity(monkeypatch):
     return proven, rejected
 
 
+def ids(polytopes):
+    """The identities of polytopes, which compare equal by their fields."""
+    return list(map(id, polytopes))
+
+
 def test_the_searched_dilate_is_kept_and_each_factor_scanned_once(monkeypatch):
     # two certify passes per case, P scanned beforehand as the benchmark's are
+    # the first pass proves its dilate once, and the second checks nothing
     scanned = counting_scans(monkeypatch)
-    proven, _ = recording_surjectivity(monkeypatch)
+    proven, rejected = recording_surjectivity(monkeypatch)
     scans = points = 0
     for shape, q in CERTIFY_CASES:
         P = Polytope.from_vertices(CERTIFY_SHAPES[shape])
@@ -594,11 +604,13 @@ def test_the_searched_dilate_is_kept_and_each_factor_scanned_once(monkeypatch):
         scanned.clear()
         for run in range(2):
             proven.clear()
+            rejected.clear()
             dimension(P, q)
             lam = find_surjective_dilate(P, q, 4 * q)
             B = P.dilate(lam)
-            assert len(proven) == 1 and proven[0] is B, (shape, q)
             bounds_over_orders(P, B, q)
+            assert ids(proven) == ids([B] if run == 0 else []), (shape, q, run)
+            assert run == 0 or rejected == [], (shape, q)
             if run == 0:
                 first = len(scanned)
         assert len(scanned) == first, (shape, q)  # the second pass scans nothing
@@ -607,6 +619,50 @@ def test_the_searched_dilate_is_kept_and_each_factor_scanned_once(monkeypatch):
         points += sum(len(Q.lattice_scan[0]) for Q in scanned)
     # 83 scans and 61,365 points when every caller built its own dilate
     assert scans <= 57 and points <= 31051
+
+
+def test_a_kept_factor_answers_every_cap_without_a_check(monkeypatch, toy_triangle):
+    P = toy_triangle  # lambda = 5 over F4: 4P is not surjective, 5P is
+    assert find_surjective_dilate(P, 4, 16) == 5
+    proven, rejected = recording_surjectivity(monkeypatch)
+    assert find_surjective_dilate(P, 4, 4) is None
+    assert find_surjective_dilate(P, 4, 5) == find_surjective_dilate(P, 4, 1 << 40) == 5
+    assert find_surjective_dilate(P, GF(4), 5) == 5
+    assert proven == rejected == []
+    bounds_over_orders(P, P.dilate(5), 4)
+    assert proven == rejected == []
+
+
+def test_a_kept_proof_vouches_for_its_dilate_and_field_alone(monkeypatch, toy_triangle):
+    P = toy_triangle
+    assert find_surjective_dilate(P, 4, 16) == 5
+    proven, rejected = recording_surjectivity(monkeypatch)
+    fresh = scaled(P, 5)  # 5P again, but not the object the search proved
+    bounds_over_orders(P, fresh, 4)
+    assert ids(proven) == ids([fresh]) and rejected == []
+    short = [P.dilate(4), P]  # neither is surjective over F4
+    for Pbig in short:
+        with pytest.raises(SurjectivityError):
+            bounds_over_orders(P, Pbig, 4)
+    with pytest.raises(SurjectivityError):  # 5P is not surjective over F5
+        bounds_over_orders(P, P.dilate(5), 5)
+    assert ids(rejected) == ids(short + [P.dilate(5)])
+    proven.clear()
+    assert find_surjective_dilate(P, 8, 16) == 10  # a search of its own
+    bounds_over_orders(P, P.dilate(10), 4)  # proven over F8, checked over F4
+    assert ids(proven) == ids([P.dilate(10)] * 2)
+    assert P.__dict__["surjective_factors"] == {4: 5, 8: 10}
+
+
+def test_a_failed_search_keeps_no_factor(monkeypatch):
+    P = Polytope.from_vertices(RM)  # over F3, L = 2 and lambda = 3
+    proven, rejected = recording_surjectivity(monkeypatch)
+    for _ in range(2):
+        assert find_surjective_dilate(P, 3, 2) is None
+        assert "surjective_factors" not in P.__dict__
+    assert proven == [] and len(rejected) == 2
+    assert find_surjective_dilate(P, 3, 12) == 3
+    assert ids(proven) == ids([P.dilate(3)]) and P.__dict__["surjective_factors"] == {3: 3}
 
 
 RM = [(0, 0, 0), (0, 4, 0), (2, 0, 4), (2, 4, 0)]  # a simplex with L < lambda

@@ -35,6 +35,7 @@ from projtoric.oracle import (
     _exhaustive,
     _loop,
     _random_coefficients,
+    _systematic,
     min_distance_exhaustive,
     min_weight_random_upper,
     pick_check,
@@ -554,6 +555,40 @@ def columned_entries(rng, field, k, n):
             cols.append([rng.randrange(q) for _ in range(k)])
     rng.shuffle(cols)
     return [list(row) for row in zip(*cols)]
+
+
+def systematic_by_tables(G, cols, field):
+    """_systematic with every row update by the log tables, vmul and vadd,
+    whatever q is: the routine before prime fields had their own update."""
+    free, pivots, p = list(range(len(G))), [], field.p
+    for c in cols:
+        col = G[:, c].tolist()
+        if (r := next((i for i in free if col[i]), None)) is None:
+            continue
+        inv, col[r] = field.inv(col[r]), 0
+        if rows := [i for i in range(len(col)) if col[i]]:
+            scale = field.vmul(np.array(col)[rows], field.vmul(inv, p - 1))
+            G[rows] = field.vadd(G[rows], field.vmul(scale[:, None], G[r]))
+        G[r] = field.vmul(G[r], inv)
+        free.remove(r)
+        pivots.append(c)
+        if not free:
+            return pivots
+    return None
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 31, 257, 65521, 4, 8, 9, 16, 27, 256])
+def test_systematic_forms_match_the_table_routine(q):
+    # prime q updates rows by an int64 multiply-add, the rest by tables;
+    # the forms and pivots must be the same bit for bit
+    field, rng = GF(q), random.Random(q)
+    for k, n in ((1, 5), (3, 12), (6, 40), (10, 64), (12, 9)):
+        G = np.array(columned_entries(rng, field, k, n), np.uint16)
+        G[rng.randrange(k), :] = q - 1  # the largest codes, products past int32 at q = 65521
+        cols = rng.sample(range(n), n)
+        got, want = G.copy(), G.copy()
+        assert _systematic(got, cols, field) == systematic_by_tables(want, cols, field), (k, n)
+        assert got.dtype == np.uint16 and np.array_equal(got, want), (k, n)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
