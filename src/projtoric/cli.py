@@ -246,8 +246,7 @@ def cmd_verify(args):
             print(f"FAIL {label}" + (f" ({detail})" if detail else ""))
 
     k = dimension(P, field)
-    basis = row_basis(M.codes, field)
-    rk = len(basis)
+    rk = len(row_basis(M.codes, field))  # the distance oracles read the basis it keeps
     uf = reduction_class_count_unionfind(P, field)
     n = count_rational_points(P, field.q)
     check("block triangularity", not M.structural_violations())
@@ -261,11 +260,11 @@ def cmd_verify(args):
         print("skip distance bound (no surjective dilate in range)")
     else:
         bound = distance_lower_bound(P, P.dilate(lam), field, order)
-        upper = min_weight_random_upper(basis, field, seed=args.seed)
+        upper = min_weight_random_upper(M.codes, field, seed=args.seed)
         check("bound below random upper", bound <= upper, f"{bound} vs {upper}")
         within = field.q ** rk <= args.budget
         if args.require_distance or within:
-            d = min_distance_exhaustive(basis, field, budget=args.budget)
+            d = min_distance_exhaustive(M.codes, field, budget=args.budget)
             check("bound below true distance", bound <= d, f"{bound} vs {d}")
             check("true distance below upper", d <= upper, f"{d} vs {upper}")
         else:

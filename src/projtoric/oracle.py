@@ -12,9 +12,20 @@ ints. It is read, never written. row_basis returns a uint16 array.
 Zero rows and copies of earlier rows are dropped first, which is exact:
 a copy takes its original's updates while both are pending, the
 original is pivoted first and zeroes it, and a row that never becomes a
-pivot is never subtracted from another. rank_gf builds no basis. The
-row loop keeps no per-row state: a pivot row is set aside as it stood
-until the end, so the rows nonzero at a column are those to update.
+pivot is never subtracted from another. rank_gf builds no basis for a
+matrix wider than 16 LEAF. The row loop keeps no per-row state: a pivot
+row is set aside as it stood until the end, so the rows nonzero at a
+column are those to update.
+
+The module keeps the last full reduction: q, the matrix converted to
+uint16 and its row basis, read-only. Every row_basis call and both
+distance oracles build the basis and keep it; so does rank_gf on a
+matrix no wider than 16 LEAF, whose elimination is one row loop and
+that loop the basis's. A wide rank_gf call keeps nothing. Any oracle
+called on a matrix equal in shape and content under the same q reads
+the kept basis instead of reducing again: rank_gf takes its length,
+row_basis returns a copy. The key is the content, not the object, so a
+matrix written in place between calls is reduced afresh.
 
 Both distance oracles form codewords as GF.vaddmatmul products of
 coefficient rows and a basis, an echelon basis or a systematic form of
@@ -130,13 +141,38 @@ def _eliminate(W, field, record, basis, leaf=LEAF):
     return pivots, H
 
 
+# (q, the matrix as converted, its read-only row basis): the last full
+# reduction. It is read once per call and replaced whole, so a thread
+# that races another reads one consistent triple or reduces afresh.
+_kept = None
+
+
 def _reduce(entries, field, basis):
-    """The first copies of the distinct nonzero rows, eliminated, and the pivots."""
+    """The read-only row basis of the first copies of the distinct nonzero
+    rows, or for a rank-only call wider than 16 LEAF their pivots: either
+    way as long as the rank. A call that built the basis keeps it, with q
+    and the matrix as converted, and a call on equal content under the
+    same q returns it without eliminating. A call that keeps nothing
+    holds no converted matrix past the dropping of zero rows and copies."""
+    global _kept
     field = as_field(field)
     A = np.atleast_2d(np.asarray(entries, dtype=np.uint16))
+    kept = _kept
+    if kept and kept[0] == field.q and kept[1].shape == A.shape and np.array_equal(kept[1], A):
+        return kept[2]
+    key = None
+    if basis or A.shape[1] <= 16 * LEAF:  # the elimination is the row loop's, a basis
+        # an array of the caller's could be written in place after the call
+        key = A if A.base is None and A is not entries else A.copy()
     first, nonzero = {}, A.any(axis=1)
     A = A[[i for i, row in enumerate(A) if nonzero[i] and first.setdefault(row.tobytes(), i) == i]]
-    return A, _eliminate(A, field, False, basis, 16 * LEAF)[0] if A.size else []
+    pivots = _eliminate(A, field, False, basis, 16 * LEAF)[0] if A.size else []
+    if key is None:
+        return pivots
+    A = A[pivots]
+    A.flags.writeable = False
+    _kept = (field.q, key, A)
+    return A
 
 
 def row_basis(entries, field):
@@ -146,14 +182,14 @@ def row_basis(entries, field):
     LEAF (16 LEAF for the whole matrix) or to at most LEAF rows, each
     update between halves being one GF.vaddmatmul. entries is any 2D
     array-like of element codes and is not written; the basis is a new
-    uint16 array, in pivot order."""
-    A, pivots = _reduce(entries, field, True)
-    return A[pivots]
+    uint16 array, in pivot order, a copy of the kept one."""
+    return _reduce(entries, field, True).copy()
 
 
 def rank_gf(entries, field):
-    """Rank over GF(q): the pivot count of row_basis, with no basis built."""
-    return len(_reduce(entries, field, False)[1])
+    """Rank over GF(q): the pivot count of row_basis, the length of the
+    kept basis on a repeat, with no basis built past 16 LEAF columns."""
+    return len(_reduce(entries, field, False))
 
 
 def _combinations(q, s):
@@ -196,9 +232,9 @@ def _exhaustive(basis, field):
 
 
 def _basis(entries, field):
-    """The field and an echelon basis of the rows as a code array."""
+    """The field and the kept, read-only echelon basis of the rows."""
     field = as_field(field)
-    basis = row_basis(entries, field)
+    basis = _reduce(entries, field, True)
     if not len(basis):
         raise ValueError("zero matrix spans no nonzero codewords")
     return field, basis

@@ -7,8 +7,9 @@ members of the random 3D corpus, and the unit simplices and the unit
 so its code is the tensor product of theirs: k and n multiply, and so
 does the minimum distance. On the simplex, the code is the first-order
 projective Reed-Muller code, of distance q^N (Sørensen, IEEE Trans. IT
-37, 1991); on the box with sides a_i it is a product of Reed-Solomon
-codes, of distance prod(q + 1 - a_i).
+37, 1991), and on its dilate lΔ_N the order-l one; on the box with
+sides a_i it is a product of Reed-Solomon codes, of distance
+prod(q + 1 - a_i).
 """
 
 from itertools import combinations_with_replacement, product
@@ -116,3 +117,47 @@ def test_high_dim_property_suite():
                 if q**k <= 1 << 22:
                     assert d == dP * dQ, label
         assert products == 21 and known == 11
+
+
+def sorensen_distance(N, q, l):
+    """The minimum distance of the projective Reed-Muller code of order
+    l on P^N over F_q, 1 <= l <= N (q - 1) (Sørensen 1991): with l - 1 =
+    r (q - 1) + s and 0 <= s < q - 1, it is (q - s) q^(N - r - 1)."""
+    r, s = divmod(l - 1, q - 1)
+    return (q - s) * q ** (N - r - 1)
+
+
+def simplex_case(N, q, l):
+    """(lambda, best stock bound, exhaustive distance or None past q^k =
+    2^22) of lΔ_N over F_q, its dimension checked against the rank."""
+    P, field = Polytope.from_vertices([tuple(l * x for x in v) for v in simplex(N)]), GF(q)
+    codes = generator_matrix(P, field).codes
+    k = dimension(P, field)
+    assert rank_gf(codes, field) == k, (N, q, l)
+    lam = find_surjective_dilate(P, field, 4 * q)
+    bound = best_bound_over_orders(P, P.dilate(lam), field)[0]
+    return lam, bound, min_distance_exhaustive(codes, field) if q**k <= 1 << 22 else None
+
+
+def test_simplex_distances_match_sorensen():
+    # lΔ_N for N = 2, q <= 7 and N = 3, q <= 4, every order l up to
+    # N (q - 1): 50 codes, 20 of them within q^k = 2^22. The bound is
+    # sharp only at l = 1, and it is 1 wherever lambda = 2
+    short, exact = {}, 0
+    for N, qs in ((2, (2, 3, 4, 5, 7)), (3, (2, 3, 4))):
+        for q in qs:
+            for l in range(1, N * (q - 1) + 1):
+                d = sorensen_distance(N, q, l)
+                lam, bound, exhaustive = simplex_case(N, q, l)
+                assert bound <= d and (lam != 2 or bound == 1), (N, q, l)
+                if exhaustive is not None:
+                    exact += 1
+                    assert exhaustive == d, (N, q, l)
+                if bound < d:
+                    short[N, q, l] = bound, d
+    assert exact == 20 and len(short) == 42
+    assert all(l >= 2 for _, _, l in short)  # the 42 codes of order 2 and up
+    assert short[2, 7, 2] == (41, 42)
+    # 2Δ_4 over F3 and F2, the second within the exhaustive budget
+    assert simplex_case(4, 3, 2)[1:] == (41, None) and sorensen_distance(4, 3, 2) == 54
+    assert simplex_case(4, 2, 2)[1:] == (1, 8) == (1, sorensen_distance(4, 2, 2))

@@ -184,8 +184,9 @@ def test_row_basis_fixes_data_bases():
     for name, q, _ in PINNED_MATRICES:
         P, _ = load_document(DATA / name)
         codes = generator_matrix(P, GF(q)).codes
+        rank = rank_gf(codes, q)  # before row_basis could keep the basis
         basis = row_basis(codes, q)
-        assert len(basis) == rank_gf(codes, q)
+        assert len(basis) == rank
         assert np.array_equal(row_basis(basis, q), basis), name
 
 
@@ -250,10 +251,13 @@ def test_row_basis_panels_match_reference(q, gf65536):
     field = gf65536 if q == 1 << 16 else GF(q)
     rng = random.Random(q)
     for entries in recursion_cases(rng, field):
+        # the rank first: these are past 16 LEAF columns, so it eliminates
+        # without a basis and keeps nothing, and row_basis reduces afresh
+        rank = rank_gf(entries, field)
         basis = row_basis(entries, field)
         reference = row_basis_reference(entries, field)
         assert basis.tolist() == reference
-        assert rank_gf(entries, field) == len(reference)
+        assert rank == len(reference)
         assert np.array_equal(row_basis(basis, field), basis)
 
 
@@ -265,9 +269,10 @@ def test_copies_and_zero_rows_match_reference(q):
     for cols in (1, 5, 16 * LEAF, 16 * LEAF + 1):
         rows = [[rng.randrange(q) for _ in range(cols)] for _ in range(5)]
         entries = [rows[rng.randrange(5)] if i % 4 else [0] * cols for i in range(30)]
+        rank = rank_gf(entries, field)  # before row_basis could keep the basis
         basis = row_basis(entries, field)
         assert basis.tolist() == row_basis_reference(entries, field), cols
-        assert rank_gf(entries, field) == len(basis)
+        assert rank == len(basis)
 
 
 def loop_reference(rows, field):
@@ -355,10 +360,18 @@ def test_row_bases_sha256_pinned(polygon_corpus, cube, hirzebruch, toy_triangle,
     assert h.hexdigest() == ROW_BASES_SHA256
 
 
-def test_rank_builds_no_basis(monkeypatch, cube):
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    """Nothing kept: a test that counts elimination or product work
+    starts here, whatever the tests before it reduced."""
+    monkeypatch.setattr(projtoric.oracle, "_kept", None)
+
+
+def test_rank_builds_no_basis(monkeypatch, fresh_memo, cube):
     # rank_gf skips the products that bring finished pivot rows up to
     # date: on the cube x 4 over F16 (125 x 4913, every pivot in the
-    # left half) they are about 92% of row_basis's product work
+    # left half) they are about 92% of row_basis's product work. Being
+    # wider than 16 LEAF, it keeps nothing, so row_basis reduces afresh
     field = GF(16)
     codes = generator_matrix(cube.dilate(4), field).codes
     work, vaddmatmul = [0], GF.vaddmatmul
@@ -370,9 +383,109 @@ def test_rank_builds_no_basis(monkeypatch, cube):
 
     monkeypatch.setattr(GF, "vaddmatmul", counted)
     assert rank_gf(codes, field) == 125
+    assert projtoric.oracle._kept is None
     rank_work, work[0] = work[0], 0
     assert len(row_basis(codes, field)) == 125
     assert 0 < rank_work <= work[0] / 10
+
+
+def test_row_basis_is_idempotent(polygon_corpus, cube, hirzebruch, toy_triangle, unit_square):
+    # an echelon basis reduces to itself, so verify may hand either the
+    # matrix or its basis to the distance oracles: on the corpus, the
+    # scale matrices and random ones over fields up to 257, narrower and
+    # wider than 16 LEAF columns, with copies of earlier rows
+    matrices = [(generator_matrix(P, GF(q)).codes, q) for P, q in polygon_corpus + [
+        (cube.dilate(4), 16), (hirzebruch.dilate(10), 31), (toy_triangle, 257), (unit_square, 257),
+    ]]
+    rng = random.Random(29)
+    for _ in range(300):
+        q = rng.choice((2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 31, 64, 81, 125, 128, 256, 257))
+        wide = 16 * LEAF
+        cols = rng.choice((rng.randrange(1, wide), wide, wide + 1, rng.randrange(wide, 400)))
+        entries = random_entries(rng, q, rng.randrange(1, 12), cols)
+        entries.insert(rng.randrange(len(entries) + 1), entries[rng.randrange(len(entries))])
+        matrices.append((entries, q))
+    for entries, q in matrices:
+        basis = row_basis(entries, q)
+        assert np.array_equal(row_basis(basis, q), basis), q
+
+
+def outcome(oracle, entries, field):
+    """What oracle(entries, field) returns, a basis as lists, or the
+    type of what it raises."""
+    try:
+        got = oracle(entries, field)
+    except (BudgetExceededError, ValueError) as exc:
+        return type(exc)
+    return got.tolist() if isinstance(got, np.ndarray) else got
+
+
+def test_kept_reduction_matches_a_fresh_one(monkeypatch, fresh_memo):
+    # a seeded interleaving of oracles, matrices and fields: every result
+    # equals the one reduced with nothing kept, whether the call read the
+    # kept basis or not
+    oracles = (
+        rank_gf,
+        row_basis,
+        lambda entries, field: min_weight_random_upper(entries, field, 50, 3),
+        lambda entries, field: min_distance_exhaustive(entries, field, 1 << 12),
+    )
+    fields = {q: GF(q) for q in (2, 3, 4, 5, 7, 9, 16, 257)}
+    rng = random.Random(29)
+    # narrow and wide matrices, one wide with more than LEAF rows, where
+    # the rank builds no basis; codes below 2 are codes of every field
+    shapes = ((2, 2, 3, 9), (3, 2, 5, 40), (5, 5, 4, 200), (7, 2, 2, 16 * LEAF + 1),
+              (16, 16, 3, 30), (257, 257, 2, 300), (9, 9, 5, 16 * LEAF), (3, 3, 12, 16 * LEAF + 40))
+    pool = [(np.array(random_entries(rng, top, rows, cols), np.uint16), q)
+            for q, top, rows, cols in shapes]
+    eliminations, eliminate = [0], projtoric.oracle._eliminate
+
+    def counted(W, field, record, basis, leaf=LEAF):
+        eliminations[0] += leaf > LEAF  # a whole matrix, not a recursion's half
+        return eliminate(W, field, record, basis, leaf)
+
+    monkeypatch.setattr(projtoric.oracle, "_eliminate", counted)
+    read, i = {"kept": 0, "fresh": 0}, 0
+    for _ in range(400):
+        i = i if rng.random() < 0.6 else rng.randrange(len(pool))  # often the matrix just reduced
+        A, q = pool[i]
+        if not A.any():
+            continue
+        form = rng.randrange(5)
+        if form == 3:  # the same bytes under another q
+            q = rng.choice([other for other in fields if other > A.max()])
+        elif form == 4:  # written in place after the calls before
+            r, c = rng.randrange(A.shape[0]), rng.randrange(A.shape[1])
+            A[r, c] = (int(A[r, c]) + 1 + rng.randrange(q - 1)) % q
+        entries = {1: A.copy(), 2: tuple(map(tuple, A.tolist()))}.get(form, A)
+        oracle, field = rng.choice(oracles), fields[q]
+        before = eliminations[0]
+        if oracle is row_basis:
+            basis = row_basis(entries, field)
+            got = basis.tolist()
+            basis[...] = 1  # the caller's copy, not the kept basis
+        else:
+            got = outcome(oracle, entries, field)
+        read["kept" if eliminations[0] == before else "fresh"] += 1
+        kept, projtoric.oracle._kept = projtoric.oracle._kept, None
+        assert got == outcome(oracle, entries, field), (oracle, q, form)
+        projtoric.oracle._kept = kept
+    assert min(read.values()) > 100, read
+
+
+def test_oracles_share_one_elimination(monkeypatch, fresh_memo, polygon_corpus):
+    # the sweep's calls on corpus polygon 69 over F7 (8 x 57), each given
+    # the matrix as tuples: the rank keeps the basis, and the random upper
+    # bound and the exhaustive distance read it
+    P, q = polygon_corpus[69]
+    field = GF(q)
+    entries = generator_matrix(P, field).entries
+    calls, eliminate = [], projtoric.oracle._eliminate
+    monkeypatch.setattr(projtoric.oracle, "_eliminate", lambda *a: calls.append(1) or eliminate(*a))
+    assert rank_gf(entries, field) == 8
+    assert min_weight_random_upper(entries, field, 200, 0) >= 18
+    assert min_distance_exhaustive(entries, field, 1 << 24) == 18
+    assert len(calls) == 1
 
 
 def test_row_basis_chunked_update():
@@ -664,7 +777,7 @@ def corpus_case(polygon_corpus, i):
     return row_basis(generator_matrix(P, field).codes, field), field
 
 
-def test_stop_rule_cuts_the_work_on_p069(monkeypatch, polygon_corpus):
+def test_stop_rule_cuts_the_work_on_p069(monkeypatch, fresh_memo, polygon_corpus):
     # corpus polygon 69 over F7: k = 8, n = 57, d = 18 over five disjoint
     # information sets. The meet-in-the-middle search weighs all 960,800
     # normalised messages; the bound 5 (w + 1) + j proves d after round 3
