@@ -2,8 +2,8 @@
 
 Samples random lattice polygons, computes the bound under every stock
 order plus a few weight orders, and tallies how often each order is
-strictly ahead of lex. Exhaustive distances are added where the message
-space is small enough, to show the slack of the best bound.
+strictly ahead of lex. verify_ledger checks each code under its best order,
+its exhaustive distance, where affordable, showing the slack; a failure exits 1.
 """
 
 import argparse
@@ -15,13 +15,12 @@ from projtoric import (
     OrderSpec,
     Polytope,
     PolytopeError,
+    bounds_over_orders,
     check_hypotheses,
-    distance_lower_bound,
     find_surjective_dilate,
     generator_matrix,
-    min_distance_exhaustive,
-    projective_reduction,
     stock_orders,
+    verify_ledger,
 )
 
 
@@ -43,6 +42,7 @@ class Tally:
     ties: int = 0
     exact: int = 0
     compared: int = 0
+    failed: int = 0
 
 
 def sample_polygons(cfg):
@@ -72,35 +72,31 @@ def sample_polygons(cfg):
 
 
 def run(cfg):
-    orders = stock_orders(2) + [
-        OrderSpec.wlex(w) for w in cfg.extra_weights
-    ]
+    orders = stock_orders(2) + [OrderSpec.wlex(w) for w in cfg.extra_weights]
     tally = Tally(beats_lex={o.name: 0 for o in orders[1:]})
     for P, q in sample_polygons(cfg):
         fieldq = GF(q)
         lam = find_surjective_dilate(P, fieldq, lambda_max=cfg.lambda_max)
         if lam is None:
             continue
-        big = P.dilate(lam)
-        bounds = {
-            o.name: distance_lower_bound(P, big, fieldq, o) for o in orders
-        }
+        details = bounds_over_orders(P, P.dilate(lam), fieldq, orders)
+        bounds = {d.order.name: d.bound for d in details}
         tally.polygons += 1
         lex = bounds["lex"]
-        best = max(bounds.values())
+        best = max(details, key=lambda d: d.bound).order
         for name, b in bounds.items():
             if name != "lex" and b > lex:
                 tally.beats_lex[name] += 1
-        if best == lex:
+        if bounds[best.name] == lex:
             tally.ties += 1
-        k = len(projective_reduction(P, fieldq).representatives)
-        if q ** k <= cfg.exhaustive_budget:
-            M = generator_matrix(P, fieldq)
-            d = min_distance_exhaustive(M.codes, fieldq)
-            assert best <= d, f"bound {best} exceeds the distance {d}: {P.vertices} over F{q}"
-            tally.compared += 1
-            if best == d:
-                tally.exact += 1
+        M = generator_matrix(P, fieldq)
+        for record in verify_ledger(P, M, best, cfg.lambda_max, cfg.exhaustive_budget):
+            if record.ok is False:
+                tally.failed += 1
+                print(f"{record}: {P.vertices} over F{q}")
+            if record.label == "bound below true distance":
+                tally.compared += 1
+                tally.exact += record.values[0] == record.values[1]
     return tally
 
 
@@ -122,7 +118,8 @@ def main():
             f"best bound equals the true distance on "
             f"{tally.exact}/{tally.compared} exhaustively checked codes"
         )
+    return 1 if tally.failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -6,8 +6,8 @@ characteristic hypotheses, then build the evaluation matrix of its
 monomials at every rational point, compute the code dimension by a
 per-face reduction count, and bound the minimum distance from below by
 counting surviving reduced points of a surjective enlargement. The
-oracle module re-derives the same quantities by brute force for
-cross-checking at small sizes.
+oracle module re-derives the same quantities by brute force, and
+verify_ledger checks the pipeline against it at small sizes.
 """
 
 from .intlat import snf_invariant_factors
@@ -39,6 +39,7 @@ from .code import (
     projective_reduction,
     stock_orders,
     subcode_matrix,
+    verify_ledger,
 )
 from .oracle import (
     BudgetExceededError,
@@ -86,6 +87,7 @@ __all__ = [
     "snf_invariant_factors",
     "stock_orders",
     "subcode_matrix",
+    "verify_ledger",
 ]
 
 __version__ = "0.1.0"

@@ -16,37 +16,13 @@ import sys
 from collections import Counter
 from functools import cache
 
-import numpy as np
-
-from .code import (
-    OrderSpec,
-    bounds_over_orders,
-    dimension,
-    distance_lower_bound,
-    find_surjective_dilate,
-    generator_matrix,
-    stock_orders,
-    subcode_matrix,
-)
+from .code import NO_DILATE, OrderSpec, _integer, bounds_over_orders, dimension, find_surjective_dilate
+from .code import generator_matrix, stock_orders, subcode_matrix, verify_ledger
 from .gf import GF, FieldError
-from .oracle import (
-    BudgetExceededError,
-    min_distance_exhaustive,
-    min_weight_random_upper,
-    pick_check,
-    reduction_class_count_unionfind,
-    row_basis,
-)
+from .oracle import BudgetExceededError
 from .polytope import Polytope, PolytopeError
 from .variety import HypothesisError, check_hypotheses, count_rational_points
 from .variety import picard_invariants, require_hypotheses
-
-
-def _integer(value, what):
-    # bool is an int subclass, and a float would be truncated by int()
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 def _integers(values, what):
@@ -229,47 +205,16 @@ def cmd_verify(args):
     order = _order_from(args, doc, P, lam_max)
     M = generator_matrix(P, field)
     if args.inject_corruption:
-        zeros = np.argwhere(M.codes == 0)
-        if not len(zeros):
+        if M.codes.all():
             raise ValueError("matrix has no structural zero to corrupt")
         codes = M.codes.copy()
-        codes[tuple(zeros[0])] = 1
+        codes.flat[codes.argmin()] = 1  # the first zero in row-major order
         M = dataclasses.replace(M, codes=codes)
-    failures = 0
-
-    def check(label, ok, detail=""):
-        nonlocal failures
-        if ok:
-            print(f"ok   {label}")
-        else:
-            failures += 1
-            print(f"FAIL {label}" + (f" ({detail})" if detail else ""))
-
-    k = dimension(P, field)
-    rk = len(row_basis(M.codes, field))  # the distance oracles read the basis it keeps
-    uf = reduction_class_count_unionfind(P, field)
-    n = count_rational_points(P, field.q)
-    check("block triangularity", not M.structural_violations())
-    check("rank equals reduction count", rk == k, f"rank {rk} vs {k}")
-    check("union-find agrees", uf == k, f"{uf} vs {k}")
-    check("length equals point count", M.shape[1] == n, f"{M.shape[1]} vs {n}")
-    if P.dim == 2:
-        check("Pick's theorem", pick_check(P))
-    lam = find_surjective_dilate(P, field, lam_max)
-    if lam is None:
-        print("skip distance bound (no surjective dilate in range)")
-    else:
-        bound = distance_lower_bound(P, P.dilate(lam), field, order)
-        upper = min_weight_random_upper(M.codes, field, seed=args.seed)
-        check("bound below random upper", bound <= upper, f"{bound} vs {upper}")
-        within = field.q ** rk <= args.budget
-        if args.require_distance or within:
-            d = min_distance_exhaustive(M.codes, field, budget=args.budget)
-            check("bound below true distance", bound <= d, f"{bound} vs {d}")
-            check("true distance below upper", d <= upper, f"{d} vs {upper}")
-        else:
-            print("skip exhaustive distance (over budget)")
-    return 1 if failures else 3 if lam is None else 0
+    records = []
+    for record in verify_ledger(P, M, order, lam_max, args.budget, args.seed, args.require_distance):
+        print(record)
+        records.append(record)
+    return 1 if any(r.ok is False for r in records) else 3 if NO_DILATE in records else 0
 
 
 def cmd_subcode(args):

@@ -14,10 +14,13 @@ translated offset-difference region.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .gf import CAP, GF, as_field, field_size
+from .oracle import min_distance_exhaustive, min_weight_random_upper, pick_check
+from .oracle import reduction_class_count_unionfind, row_basis
 from .polytope import PolytopeError, face_incidence, offset_difference, same_normal_fan
 from .variety import build_flags, flag_assignment, require_hypotheses, count_rational_points
 
@@ -394,24 +397,78 @@ def best_bound_over_orders(P, Pbig, field, orders=None):
     return best.bound, best.order
 
 
+def _integer(value, what):
+    # a bool is an int subclass and a numpy mask, and int() would truncate a float
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def subcode_matrix(M, rows=None, cols=None):
     """Submatrix of an evaluation matrix, orderings preserved.
 
-    rows selects lattice points (all when None); cols selects column
-    indices (all when None). Returns a tuple of tuples of ints, the
-    form the command line emits. Raises ValueError on an empty
-    selection or an unknown row point.
+    rows selects lattice points and cols column indices, all when None.
+    Returns a tuple of tuples of ints, the form the command line emits.
+    Raises ValueError on an empty selection, an unknown row point, and an
+    index or coordinate that is not a Python or numpy int, a bool or float.
     """
     points = list(map(tuple, M.row_points.tolist()))
     index = {m: i for i, m in enumerate(points)}
-    rows = points if rows is None else [tuple(m) for m in rows]
-    unknown = next((m for m in rows if m not in index), None)
-    if unknown is not None:
+    rows = points if rows is None else [tuple(_integer(x, "row coordinate") for x in m) for m in rows]
+    if (unknown := next((m for m in rows if m not in index), None)) is not None:
         raise ValueError(f"{unknown} is not a row of the matrix")
-    width = M.shape[1]
-    cidx = range(width) if cols is None else list(cols)
-    if any(not (0 <= j < width) for j in cidx):
+    cidx = range(M.shape[1]) if cols is None else [_integer(j, "column index") for j in cols]
+    if any(not (0 <= j < M.shape[1]) for j in cidx):
         raise ValueError("column index out of range")
     if not rows or not cidx:
         raise ValueError("empty selection")
     return tuple(map(tuple, M.codes[np.ix_([index[m] for m in rows], cidx)].tolist()))
+
+
+class Check(NamedTuple):
+    """One record of verify_ledger; str(check) is the line verify prints."""
+
+    label: str
+    ok: bool | None  # None for a skip
+    values: tuple = ()  # those compared, left against right
+    detail: str = ""  # what a FAIL line adds
+
+    def __str__(self):
+        head = {None: "skip", True: "ok  ", False: "FAIL"}[self.ok]
+        tail = f" ({self.detail})" if self.ok is False and self.detail else ""
+        return f"{head} {self.label}{tail}"
+
+
+NO_DILATE = Check("distance bound (no surjective dilate in range)", None)
+
+
+def verify_ledger(P, M, order=None, lambda_max=16, budget=1 << 24, seed=0, require_distance=False):
+    """Check the code of P, generated by M over M.field, against the oracles,
+    yielding each Check as it is made: zero pattern; rank = reduction count =
+    union-find count; length = point count; Pick's theorem on a polygon; at the
+    least surjective dilate up to lambda_max (else NO_DILATE), bound under order
+    <= random upper bound of seed, and bound <= exhaustive distance <= upper bound
+    unless q^rank > budget: then skipped, or with require_distance refused."""
+    field = M.field
+    k = dimension(P, field)
+    rk = len(row_basis(M.codes, field))  # the distance oracles read the basis it keeps
+    uf = reduction_class_count_unionfind(P, field)
+    n = count_rational_points(P, field.q)
+    yield Check("block triangularity", not M.structural_violations())
+    yield Check("rank equals reduction count", rk == k, (rk, k), f"rank {rk} vs {k}")
+    yield Check("union-find agrees", uf == k, (uf, k), f"{uf} vs {k}")
+    yield Check("length equals point count", M.shape[1] == n, (M.shape[1], n), f"{M.shape[1]} vs {n}")
+    if P.dim == 2:
+        yield Check("Pick's theorem", pick_check(P))
+    if (lam := find_surjective_dilate(P, field, lambda_max)) is None:
+        yield NO_DILATE
+        return
+    bound = distance_lower_bound(P, P.dilate(lam), field, order)
+    upper = min_weight_random_upper(M.codes, field, seed=seed)
+    yield Check("bound below random upper", bound <= upper, (bound, upper), f"{bound} vs {upper}")
+    if not (require_distance or field.q ** rk <= budget):
+        yield Check("exhaustive distance (over budget)", None)
+        return
+    d = min_distance_exhaustive(M.codes, field, budget=budget)
+    yield Check("bound below true distance", bound <= d, (bound, d), f"{bound} vs {d}")
+    yield Check("true distance below upper", d <= upper, (d, upper), f"{d} vs {upper}")

@@ -15,10 +15,6 @@ also in Python ints.
 from math import gcd, prod
 
 
-def identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def _egcd(a, b):
     """Extended Euclid: (g, x, y) with g = gcd(a, b) >= 0 and a*x + b*y = g."""
     old_r, r = a, b

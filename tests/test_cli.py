@@ -242,12 +242,22 @@ def test_verify_detects_corruption(capsys, toy_doc):
 
 
 def test_verify_budget_refusal(capsys, toy_doc):
-    code, _, err = run(
+    # the ledger's lines reach stdout as they are made, so the six before
+    # the refused exhaustive distance are printed ahead of exit 4
+    code, out, err = run(
         capsys, "verify", "--polytope", toy_doc,
         "--require-distance", "--budget", "100",
     )
     assert code == 4
-    assert "budget refusal" in err
+    assert err == "budget refusal: q^k = 1024 exceeds the budget of 100 words\n"
+    assert out.splitlines() == [
+        "ok   block triangularity",
+        "ok   rank equals reduction count",
+        "ok   union-find agrees",
+        "ok   length equals point count",
+        "ok   Pick's theorem",
+        "ok   bound below random upper",
+    ]
 
 
 def test_matrix_too_large_to_allocate_is_a_budget_refusal(capsys):

@@ -458,12 +458,28 @@ def test_subcode_matrix(toy_triangle):
     sub = subcode_matrix(M, rows=[(0, 1), (1, 0)], cols=torus)
     assert len(sub) == 2 and len(sub[0]) == 9
     assert rank_gf(sub, field) == 2
+    # numpy ints index as Python ints do
+    assert subcode_matrix(M, [np.array([0, 1]), (np.int16(1), 0)], np.array(torus)) == sub
     with pytest.raises(ValueError, match="not a row"):
         subcode_matrix(M, rows=[(9, 9)])
     with pytest.raises(ValueError):
         subcode_matrix(M, cols=[999])
     with pytest.raises(ValueError, match="empty"):
         subcode_matrix(M, rows=[])
+
+
+@pytest.mark.parametrize("rows,cols", [
+    (None, [True]),  # numpy reads a bool list as a mask, here of column 0
+    (None, [np.True_]),
+    (None, [1.5]),  # numpy raises its IndexError on a float index
+    (None, [np.float64(1)]),
+    ([(1.0, 0)], None),  # both hash as the row point (1, 0)
+    ([(True, False)], None),
+])
+def test_subcode_matrix_refuses_bool_and_float_indices(toy_triangle, rows, cols):
+    M = generator_matrix(toy_triangle, GF(4))
+    with pytest.raises(ValueError, match="must be an integer"):
+        subcode_matrix(M, rows, cols)
 
 
 def test_duplicate_class_rows_are_kept():

@@ -7,7 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference import _leibniz, ref_rank
-from projtoric.intlat import _hermite, determinant, identity, rank, snf_invariant_factors
+from projtoric.intlat import _hermite, determinant, rank, snf_invariant_factors
+
+
+def identity(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def hnf(A):
