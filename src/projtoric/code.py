@@ -20,7 +20,7 @@ import numpy as np
 
 from .gf import CAP, GF, as_field, field_size
 from .oracle import min_distance_exhaustive, min_weight_random_upper, pick_check
-from .oracle import reduction_class_count_unionfind, row_basis
+from .oracle import _nonnegative_int, reduction_class_count_unionfind, row_basis
 from .polytope import PolytopeError, face_incidence, offset_difference, same_normal_fan
 from .variety import build_flags, flag_assignment, require_hypotheses, count_rational_points
 
@@ -119,14 +119,16 @@ def _rows(P):
 
 
 def _evaluate(exponents, field):
-    """exp[(E @ J) % (q-1)] as uint16, which holds every code as q <= 2^16.
-    Units are stored as powers of the generator g and column c of J is
-    the c-th tuple of range(q-1)^k in product order, so entry (i, c) is
-    the monomial E[i] at the unit tuple g^J[:, c], for any sign of E."""
-    q1 = field.q - 1
-    k = exponents.shape[1]
-    powers = exponents @ np.indices((q1,) * k).reshape(k, q1**k)
-    powers %= q1
+    """Entry (i, c) is the monomial E[i], of any sign, at the unit tuple g^J[:, c]
+    for J's column c the c-th tuple of range(q-1)^k in product order, a uint16 code.
+    Steps E[:, j] * range(q-1) % (q-1) are added a coordinate at a time, earlier ones
+    outer, sums of two or more cut below q-1: the last, below 2(q-1), indexes exp_table."""
+    q1, (rows, k) = field.q - 1, exponents.shape
+    powers, *steps = exponents.T[:, :, None] * np.arange(q1) % q1 if k else [np.zeros((rows, 1), np.intp)]
+    for step in steps:
+        if powers.shape[1] > q1:
+            np.subtract(powers, q1, out=powers, where=powers >= q1)
+        powers = (powers[:, :, None] + step[:, None, :]).reshape(rows, -1)
     return field.exp_table[powers]
 
 
@@ -176,9 +178,9 @@ class EvaluationMatrix:
         """Entries breaking the zero pattern, nonzero off the column's
         face or zero on it, as (i, j) pairs in row-major order. Empty on
         a correctly assembled matrix."""
-        col_face = np.repeat(np.arange(len(self.faces)), self.block_widths)
-        on_face = face_incidence(self.faces)[np.ix_(self.row_face_index, col_face)]
-        return list(map(tuple, np.argwhere(on_face != (self.codes != 0)).tolist()))
+        on_face = np.repeat(face_incidence(self.faces)[self.row_face_index], self.block_widths, axis=1)
+        bad = on_face != (self.codes != 0)
+        return list(map(tuple, np.argwhere(bad).tolist())) if bad.any() else []
 
 
 def generator_matrix(P, field, flags=None):
@@ -313,8 +315,7 @@ def find_surjective_dilate(P, field, lambda_max=16):
     returns it whenever lam <= lambda_max, and None otherwise, which is exact
     as lam is the least surjective factor >= L. A failure keeps no lam.
     lambda_max must be an int >= 1, not a bool."""
-    if isinstance(lambda_max, bool) or not isinstance(lambda_max, int) or lambda_max < 1:
-        raise ValueError(f"lambda_max must be an int >= 1, got {lambda_max!r}")
+    _nonnegative_int(lambda_max, "lambda_max", 1)
     q = field_size(field)
     if (lam := P.__dict__.get("surjective_factors", {}).get(q)) is not None:
         return lam if lam <= lambda_max else None
@@ -443,12 +444,14 @@ NO_DILATE = Check("distance bound (no surjective dilate in range)", None)
 
 
 def verify_ledger(P, M, order=None, lambda_max=16, budget=1 << 24, seed=0, require_distance=False):
-    """Check the code of P, generated by M over M.field, against the oracles,
-    yielding each Check as it is made: zero pattern; rank = reduction count =
-    union-find count; length = point count; Pick's theorem on a polygon; at the
-    least surjective dilate up to lambda_max (else NO_DILATE), bound under order
-    <= random upper bound of seed, and bound <= exhaustive distance <= upper bound
-    unless q^rank > budget: then skipped, or with require_distance refused."""
+    """Refuse a bad budget, seed or lambda_max with ValueError, then check the code of
+    P, generated by M over M.field, against the oracles, yielding each Check as it is
+    made: zero pattern; rank = reduction count = union-find count; length = point
+    count; Pick's theorem on a polygon; at the least surjective dilate up to lambda_max
+    (else NO_DILATE), bound under order <= random upper bound of seed, bound <= exact
+    distance <= upper bound unless q^rank > budget: skipped, or with require_distance refused."""
+    for value, what, least in ((budget, "budget", 0), (seed, "seed", 0), (lambda_max, "lambda_max", 1)):
+        _nonnegative_int(value, what, least)
     field = M.field
     k = dimension(P, field)
     rk = len(row_basis(M.codes, field))  # the distance oracles read the basis it keeps

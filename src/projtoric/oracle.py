@@ -74,9 +74,10 @@ def _loop(W, field, record):
     """The row loop of _eliminate, rows updated on W's columns and on H's.
     A pivot row leaves the block as it stood until the end, so the rows
     nonzero at a column are the rows to update there. For prime q an update
-    is one int64 multiply-add reduced by floor division: (p-1)^3 + (p-1),
-    the multiplier unreduced, is past int32 at p = 65521 and far below 2^63."""
+    is one multiply-add reduced by floor division, below (p-1)^3 + (p-1) with
+    the multiplier unreduced: in int32 up to p = 1291, else in int64."""
     p, width = field.p, W.shape[1]
+    dt = np.int32 if (p - 1) ** 3 + p - 1 < 1 << 31 else np.int64
     X = np.concatenate([W, np.zeros((len(W), min(W.shape) if record else 0), np.uint16)], axis=1)
     kept, col = {}, 0  # each pivot's row as it stood, H columns included, in pivot order
     while col < width:
@@ -90,7 +91,7 @@ def _loop(W, field, record):
         prow[slot:slot + 1] = 1  # the pivot row as it stood joins its update
         rows = X[update, col:]
         if field.k == 1:
-            rows = rows[:, :1].astype(np.int64) * (p - inv) * prow[col:] + rows
+            rows = rows[:, :1].astype(dt) * (p - inv) * prow[col:] + rows
             rows -= rows // p * p
         else:
             scale = field.vmul(rows[:, :1], int(field.vmul(inv, p - 1)))  # p - 1 is -1
@@ -240,10 +241,11 @@ def _basis(entries, field):
     return field, basis
 
 
-def _nonnegative_int(value, what):
+def _nonnegative_int(value, what, least=0):
     # bool is an int subclass, and random.Random(True) draws what 1 draws
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"{what} must be nonnegative and an int, not a bool, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        bound = f"an int >= {least}" if least else "nonnegative and an int"
+        raise ValueError(f"{what} must be {bound}, not a bool, got {value!r}")
 
 
 def _systematic(G, cols, field):
@@ -252,7 +254,7 @@ def _systematic(G, cols, field):
     first such row, scaled to 1, as its pivot and is cleared in every
     other row. Returns the k pivot columns, or None when cols hold fewer
     (G is then part way). For prime q a row update is one int64
-    multiply-add reduced by floor division, as in _loop."""
+    multiply-add reduced by floor division."""
     free, pivots, p = list(range(len(G))), [], field.p
     for c in cols:
         col = G[:, c].tolist()

@@ -66,6 +66,8 @@ def anchored_polytopes(draw, dim, q, side):
 CASES = [(2, q, 4) for q in (2, 3, 4, 8, 9)]
 CASES += [(2, 16, 2), (2, 25, 2), (2, 27, 2), (2, 257, 1)]
 CASES += [(3, q, 2) for q in (2, 3, 4, 8, 9)] + [(3, 16, 1)]
+# 4D: the kernel sums four step tables, reducing twice between them
+CASES += [(4, 3, 1), (4, 5, 1)]
 
 
 @pytest.mark.parametrize("dim,q,side", CASES)

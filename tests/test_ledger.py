@@ -12,11 +12,14 @@ from the command line into verify_ledger, so it holds the records of
 every later change to the bound, the dilate search or an oracle to what
 verify printed then. Its random upper bounds and exhaustive distances
 are float products; they must be exact however BLAS splits them.
+Beside the pin, the ledger refuses a bad limit before its first record.
 """
 
 import hashlib
 import json
 from pathlib import Path
+
+import pytest
 
 from projtoric import GF, HypothesisError, generator_matrix, verify_ledger
 from projtoric.cli import load_document
@@ -53,3 +56,13 @@ def test_ledger_sha256_pinned(polygon_corpus):
     for case in _cases(polygon_corpus):
         h.update((json.dumps(_records(*case)) + "\n").encode())
     assert h.hexdigest() == DIGEST
+
+
+@pytest.mark.parametrize("limit", [{"budget": -1}, {"budget": True}, {"budget": 2.5}, {"seed": -1},
+                                   {"lambda_max": 0}, {"lambda_max": True}])
+def test_ledger_refuses_a_bad_limit_before_any_record(toy_triangle, limit):
+    # budget=-1 read as "over budget" and skipped the exhaustive distance
+    M = generator_matrix(toy_triangle, GF(4))
+    (what, _), = limit.items()
+    with pytest.raises(ValueError, match=f"{what} must be "):
+        next(verify_ledger(toy_triangle, M, **limit))

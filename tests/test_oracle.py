@@ -232,8 +232,11 @@ def recursion_cases(rng, field):
     h = n // 2
     base = [rnd(h) for _ in range(6)]
     yield [combination(field, rnd(6), base) + rnd(n - h) for _ in range(12)]
-    # the largest entries everywhere: near p - 1 for the int64 leaf
+    # the largest entries everywhere: near p - 1 for the leaf's update
     yield [[q - 1 - rng.randrange(2) for _ in range(n)] for _ in range(LEAF + 6)]
+    # a pivot of 1 over rows of p - 1, their last entries apart so that
+    # none is dropped as a copy: the leaf's update reaches (p-1)^3 + (p-1)
+    yield [[1] + [q - 1] * (n - 1)] + [[q - 1] * (n - 1) + [i % q] for i in range(LEAF + 5)]
     # copies of earlier rows between the first copies, which the oracle
     # drops before eliminating: twelve distinct rows in twenty-four
     rows = [rnd(n) for _ in range(12)]
@@ -246,7 +249,8 @@ def recursion_cases(rng, field):
            for j in range(12)]
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16, 25, 27, 31, 256, 257, 65521, 65536])
+# 1291 is the last prime whose row-loop update runs in int32, 1297 the first past it
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16, 25, 27, 31, 256, 257, 1291, 1297, 65521, 65536])
 def test_row_basis_panels_match_reference(q, gf65536):
     field = gf65536 if q == 1 << 16 else GF(q)
     rng = random.Random(q)
@@ -315,11 +319,14 @@ def leaf_cases(rng, field):
     # that a later column is the first nonzero one
     top = [1 + rng.randrange(q - 1)] + rnd(1, 7)[0]
     yield [top, top[:3] + [0] * 5, rnd(1, 8)[0], top[:1] + [0] * 7]
-    # the largest codes everywhere: near p - 1 for the int64 update
+    # the largest codes everywhere: near p - 1 for the multiply-add
     yield [[q - 1 - rng.randrange(2) for _ in range(8)] for _ in range(12)]
+    # a pivot of 1 over rows of p - 1: the update multiplies p - 1 three
+    # times and adds p - 1, which wraps in int32 from p = 1297 on
+    yield [[1] + [q - 1] * 7] + [[q - 1] * 8 for _ in range(11)]
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 9, 16, 31, 257, 65521])
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 16, 31, 257, 1291, 1297, 65521])
 def test_loop_keeps_the_leaf_contract(q):
     # _loop is the leaf of the recursion: its pivots, its rows and its
     # record H are checked against scalar arithmetic on blocks it meets
