@@ -20,7 +20,7 @@ import numpy as np
 
 from .gf import CAP, GF, as_field, field_size
 from .oracle import min_distance_exhaustive, min_weight_random_upper, pick_check
-from .oracle import _nonnegative_int, reduction_class_count_unionfind, row_basis
+from .oracle import _int_at_least, reduction_class_count_unionfind, row_basis
 from .polytope import PolytopeError, face_incidence, offset_difference, same_normal_fan
 from .variety import build_flags, flag_assignment, require_hypotheses, count_rational_points
 
@@ -126,7 +126,7 @@ def _evaluate(exponents, field):
     q1, (rows, k) = field.q - 1, exponents.shape
     powers, *steps = exponents.T[:, :, None] * np.arange(q1) % q1 if k else [np.zeros((rows, 1), np.intp)]
     for step in steps:
-        if powers.shape[1] > q1:
+        if powers.shape[1] > q1:  # a first step is below q-1: skipping it pays on small blocks
             np.subtract(powers, q1, out=powers, where=powers >= q1)
         powers = (powers[:, :, None] + step[:, None, :]).reshape(rows, -1)
     return field.exp_table[powers]
@@ -315,7 +315,7 @@ def find_surjective_dilate(P, field, lambda_max=16):
     returns it whenever lam <= lambda_max, and None otherwise, which is exact
     as lam is the least surjective factor >= L. A failure keeps no lam.
     lambda_max must be an int >= 1, not a bool."""
-    _nonnegative_int(lambda_max, "lambda_max", 1)
+    _int_at_least(lambda_max, "lambda_max", 1)
     q = field_size(field)
     if (lam := P.__dict__.get("surjective_factors", {}).get(q)) is not None:
         return lam if lam <= lambda_max else None
@@ -451,7 +451,7 @@ def verify_ledger(P, M, order=None, lambda_max=16, budget=1 << 24, seed=0, requi
     (else NO_DILATE), bound under order <= random upper bound of seed, bound <= exact
     distance <= upper bound unless q^rank > budget: skipped, or with require_distance refused."""
     for value, what, least in ((budget, "budget", 0), (seed, "seed", 0), (lambda_max, "lambda_max", 1)):
-        _nonnegative_int(value, what, least)
+        _int_at_least(value, what, least)
     field = M.field
     k = dimension(P, field)
     rk = len(row_basis(M.codes, field))  # the distance oracles read the basis it keeps

@@ -241,7 +241,7 @@ def _basis(entries, field):
     return field, basis
 
 
-def _nonnegative_int(value, what, least=0):
+def _int_at_least(value, what, least=0):
     # bool is an int subclass, and random.Random(True) draws what 1 draws
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         bound = f"an int >= {least}" if least else "nonnegative and an int"
@@ -381,7 +381,7 @@ def min_distance_exhaustive(entries, field, budget=1 << 24):
     raises ValueError on a budget that is a bool or not an int >= 0, and
     on a rank-zero matrix.
     """
-    _nonnegative_int(budget, "budget")
+    _int_at_least(budget, "budget")
     field, B = _basis(entries, field)
     (k, n), q = B.shape, field.q
     if q ** k > budget:
@@ -455,8 +455,8 @@ def _random_coefficients(rng, q, k, iterations):
 def min_weight_random_upper(entries, field, iterations=200, seed=0):
     """Upper bound on the minimum distance from random codewords;
     iterations and seed are ints >= 0, not bools."""
-    _nonnegative_int(iterations, "iterations")
-    _nonnegative_int(seed, "seed")
+    _int_at_least(iterations, "iterations")
+    _int_at_least(seed, "seed")
     field, B = _basis(entries, field)
     (k, n), q = B.shape, field.q
     C = _random_coefficients(random.Random(seed), q, k, iterations)
