@@ -14,6 +14,8 @@ translated offset-difference region.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -102,12 +104,17 @@ class OrderSpec:
         return np.column_stack((x @ np.array(self.weights, dtype=np.int64), x))
 
 
+@cache
+def _stock_orders(dim):
+    permlex = [OrderSpec.permlex(reversed(range(dim)))] if dim > 1 else []
+    return OrderSpec.lex(), OrderSpec.grlex(), *permlex
+
+
 def stock_orders(dim):
-    """Default order set: lex, grlex, and reversed-coordinate lex."""
-    orders = [OrderSpec.lex(), OrderSpec.grlex()]
-    if dim >= 2:
-        orders.append(OrderSpec.permlex(reversed(range(dim))))
-    return orders
+    """Default order set: lex, grlex, and reversed-coordinate lex: a new list of the
+    OrderSpecs built once per dim, an int >= 1 and not a bool, found by identity."""
+    _int_at_least(dim, "dim", 1)
+    return list(_stock_orders(dim))
 
 
 def _rows(P):
@@ -349,16 +356,25 @@ class BoundDetails:
 
 
 def _survivor_counts(region, small, large):
-    """For each row m of small, the number of rows of large whose difference
-    from m satisfies every inequality of region = (normals, offsets): per
-    chunk of small, one facets x chunk x large compare of at most CAP entries."""
+    """For each row m of small, the count of rows x of large (of m's order, when both
+    stack orders) with <x - m, u> >= -a on every facet of region = offset_difference(Pbig, P),
+    for reduced points of P and Pbig. Less the least <x, u> per facet, -a at a vertex of Pbig
+    (its class's only point), both sides are slacks, >= 0 and at most Pbig's largest: uint16
+    below 2^16, else int64. Per chunk of orders x rows, one compare of at most CAP entries."""
+    if small.ndim == 2:
+        return _survivor_counts(region, small[None], large[None])[0]
     normals, offsets = region
-    values, floors = normals @ large.T, normals @ small.T - offsets[:, None]
-    step, counts = max(1, CAP // (len(large) * len(normals))), []
-    for i in range(0, len(small), step):
-        inside = (values[:, None, :] >= floors[:, i:i + step, None]).all(axis=0)
-        counts.append(np.count_nonzero(inside, axis=1))
-    return np.concatenate(counts)
+    values = np.matmul(normals, large.swapaxes(1, 2))
+    values -= (least := values[0].min(axis=1, keepdims=True))
+    floors = np.matmul(normals, small.swapaxes(1, 2)) - (offsets[:, None] + least)
+    if values[0].max() < 1 << 16:
+        values, floors = values.astype(np.uint16), floors.astype(np.uint16)
+    size, (orders, k, _) = max(1, CAP // values[0].size), small.shape  # orders x rows
+    per, rows, counts = max(1, size // k), min(size, k), np.empty((orders, k), np.intp)
+    for j, i in product(range(0, orders, per), range(0, k, rows)):
+        inside = values[j:j + per, :, None] >= floors[j:j + per, :, i:i + rows, None]
+        counts[j:j + per, i:i + rows] = np.logical_and.reduce(inside, axis=1).sum(axis=2)
+    return counts
 
 
 def bounds_over_orders(P, Pbig, field, orders=None):
@@ -377,12 +393,11 @@ def bounds_over_orders(P, Pbig, field, orders=None):
         raise ValueError("empty order list")
     if not (_proven(Pbig, P, q) or is_surjective(Pbig, P, q)):
         raise SurjectivityError("enlarged polytope is not surjective over the base")
-    region, details = offset_difference(Pbig, P), []
-    for order in orders:
-        reduced = projective_reduction(P, q, order).representatives
-        counts = _survivor_counts(region, reduced, _representatives(Pbig, q, order))
-        details.append(BoundDetails(int(counts.min()), order, reduced, counts))
-    return tuple(details)
+    reduced = [projective_reduction(P, q, order).representatives for order in orders]
+    stack = np.array if len(orders) > 1 else lambda arrays: arrays[0][None]  # a view of one
+    large = stack([_representatives(Pbig, q, order) for order in orders])
+    counts = _survivor_counts(offset_difference(Pbig, P), stack(reduced), large)
+    return tuple(map(BoundDetails, counts.min(axis=1).tolist(), orders, reduced, counts))
 
 
 def distance_lower_bound(P, Pbig, field, order=None):

@@ -99,6 +99,28 @@ def test_order_names():
 def test_stock_orders():
     assert [o.name for o in stock_orders(1)] == ["lex", "grlex"]
     assert [o.name for o in stock_orders(2)] == ["lex", "grlex", "permlex:1,0"]
+    assert [o.name for o in stock_orders(3)] == ["lex", "grlex", "permlex:2,1,0"]
+
+
+def test_stock_orders_are_built_once_per_dimension():
+    # the same objects on every call, so a kept table finds its (q, order) key by
+    # identity; each call a new list, so a caller's edit reaches no later call
+    first = stock_orders(3)
+    assert all(a is b for a, b in zip(first, stock_orders(3)))
+    first.reverse()
+    first.append(None)
+    again = stock_orders(3)
+    assert again is not first and [o.name for o in again] == ["lex", "grlex", "permlex:2,1,0"]
+    assert stock_orders(2)[2] is not stock_orders(3)[2]
+
+
+@pytest.mark.parametrize("dim", [2.0, True, 0, np.int64(2)], ids=["float", "bool", "zero", "int64"])
+def test_stock_orders_refuse_a_dimension_that_is_not_a_positive_int(dim):
+    # 2.0, True and np.int64(2) hash and compare as 2 and 1 do, so a cached set
+    # looked up before validating would answer for them
+    stock_orders(2), stock_orders(1)
+    with pytest.raises(ValueError, match="dim must be an int >= 1"):
+        stock_orders(dim)
 
 
 def test_ordered_lattice_points_follow_faces(toy_triangle):

@@ -42,6 +42,7 @@ from projtoric.variety import Flag, build_flags, check_hypotheses, count_rationa
 
 from conftest import anchored
 from test_acceptance import random_3d_corpus
+from test_high_dim import high_dim_corpus
 from reference import (
     ref_buckets,
     ref_classes,
@@ -510,33 +511,107 @@ def test_kept_tables_refuse_what_a_fresh_polytope_refuses(toy_triangle, bad):
         assert messages[0] == messages[1], name
 
 
+def spy_chunks(monkeypatch):
+    """The shape of every compare the survivor kernel reduces, (orders, facets,
+    rows, points), recorded through np.logical_and.reduce."""
+    chunks, logical_and = [], np.logical_and
+
+    class Spy:
+        def reduce(self, inside, *args, **kwargs):
+            chunks.append(inside.shape)
+            return logical_and.reduce(inside, *args, **kwargs)
+
+    monkeypatch.setattr(np, "logical_and", Spy())
+    return chunks
+
+
+def ref_stack(P, B, q, orders):
+    """(small, large, counts) of every order from the scalar reference, stacked
+    on a leading order axis."""
+    small, counts = zip(*(ref_counts(P, B, q, order) for order in orders))
+    large = [[min(g, key=lambda m: ref_key(order, m)) for g in ref_groups(B, q)] for order in orders]
+    return np.array(small), np.array(large), [list(c) for c in counts]
+
+
 @pytest.mark.parametrize("rows", [1, 2, 3])
 def test_survivor_counts_in_chunks_match_the_row_loop(monkeypatch, toy_triangle, rows):
-    # the toy triangle over F4, and the prism over F7, whose region has 5 facets
+    # the toy triangle over F4, and the prism over F7, whose region has 5 facets;
+    # a chunk is CAP // (points * facets) rows of one order, here `rows`, fewer
+    # than an order has, so one order or all of them stacked split alike
     prism = Polytope.from_vertices(CERTIFY_SHAPES["prism"])
-    chunks, count = [], np.count_nonzero
-
-    def counting(*args, **kwargs):
-        chunks.append(args[0].shape)
-        return count(*args, **kwargs)
-
-    monkeypatch.setattr(np, "count_nonzero", counting)
+    chunks = spy_chunks(monkeypatch)
     for P, q, orders in ((toy_triangle, 4, ORDERS_2D), (prism, 7, [OrderSpec.lex()])):
         B = P.dilate(find_surjective_dilate(P, q, 4 * q))
         region = offset_difference(B, P)
-        for order in orders:
-            small, expected = ref_counts(P, B, q, order)
-            large = [min(g, key=lambda m: ref_key(order, m)) for g in ref_groups(B, q)]
-            # a chunk is CAP // (len(large) * facets) rows of small, here `rows`,
-            # fewer than it has
-            facets = len(region[0])
-            monkeypatch.setattr(code, "CAP", rows * len(large) * facets)
+        small, large, expected = ref_stack(P, B, q, orders)
+        (_, k, _), n, facets = small.shape, large.shape[1], len(region[0])
+        monkeypatch.setattr(code, "CAP", rows * n * facets)
+        calls = [(small[j], large[j], expected[j], 1) for j in range(len(orders))]
+        for smalls, larges, want, stacked in calls + [(small, large, expected, len(orders))]:
             chunks.clear()
-            assert _survivor_counts(region, np.array(small), np.array(large)).tolist() == expected
-            assert len(chunks) == -(-len(small) // rows) > 1
-            assert all(r <= rows and r * n * facets <= code.CAP for r, n in chunks)
-            assert bounds_over_orders(P, B, q, [order])[0].counts.tolist() == expected
+            assert _survivor_counts(region, smalls, larges).tolist() == want
+            assert len(chunks) == stacked * -(-k // rows) > 1
+            assert all((f, p) == (facets, n) and o == 1 and r <= rows for o, f, r, p in chunks)
+            assert all(o * f * r * p <= code.CAP for o, f, r, p in chunks)
+        for order, want in zip(orders, expected):
+            assert bounds_over_orders(P, B, q, [order])[0].counts.tolist() == want
+        assert [d.counts.tolist() for d in bounds_over_orders(P, B, q, orders)] == expected
     assert len(region[0]) == 5
+
+
+@pytest.mark.parametrize("per", [1, 2, 3, 4])
+def test_a_chunk_holds_whole_orders_while_cap_allows(monkeypatch, toy_triangle, per):
+    # CAP for `per` whole orders, short of one more entry: the four 2D orders
+    # are compared `per` at a time, the last chunk taking what is left
+    P, q = toy_triangle, 4
+    B = P.dilate(find_surjective_dilate(P, q, 4 * q))
+    region = offset_difference(B, P)
+    small, large, expected = ref_stack(P, B, q, ORDERS_2D)
+    (orders, k, _), n, facets = small.shape, large.shape[1], len(region[0])
+    chunks = spy_chunks(monkeypatch)
+    monkeypatch.setattr(code, "CAP", (per + 1) * k * n * facets - 1)
+    assert _survivor_counts(region, small, large).tolist() == expected
+    sizes = [min(per, orders - j) for j in range(0, orders, per)]
+    assert chunks == [(o, facets, k, n) for o in sizes]
+    assert [d.counts.tolist() for d in bounds_over_orders(P, B, q, ORDERS_2D)] == expected
+
+
+def many_orders(dim):
+    """The stock orders, the identity permutation and two weight orders with
+    negative weights."""
+    orders = code.stock_orders(dim) + [OrderSpec.permlex(range(dim))]
+    return orders + [OrderSpec.wlex([(-1) ** i * (i + 2) for i in range(dim)]),
+                     OrderSpec.wlex([1 - 3 * (i == dim - 1) for i in range(dim)])]
+
+
+def test_one_call_over_many_orders_equals_one_call_per_order(polygon_corpus):
+    cases = polygon_corpus + random_3d_corpus(24, seed=3) + [(P, q) for _, P, q, _ in high_dim_corpus()]
+    compared = 0
+    for P, q in cases:
+        P = anchored(P)
+        if (lam := find_surjective_dilate(P, q, 4 * q)) is None:
+            continue
+        B, orders = P.dilate(lam), many_orders(P.dim)
+        for every, one in zip(bounds_over_orders(P, B, q, orders), orders):
+            (single,) = bounds_over_orders(P, B, q, [one])
+            assert every.order is single.order is one and every.bound == single.bound
+            for a, b in ((every.reduced, single.reduced), (every.counts, single.counts)):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        compared += 1
+    assert compared > 150
+
+
+@pytest.mark.parametrize("top", [(1 << 16) - 1, 1 << 16], ids=["last-uint16", "past-uint16"])
+def test_survivor_counts_at_the_16_bit_boundary(top):
+    # the largest slack compared is top, at the vertices of [0, top]: the last
+    # value uint16 holds, and the first past it. A slack that wrapped would drop
+    # a vertex of [0, top] from each count of 3
+    P = Polytope.from_vertices([(0,), (1,)])
+    B = P.dilate(top)
+    for order in code.stock_orders(1):
+        small, expected = ref_counts(P, B, 3, order)
+        (details,) = bounds_over_orders(P, B, 3, [order])
+        assert details.reduced.tolist() == small and details.counts.tolist() == expected == [3, 3]
 
 
 def test_kernel_does_not_import_numpy_ma():
