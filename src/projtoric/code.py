@@ -81,11 +81,13 @@ class OrderSpec:
     def require_fit(self, top):
         """Raise ValueError unless the order fits int64 points x with |x_i| <=
         top[i]: len(top) coordinates and, for wlex, sum |w_i| max(top[i], 1)
-        below 2^63, in Python ints, so that int64 holds each w_i and w.x."""
+        below 2^63, in Python ints, so that int64 holds each w_i and w.x;
+        grlex is wlex with w = (1, ..., 1)."""
         n = len(top)
         if {"permlex": len(self.perm), "wlex": len(self.weights)}.get(self.kind, n) != n:
             raise ValueError(f"order {self.name} does not fit dimension {n}")
-        if sum(abs(w) * max(t, 1) for w, t in zip(self.weights, top)) >> 63:
+        weights = (1,) * n if self.kind == "grlex" else self.weights
+        if sum(abs(w) * max(t, 1) for w, t in zip(weights, top)) >> 63:
             raise ValueError(f"order {self.name} overflows int64 on points up to {list(top)}")
 
     def columns(self, points):
@@ -93,8 +95,9 @@ class OrderSpec:
         x, grlex (sum x, x), permlex x[perm] and wlex (w.x, x). Raises
         ValueError where require_fit does."""
         x = np.asarray(points, dtype=np.int64)
-        top = np.abs(x).max(axis=0, initial=0).tolist() if self.weights else [0] * x.shape[1]
-        self.require_fit(top)  # only w.x can leave int64
+        sums = self.kind in ("grlex", "wlex")  # only sum x and w.x can leave int64
+        top = np.abs(x).max(axis=0, initial=0).tolist() if sums else [0] * x.shape[1]
+        self.require_fit(top)
         if self.kind == "lex":
             return x
         if self.kind == "grlex":
@@ -356,13 +359,12 @@ class BoundDetails:
 
 
 def _survivor_counts(region, small, large):
-    """For each row m of small, the count of rows x of large (of m's order, when both
-    stack orders) with <x - m, u> >= -a on every facet of region = offset_difference(Pbig, P),
-    for reduced points of P and Pbig. Less the least <x, u> per facet, -a at a vertex of Pbig
-    (its class's only point), both sides are slacks, >= 0 and at most Pbig's largest: uint16
-    below 2^16, else int64. Per chunk of orders x rows, one compare of at most CAP entries."""
-    if small.ndim == 2:
-        return _survivor_counts(region, small[None], large[None])[0]
+    """For each order o and row m of small[o], the count of rows x of large[o] with
+    <x - m, u> >= -a on every facet of region = offset_difference(Pbig, P), small and large
+    stacking each order's reduced points of P and Pbig. Less the least <x, u> per facet, -a
+    at a vertex of Pbig (its class's only point), both sides are slacks, >= 0 and at most
+    Pbig's largest: uint16 below 2^16, else int64. Per chunk of orders x rows, one compare
+    of at most CAP entries."""
     normals, offsets = region
     values = np.matmul(normals, large.swapaxes(1, 2))
     values -= (least := values[0].min(axis=1, keepdims=True))

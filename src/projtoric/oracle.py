@@ -41,10 +41,9 @@ dtype that holds n, and stops at weight 1; no word is negated, as the
 head block is a subspace. It runs where all messages fit one head block, or where
 BZ_WORD_COST times the words Brouwer-Zimmermann is projected to form
 exceed them (see min_distance_exhaustive).
-The random bound draws what random.Random(seed).randrange would, draw
-for draw: CPython's randrange(n) keeps the top n.bit_length() bits of
-the next 32-bit output, drawing again while they are >= n, and
-getrandbits(32 m) is the next m outputs, the first in the lowest word.
+The random bound's coefficient rows are uniform codes drawn from
+random.Random(seed), each with a random unit put at a random place, so
+no row is zero.
 """
 
 from __future__ import annotations
@@ -242,7 +241,7 @@ def _basis(entries, field):
 
 
 def _int_at_least(value, what, least=0):
-    # bool is an int subclass, and random.Random(True) draws what 1 draws
+    # bool is an int subclass: random.Random(True) seeds as 1, and Random(-s) as s
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         bound = f"an int >= {least}" if least else "nonnegative and an int"
         raise ValueError(f"{what} must be {bound}, not a bool, got {value!r}")
@@ -405,61 +404,21 @@ def min_distance_exhaustive(entries, field, budget=1 << 24):
     return _brouwer_zimmermann(forms, least, field)
 
 
-def _random_coefficients(rng, q, k, iterations):
-    """iterations rows c = [rng.randrange(q) for _ in range(k)], a zero
-    row then set c[rng.randrange(k)] = 1 + rng.randrange(q - 1) (value
-    drawn first), each draw read off a batch of rng's next words. Each
-    batch finds the codes randrange(q) accepts and every all-zero window
-    of k of them, keyed by its start's residue mod k and then its start:
-    the rows from accepted code i are the windows i, i + k, ..., so the
-    first zero one is one search away, whatever came before it."""
-    words, at, rows, done = np.zeros(0, np.uint32), 0, [np.zeros((0, k), np.uint16)], 0
-    hits = np.zeros(0, np.intp)  # the positions of the words randrange(q) accepts
-    shift = 32 - q.bit_length()
-
-    def draw(n):  # one randrange(n): from words[at:], then from rng itself
-        nonlocal at
-        while at < len(words):
-            at += 1
-            if (w := int(words[at - 1]) >> 32 - n.bit_length()) < n:
-                return w
-        return rng.randrange(n)
-
-    while (need := iterations - done) > 0:
-        i = int(np.searchsorted(hits, at))  # the first of them from at on
-        if len(hits) - i < need * k:
-            m = 2 * need * k  # the unread words and the next m
-            more = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), "<u4")
-            words, at = np.append(words[at:], more), 0
-            hits = np.flatnonzero(words >> shift < q)
-            codes = (words[hits] >> shift).astype(np.uint16)
-            zero = np.flatnonzero(codes == 0)
-            t = max(0, len(zero) - k + 1)  # codes[z:z + k] all 0: k zeros from z on
-            zero = zero[:t][zero[k - 1:] - zero[:t] == k - 1]
-            keys = np.sort(zero % k * len(codes) + zero)
-            continue
-        base = i % k * len(codes)
-        j = int(np.searchsorted(keys, base + i))
-        z = int(keys[j]) - base if j < len(keys) and keys[j] < base + len(codes) else len(codes)
-        if z >= i + need * k:  # no zero row among the next need
-            rows.append(codes[i:i + need * k].reshape(need, k))
-            break
-        C = codes[i:z + k].reshape(-1, k).copy()
-        at = hits[z + k - 1] + 1  # its fix-up draws come next, and the later rows after them
-        C[-1, draw(k)] = 1 + draw(q - 1)  # the value is drawn first, as in any assignment
-        rows.append(C)
-        done += len(C)
-    return np.concatenate(rows)
-
-
 def min_weight_random_upper(entries, field, iterations=200, seed=0):
-    """Upper bound on the minimum distance from random codewords;
+    """Upper bound on the minimum distance: the lightest of iterations
+    codewords, n for none. Message r reads k + 2 words w of the 32-bit
+    outputs of random.Random(seed): the codes w[:k] % q, then the unit
+    1 + w[k + 1] % (q - 1) at w[k] % k, so no message is zero.
     iterations and seed are ints >= 0, not bools."""
     _int_at_least(iterations, "iterations")
     _int_at_least(seed, "seed")
     field, B = _basis(entries, field)
     (k, n), q = B.shape, field.q
-    C = _random_coefficients(random.Random(seed), q, k, iterations)
+    m = iterations * (k + 2)
+    bits = random.Random(seed).getrandbits(32 * m).to_bytes(4 * m, "little")
+    words = np.frombuffer(bits, "<u4").reshape(iterations, k + 2)
+    C = (words[:, :k] % q).astype(np.uint16)
+    C[np.arange(iterations), words[:, k] % k] = 1 + words[:, k + 1] % (q - 1)
     return int(np.count_nonzero(field.vaddmatmul(0, C, B), axis=1).min(initial=n))
 
 

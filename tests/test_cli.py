@@ -393,6 +393,15 @@ def test_order_past_int64_exits_two_before_any_output(capsys, toy_doc, command, 
     assert "overflows int64 on points up to [32, 48]" in err
 
 
+@pytest.mark.parametrize("command", ["bound", "verify"])
+def test_grlex_past_int64_exits_two_before_any_output(capsys, tmp_path, command):
+    # on 16P, the default cap, each coordinate reaches 2^62 and x + y 2^63
+    doc = write_doc(tmp_path, "wide.json", vertices=[[0, 0], [1 << 58, 0], [0, 1 << 58]], q=3)
+    code, out, err = run(capsys, command, "--polytope", doc, "--order", "grlex")
+    assert (code, out) == (2, "")
+    assert f"grlex overflows int64 on points up to [{1 << 62}, {1 << 62}]" in err
+
+
 def test_facet_document_roundtrip(capsys, tmp_path):
     doc = write_doc(
         tmp_path, "square.json",

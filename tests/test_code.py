@@ -89,6 +89,21 @@ def test_weights_past_int64_are_refused(toy_triangle):
         order.require_fit([10, 22])
 
 
+def test_grlex_sums_past_int64_are_refused():
+    # B = [t, t + 3]^3 over F3 at t = 2^63 // 3 - 1: sum x wrapped past
+    # 2^63 - 1, and grlex listed (1, 2, 2) + t first. grlex is checked as wlex
+    # with w = (1, 1, 1), so points up to (2^63 - 1) // 3 fit and one more does not
+    fits = (2**63 - 1) // 3
+    for top in (fits, fits + 1, 2**63 // 3 + 2):
+        B = Polytope.from_vertices(list(itertools.product((top - 3, top), repeat=3)))
+        if top > fits:
+            with pytest.raises(ValueError, match="grlex overflows int64"):
+                projective_reduction(B, 3, OrderSpec.grlex())
+        else:
+            got = projective_reduction(B, 3, OrderSpec.grlex()).representatives.tolist()
+            assert got == ref_projective_reduction(B, 3, OrderSpec.grlex())
+
+
 def test_order_names():
     assert OrderSpec.lex().name == "lex"
     assert OrderSpec.grlex().name == "grlex"

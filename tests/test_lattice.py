@@ -546,7 +546,7 @@ def test_survivor_counts_in_chunks_match_the_row_loop(monkeypatch, toy_triangle,
         small, large, expected = ref_stack(P, B, q, orders)
         (_, k, _), n, facets = small.shape, large.shape[1], len(region[0])
         monkeypatch.setattr(code, "CAP", rows * n * facets)
-        calls = [(small[j], large[j], expected[j], 1) for j in range(len(orders))]
+        calls = [(small[j:j + 1], large[j:j + 1], expected[j:j + 1], 1) for j in range(len(orders))]
         for smalls, larges, want, stacked in calls + [(small, large, expected, len(orders))]:
             chunks.clear()
             assert _survivor_counts(region, smalls, larges).tolist() == want

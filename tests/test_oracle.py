@@ -6,12 +6,11 @@ array kernel: one scalar field operation per entry. The array oracles
 must return the same basis, row for row, and the same distance.
 unionfind_reference is the double loop over point pairs that the
 union-find oracle ran before it counted distinct keys; the class
-counts must agree, on drawn polytopes and on the 3D suite. The random
-bound's coefficient rows must equal those of ref_random_coefficients,
-the scalar draw loop in reference.py. loop_reference is the row loop
-in scalar arithmetic: _loop, the leaf of row_basis's recursion, must
-choose its pivots, leave its rows as it does and record an H that
-rebuilds every row from the pivot rows as they began.
+counts must agree, on drawn polytopes and on the 3D suite.
+loop_reference is the row loop in scalar arithmetic: _loop, the leaf of
+row_basis's recursion, must choose its pivots, leave its rows as it
+does and record an H that rebuilds every row from the pivot rows as
+they began.
 """
 
 import ast
@@ -34,7 +33,6 @@ from projtoric.oracle import (
     BudgetExceededError,
     _exhaustive,
     _loop,
-    _random_coefficients,
     _systematic,
     min_distance_exhaustive,
     min_weight_random_upper,
@@ -46,7 +44,7 @@ from projtoric.oracle import (
 from projtoric.polytope import Polytope, PolytopeError
 from projtoric.variety import HypothesisError
 
-from reference import add, mul, ref_random_coefficients, sub
+from reference import add, mul, sub
 from test_acceptance import random_3d_corpus
 from test_high_dim import high_dim_corpus
 from test_code import DATA, PINNED_MATRICES
@@ -859,28 +857,25 @@ def test_box_distances_match_their_closed_form():
     assert len(BOXES) == 194 and exact == 34  # 29 boxes in 2D, 5 in 3D
 
 
-def test_random_coefficients_match_scalar_draws():
-    # the batch draw reads randrange's own stream: over q = 2 with k = 1
-    # about half the rows are zero and take the fix-up draws, some of
-    # which run past the batch and come from rng itself, and over q =
-    # 65536 every draw is 17 bits, about half of them rejected
-    for q in (2, 3, 4, 7, 16, 257, 65536):
-        for k in (1, 2, 3, 8, 46):
-            for seed in range(3):
-                for iterations in (0, 1, 7, 200):
-                    expected = ref_random_coefficients(random.Random(seed), q, k, iterations)
-                    got = _random_coefficients(random.Random(seed), q, k, iterations)
-                    assert got.dtype == np.uint16, (q, k)
-                    assert np.array_equal(got, expected), (q, k, seed, iterations)
-
-
-def test_random_coefficients_over_f2_match_scalar_draws():
-    # over F2 with k = 1 about half of the 200 rows are zero, so the
-    # fix-up draws come after almost every other row
-    for seed in range(40):
-        expected = ref_random_coefficients(random.Random(seed), 2, 1, 200)
-        got = _random_coefficients(random.Random(seed), 2, 1, 200)
-        assert np.array_equal(got, expected), seed
+def test_random_rows_are_nonzero_codes_repeated_by_seed(monkeypatch, gf65536):
+    # the coefficient rows as the product receives them: over F2 with k = 1
+    # half of the uniform codes are 0, and the unit put at a random place
+    # makes every row nonzero; on the identity basis each word is its row
+    drawn, vaddmatmul = [], GF.vaddmatmul
+    monkeypatch.setattr(GF, "vaddmatmul", lambda F, c, a, b: drawn.append(a) or vaddmatmul(F, c, a, b))
+    for field, k in ((GF(2), 1), (gf65536, 1), (gf65536, 3)):
+        rows = {}
+        for seed in (0, 1, 2, 1 << 32, 1 << 64):
+            upper = min_weight_random_upper(identity_entries(k), field, 200, seed)
+            C = drawn[-1]
+            assert C.dtype == np.uint16 and C.shape == (200, k), (field.q, seed)
+            assert C.any(axis=1).all() and upper == np.count_nonzero(C, axis=1).min(), (field.q, seed)
+            assert min_weight_random_upper(identity_entries(k), field, 200, seed) == upper
+            assert np.array_equal(drawn[-1], C), (field.q, seed)
+            rows[seed] = C.tobytes()
+        # each seed draws its own rows, but over F2 with k = 1 every row is 1
+        assert len(set(rows.values())) == (1 if field.q == 2 else len(rows)), field.q
+        assert min_weight_random_upper(identity_entries(k), field, 0, 7) == k
 
 
 def test_random_upper_bounds_exhaustive(toy_triangle):
@@ -897,15 +892,16 @@ def test_random_upper_bounds_exhaustive(toy_triangle):
 
 
 def test_random_upper_pinned_values(toy_triangle, hirzebruch, cube, gf65536):
-    # values computed by the scalar per-word loop the array version replaced
+    # values weighed by reference.py's scalar mul and add over the row
+    # basis, the rows drawn one 32-bit word at a time from random.Random
     square = Polytope.from_vertices([(0, 0), (2, 0), (0, 2), (2, 2)])
     segment = Polytope.from_vertices([(0,), (5,)])
     for P, q, seeds, expected in [
         (toy_triangle, 4, (0, 1, 2), [8, 8, 8]),
-        (hirzebruch, 5, (0, 1, 2), [22, 23, 22]),
+        (hirzebruch, 5, (0, 1, 2), [23, 22, 22]),
         (cube, 3, (0, 1, 2), [27, 27, 27]),
         (square, 9, (0, 1, 2), [73, 80, 80]),
-        (segment, 257, (0, 1), [255, 255]),
+        (segment, 257, (0, 1), [253, 255]),
     ]:
         M = generator_matrix(P, GF(q))
         got = [min_weight_random_upper(M.codes, GF(q), 200, s) for s in seeds]
@@ -921,7 +917,7 @@ def test_random_upper_pinned_values(toy_triangle, hirzebruch, cube, gf65536):
         [0, 45665, 0, 0, 62431, 0, 0, 0, 0, 0, 0, 26317, 19048, 0],
     ]
     for entries, field, expected in [
-        (sparse_257, GF(257), [9, 11, 9]),
+        (sparse_257, GF(257), [9, 9, 9]),
         (sparse_65536, gf65536, [10, 10, 10]),
     ]:
         got = [min_weight_random_upper(entries, field, 200, s) for s in (0, 1, 2)]
